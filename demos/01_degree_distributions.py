@@ -11,7 +11,6 @@ from port_trees import (
     degree_pmf_hypergeom,
     degree_pmf_recurrence,
     degree_variance,
-    root_pmf_recurrence,
 )
 
 n, j = 12, 3
@@ -25,8 +24,8 @@ print(f"  total = {law.total():.12f}")
 print(f"  mean  = {law.mean():.6f}  (formula: {degree_mean(n, j):.6f})")
 print(f"  var   = {law.variance():.6f}  (formula: {degree_variance(n, j):.6f})")
 
-print("\nRoot degree law at n=8 (exact rationals):")
-for d, p in sorted(root_pmf_recurrence(8, exact=True).probs.items()):
+print("\nRoot degree law at n=8 (exact rationals, same DP with j = 1):")
+for d, p in sorted(degree_pmf_recurrence(8, 1, exact=True).probs.items()):
     print(f"  d={d}  p={p}")
 
 print("\nPhase transition of the mean degree (n = 10^6):")

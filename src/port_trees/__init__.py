@@ -4,7 +4,7 @@ diagnostics, and the Poissonized degree process."""
 
 __version__ = "0.1.0"
 
-from .tree import Kernel, Tree
+from .tree import Kernel
 from .degree import (
     DegreeLaw,
     DegreeMoments,
@@ -17,20 +17,16 @@ from .degree import (
     degree_support,
     degree_variance,
     root_pmf,
-    root_pmf_recurrence,
 )
 from .zagreb import (
     M_SECOND_MOMENT_LIMIT,
     VAR_Z_COEFFICIENT,
     Y_WEAK_LIMIT,
     Z_WEAK_LIMIT,
-    MartingaleTrace,
     ZagrebMomentSeries,
-    conditional_variance_targets,
     cubic_mean,
     cubic_mean_closed,
     martingale_diff_bound,
-    martingale_transform,
     moment_series,
     zagreb_mean,
     zagreb_second_moment,

@@ -3,7 +3,9 @@
 One executable, ``port``, with one subcommand per capability.  Every
 run that writes to an output directory also drops a ``run-manifest.json``
 holding the fully resolved configuration, the seed, and the package
-version -- enough to reproduce the outputs byte for byte.
+version -- enough to reproduce the outputs byte for byte.  The manifest
+is written last, so it exists only for a run whose outputs were all
+written.
 
 A config file (simple ``key = value`` lines, ``#`` comments) can supply
 defaults via ``--config``; explicit flags always win.  The seed comes
@@ -13,6 +15,7 @@ only from the flag or config file, never from the environment.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -27,7 +30,7 @@ from .degree import (
     degree_pmf_hypergeom,
     degree_pmf_recurrence,
     degree_variance,
-    root_pmf_recurrence,
+    root_pmf,
 )
 from .montecarlo import SimulationConfig, martingale_diagnostics, run_experiment
 from .oracle import enumerate_statistic, oracle_moment
@@ -82,7 +85,6 @@ def _resolve(args, config, name, cast, default=None, required=False):
 
 
 def _write_manifest(out_dir: str, subcommand: str, resolved: dict) -> None:
-    os.makedirs(out_dir, exist_ok=True)
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "version": __version__,
@@ -94,20 +96,31 @@ def _write_manifest(out_dir: str, subcommand: str, resolved: dict) -> None:
         fh.write("\n")
 
 
-def _emit_rows(header, rows, fmt: str, out_path: str | None) -> None:
-    """Write rows as CSV or JSON, to a file or stdout."""
-    if fmt == "json":
-        payload = {"schema_version": SCHEMA_VERSION, "columns": list(header), "rows": [list(r) for r in rows]}
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        lines = [",".join(header)]
-        lines += [",".join(str(c) for c in row) for row in rows]
-        text = "\n".join(lines) + "\n"
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+@contextlib.contextmanager
+def _output(out_dir: str | None, name: str):
+    """The file ``name`` under ``out_dir`` (created if needed), or stdout."""
+    if out_dir is None:
+        yield sys.stdout
+        return
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, name), "w") as fh:
+        yield fh
+
+
+def _emit_rows(header, rows, fmt: str, out_dir: str | None, stem: str) -> None:
+    """Write rows as CSV or JSON to ``out_dir/stem.fmt`` or stdout.
+
+    CSV rows are written one at a time, so ``rows`` may be a generator
+    and the whole table is never held as text.
+    """
+    with _output(out_dir, f"{stem}.{fmt}") as fh:
+        if fmt == "json":
+            payload = {"schema_version": SCHEMA_VERSION, "columns": list(header), "rows": [list(r) for r in rows]}
+            fh.write(json.dumps(payload, indent=2) + "\n")
+        else:
+            fh.write(",".join(header) + "\n")
+            for row in rows:
+                fh.write(",".join(str(c) for c in row) + "\n")
 
 
 def _cmd_exact_pmf(args, config) -> int:
@@ -121,26 +134,17 @@ def _cmd_exact_pmf(args, config) -> int:
         raise SystemExit(f"unknown method {method!r}")
     if rational and method != "recurrence":
         raise SystemExit("--rational is only available with the recurrence method")
-    if j == 1:
-        if method == "recurrence":
-            law = root_pmf_recurrence(n, exact=rational)
-            rows = [(d, _num(p)) for d, p in sorted(law.probs.items())]
-        else:
-            from .degree import root_pmf
-
-            rows = [(d, _num(root_pmf(n, d))) for d in range(1, n)]
-    elif method == "recurrence":
+    if method == "recurrence":
         law = degree_pmf_recurrence(n, j, exact=rational)
         rows = [(d, _num(p)) for d, p in sorted(law.probs.items())]
+    elif j == 1:
+        rows = [(d, _num(root_pmf(n, d))) for d in range(1, n)]
     else:
         fn = degree_pmf_closed if method == "closed" else degree_pmf_hypergeom
         rows = [(d, _num(fn(n, j, d))) for d in range(1, n - j + 2)]
-    resolved = {"n": n, "j": j, "method": method, "rational": rational, "format": fmt}
+    _emit_rows(("d", "probability"), rows, fmt, out_dir, "pmf")
     if out_dir:
-        _write_manifest(out_dir, "exact-pmf", resolved)
-        _emit_rows(("d", "probability"), rows, fmt, os.path.join(out_dir, "pmf." + fmt))
-    else:
-        _emit_rows(("d", "probability"), rows, fmt, None)
+        _write_manifest(out_dir, "exact-pmf", {"n": n, "j": j, "method": method, "rational": rational, "format": fmt})
     return 0
 
 
@@ -150,11 +154,9 @@ def _cmd_exact_moments(args, config) -> int:
     out_dir = _resolve(args, config, "out", str)
     fmt = _resolve(args, config, "format", str, default="csv")
     rows = [(n, j, _num(degree_mean(n, j)), _num(degree_variance(n, j)))]
+    _emit_rows(("n", "j", "mean", "variance"), rows, fmt, out_dir, "moments")
     if out_dir:
         _write_manifest(out_dir, "exact-moments", {"n": n, "j": j, "format": fmt})
-        _emit_rows(("n", "j", "mean", "variance"), rows, fmt, os.path.join(out_dir, "moments." + fmt))
-    else:
-        _emit_rows(("n", "j", "mean", "variance"), rows, fmt, None)
     return 0
 
 
@@ -164,18 +166,13 @@ def _cmd_zagreb_moments(args, config) -> int:
     out_dir = _resolve(args, config, "out", str)
     fmt = _resolve(args, config, "format", str, default="csv")
     series = moment_series(n_max, exact=rational if rational else None)
-    rows = []
-    for n in range(1, n_max + 1):
-        mz = series.mean_z[n - 1]
-        my = series.mean_y[n - 1]
-        sz = series.second_z[n - 1]
-        rows.append((n, _num(mz), _num(my), _num(sz), _num(sz - mz * mz)))
-    header = ("n", "mean_Z", "mean_Y", "second_Z", "var_Z")
+    rows = (
+        (n, _num(mz), _num(my), _num(sz), _num(sz - mz * mz))
+        for n, (mz, my, sz) in enumerate(zip(series.mean_z, series.mean_y, series.second_z), start=1)
+    )
+    _emit_rows(("n", "mean_Z", "mean_Y", "second_Z", "var_Z"), rows, fmt, out_dir, "series")
     if out_dir:
         _write_manifest(out_dir, "zagreb-moments", {"n_max": n_max, "rational": rational, "format": fmt})
-        _emit_rows(header, rows, fmt, os.path.join(out_dir, "series." + fmt))
-    else:
-        _emit_rows(header, rows, fmt, None)
     return 0
 
 
@@ -199,13 +196,10 @@ def _cmd_oracle(args, config) -> int:
         "mean": _num(oracle_moment(dist, 1)),
         "second_moment": _num(oracle_moment(dist, 2)),
     }
-    text = json.dumps(payload, indent=2) + "\n"
+    with _output(out_dir, "oracle.json") as fh:
+        fh.write(json.dumps(payload, indent=2) + "\n")
     if out_dir:
         _write_manifest(out_dir, "oracle", {"n": n, "kernel": kernel.value, "stat": stat})
-        with open(os.path.join(out_dir, "oracle.json"), "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return 0
 
 
@@ -220,6 +214,7 @@ def _cmd_simulate(args, config) -> int:
     sim = SimulationConfig(
         n=n, replicates=reps, kernel=kernel, seed=seed, statistic=stat, out_dir=out_dir, kde_grid=kde_grid
     )
+    summary = run_experiment(sim)
     _write_manifest(
         out_dir,
         "simulate",
@@ -233,7 +228,6 @@ def _cmd_simulate(args, config) -> int:
             "chunk_size": sim.resolved_chunk(),
         },
     )
-    summary = run_experiment(sim)
     print(f"simulate: n={n} reps={reps} stat={stat} mean={summary.mean:.6g} -> {out_dir}")
     return 0
 
@@ -247,13 +241,12 @@ def _cmd_poisson(args, config) -> int:
     out_dir = _resolve(args, config, "out", str, required=True)
     if mode not in ("yule", "tree"):
         raise SystemExit(f"unknown mode {mode!r}")
-    _write_manifest(out_dir, "poisson", {"j": j, "dt": dt, "reps": reps, "mode": mode, "seed": seed})
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     if mode == "yule":
         sample = simulate_yule(dt, rng, size=reps)
     else:
         sample = np.array([simulate_poissonized_tree(j, dt, rng).final_white() for _ in range(reps)], dtype=np.int64)
-    with open(os.path.join(out_dir, "sample.csv"), "w") as fh:
+    with _output(out_dir, "sample.csv") as fh:
         fh.writelines(f"{int(v)}\n" for v in sample)
     mean_t, second_t, var_t = moments_w(dt)
     summary = {
@@ -270,6 +263,7 @@ def _cmd_poisson(args, config) -> int:
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2)
         fh.write("\n")
+    _write_manifest(out_dir, "poisson", {"j": j, "dt": dt, "reps": reps, "mode": mode, "seed": seed})
     print(f"poisson: mode={mode} dt={dt} mean={summary['mean']:.6g} (theory {mean_t:.6g}) -> {out_dir}")
     return 0
 
@@ -281,11 +275,6 @@ def _cmd_normality_report(args, config) -> int:
     out_dir = _resolve(args, config, "out", str, required=True)
     sim = SimulationConfig(
         n=n, replicates=reps, kernel=Kernel.DEGREE, seed=seed, statistic="zagreb", out_dir=out_dir, kde_grid=256
-    )
-    _write_manifest(
-        out_dir,
-        "normality-report",
-        {"n": n, "reps": reps, "seed": seed, "chunk_size": sim.resolved_chunk()},
     )
     if reps < 100:
         print("warning: fewer than 100 replicates; the normality test is underpowered", file=sys.stderr)
@@ -305,6 +294,11 @@ def _cmd_normality_report(args, config) -> int:
     with open(os.path.join(out_dir, "report.json"), "w") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
+    _write_manifest(
+        out_dir,
+        "normality-report",
+        {"n": n, "reps": reps, "seed": seed, "chunk_size": sim.resolved_chunk()},
+    )
     print(f"normality-report: n={n} reps={reps} skewness={summary.skewness:.4f} "
           f"jb_p={summary.jb_pvalue:.3g} verdict: {verdict}")
     return 0
@@ -315,10 +309,7 @@ def _verify_oracle(n_max: int) -> list[tuple[str, bool]]:
     for n in range(2, n_max + 1):
         for j in range(1, n + 1):
             dist = enumerate_statistic(n, Kernel.GAP, "degree", j=j)
-            if j == 1:
-                law = root_pmf_recurrence(n, exact=True) if n >= 2 else None
-            else:
-                law = degree_pmf_recurrence(n, j, exact=True)
+            law = degree_pmf_recurrence(n, j, exact=True)
             ok = dist.outcomes == {d: p for d, p in law.probs.items() if p}
             checks.append((f"oracle-vs-recurrence n={n} j={j}", ok))
     for n in range(2, n_max + 1):
@@ -347,7 +338,7 @@ def _verify_normalization(n: int) -> list[tuple[str, bool]]:
     for j in (2, max(2, n // 2), n):
         total = degree_pmf_recurrence(n, j).total()
         checks.append((f"normalization n={n} j={j}", abs(total - 1.0) <= 1e-10))
-    total = root_pmf_recurrence(n).total()
+    total = degree_pmf_recurrence(n, 1).total()
     checks.append((f"normalization n={n} root", abs(total - 1.0) <= 1e-10))
     return checks
 
@@ -419,6 +410,9 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    # exact rationals print as p/q strings far beyond the default digit limit
+    if hasattr(sys, "set_int_max_str_digits"):  # the limit exists only where this does
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "fn", None) is None:

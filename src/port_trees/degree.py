@@ -8,10 +8,10 @@ degree of the node labeled j in a gap-oriented tree of n nodes:
   alternating cancellation costs no precision.
 * ``degree_pmf_recurrence`` -- a forward DP with all-nonnegative
   coefficients; numerically stable and the default route, with an
-  exact-rational mode.
+  exact-rational mode.  It also covers the root (j = 1).
 * ``degree_pmf_hypergeom`` -- two terminating 3F2 series.
 
-The root (j = 1) has its own closed form, ``root_pmf``, and DP variant.
+The root (j = 1) has its own closed form, ``root_pmf``.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+
+import numpy as np
 
 from .special import hypergeometric_pfq, log_gamma
 
@@ -31,7 +33,6 @@ __all__ = [
     "degree_pmf_closed",
     "degree_pmf_recurrence",
     "root_pmf",
-    "root_pmf_recurrence",
     "degree_pmf_hypergeom",
     "degree_mean",
     "degree_variance",
@@ -141,29 +142,31 @@ def degree_pmf_closed(n: int, j: int, d: int) -> float:
 
 
 def degree_pmf_recurrence(n: int, j: int, exact: bool = False) -> DegreeLaw:
-    """Stable DP for the full degree law of node j at time n.
+    """Stable DP for the full degree law of node j at time n (j = 1: root).
 
-    Starting from the certain degree 1 at time j, each growth step maps
-    P_m(d) = (d-1)/(2m-3) P_{m-1}(d-1) + (2m-3-d)/(2m-3) P_{m-1}(d).
-    In exact mode all coefficients are Fractions and the law sums to 1
-    exactly.
+    A node of degree d owns d insertion gaps, the root d + 1, out of the
+    2m-3 gaps of the (m-1)-node tree.  Starting from the certain degree 1
+    at time max(j, 2), each growth step with g = gaps(d) maps
+    P_m(d) = (g(d-1)/(2m-3)) P_{m-1}(d-1) + ((2m-3-g(d))/(2m-3)) P_{m-1}(d)
+    as one numpy shift-add.  In exact mode the same step runs on an
+    object array of Fractions and the law sums to 1 exactly.
     """
-    _check_nj(n, j)
+    _check_nj(n, j, j_min=1)
+    if n < 2:
+        raise ValueError(f"degree_pmf_recurrence requires n >= 2, got {n}")
     one = Fraction(1) if exact else 1.0
-    zero = one * 0
-    probs = {1: one}
-    for m in range(j + 1, n + 1):
+    dtype = object if exact else float
+    offset = 1 if j == 1 else 0  # the root's extra gap
+    probs = np.array([one], dtype=dtype)  # probs[i] = P(degree = i + 1)
+    for m in range(max(j, 2) + 1, n + 1):
         denom = one * (2 * m - 3)
-        new: dict = {}
-        for d, p in probs.items():
-            stay = p * (2 * m - 3 - d) / denom
-            if stay:
-                new[d] = new.get(d, zero) + stay
-            up = p * d / denom
-            if up:
-                new[d + 1] = new.get(d + 1, zero) + up
+        gaps = np.arange(1 + offset, probs.size + 1 + offset, dtype=dtype)
+        new = np.append(probs * (2 * m - 3 - gaps) / denom, one * 0)
+        new[1:] += probs * gaps / denom
         probs = new
-    return DegreeLaw(n=n, j=j, probs=probs, method="recurrence")
+    # plain Python scalars: a numpy float would change every repr
+    table = {d: (p if exact else float(p)) for d, p in enumerate(probs, start=1) if p}
+    return DegreeLaw(n=n, j=j, probs=table, method="recurrence")
 
 
 def root_pmf(n: int, d: int) -> float:
@@ -188,31 +191,6 @@ def root_pmf(n: int, d: int) -> float:
     return math.exp(log_p)
 
 
-def root_pmf_recurrence(n: int, exact: bool = False) -> DegreeLaw:
-    """DP for the root's degree law (the d -> d+1 shift of the j >= 2 DP).
-
-    The root with degree d carries d+1 gaps, so the step weights are
-    d/(2m-3) for a degree increase and (2m-4-d)/(2m-3) otherwise.
-    """
-    if n < 2:
-        raise ValueError(f"root_pmf_recurrence requires n >= 2, got {n}")
-    one = Fraction(1) if exact else 1.0
-    zero = one * 0
-    probs = {1: one}
-    for m in range(3, n + 1):
-        denom = one * (2 * m - 3)
-        new: dict = {}
-        for d, p in probs.items():
-            stay = p * (2 * m - 4 - d) / denom
-            if stay:
-                new[d] = new.get(d, zero) + stay
-            up = p * (d + 1) / denom
-            if up:
-                new[d + 1] = new.get(d + 1, zero) + up
-        probs = new
-    return DegreeLaw(n=n, j=1, probs=probs, method="recurrence")
-
-
 def degree_pmf_hypergeom(n: int, j: int, d: int) -> float:
     """Hypergeometric route: the degree PMF as a difference of two 3F2s.
 
@@ -230,7 +208,6 @@ def degree_pmf_hypergeom(n: int, j: int, d: int) -> float:
         [Fraction(2 - d, 2), Fraction(1 - d, 2), Fraction(2 - j)],
         [Fraction(1, 2), Fraction(2 - n)],
         1,
-        exact=True,
     )
     # Gamma(j-1/2)/Gamma(n-1/2) = 1 / prod_{k=j}^{n-1} (k - 1/2);
     # Gamma(n-1)/Gamma(j-1)     = prod_{k=j-1}^{n-2} k
@@ -247,7 +224,6 @@ def degree_pmf_hypergeom(n: int, j: int, d: int) -> float:
             [Fraction(3 - d, 2), Fraction(2 - d, 2), Fraction(5, 2) - j],
             [Fraction(3, 2), Fraction(5, 2) - n],
             1,
-            exact=True,
         )
         # Gamma(d)/Gamma(d-1) = d-1; Gamma(j-1/2)/Gamma(j-3/2) = j-3/2;
         # Gamma(n-3/2)/Gamma(n-1/2) = 1/(n-3/2)

@@ -56,6 +56,16 @@ class SimulationConfig:
     chunk_size: int | None = None
     kde_grid: int = 0  # 0 disables the KDE export
 
+    def __post_init__(self):
+        if self.n < 2:
+            raise ValueError(f"n must be >= 2, got {self.n}")
+        if self.replicates < 1:
+            raise ValueError(f"replicates must be >= 1, got {self.replicates}")
+        if self.chunk_size is not None and self.chunk_size < 1:
+            raise ValueError(f"chunk_size must be None or >= 1, got {self.chunk_size}")
+        if self.kde_grid < 0:
+            raise ValueError(f"kde_grid must be >= 0 (0 disables the KDE), got {self.kde_grid}")
+
     def resolved_chunk(self) -> int:
         if self.chunk_size is not None:
             return self.chunk_size
@@ -158,14 +168,9 @@ def grow_forest(
     Chunk streams are spawned from SeedSequence(seed), so the output is
     deterministic for fixed (n, replicates, kernel, seed, chunk_size).
     """
-    if n < 2:
-        raise ValueError(f"grow_forest requires n >= 2, got {n}")
-    if replicates < 1:
-        raise ValueError(f"grow_forest requires replicates >= 1, got {replicates}")
+    chunk_size = SimulationConfig(n=n, replicates=replicates, chunk_size=chunk_size).resolved_chunk()
     if want_martingale and kernel is not Kernel.DEGREE:
         raise ValueError("the martingale transform is defined for the degree-proportional kernel")
-    if chunk_size is None:
-        chunk_size = SimulationConfig(n=n, replicates=replicates).resolved_chunk()
     n_chunks = (replicates + chunk_size - 1) // chunk_size
     streams = np.random.SeedSequence(seed).spawn(n_chunks)
     parts = []

@@ -86,14 +86,10 @@ def enumerate_statistic(
             value = degree[1]
         elif statistic == "degree":
             value = degree[j]
-        elif statistic == "zagreb":
-            value = state["zagreb"]
         elif statistic == "cubic":
             value = state["cubic"]
-        elif statistic == "zagreb2":
-            value = state["zagreb"] ** 2
-        else:  # martingale M_n = 2/(n-1) Z_n - 4 H_{n-1}
-            value = Fraction(2 * state["zagreb"], n - 1) - 4 * harmonic(n - 1)
+        else:  # zagreb, and zagreb2 / martingale as images of its law below
+            value = state["zagreb"]
         accum[value] = accum.get(value, 0) + weight
 
     def dfs(m: int, weight: int) -> None:
@@ -115,6 +111,12 @@ def enumerate_statistic(
             degree[v] = d_old
 
     dfs(2, 1)
+    # both maps of Z are injective and increasing, so the sorted law keeps its order
+    if statistic == "zagreb2":
+        accum = {z * z: weight for z, weight in accum.items()}
+    elif statistic == "martingale":  # M_n = 2/(n-1) Z_n - 4 H_{n-1}
+        h = harmonic(n - 1)
+        accum = {Fraction(2 * z, n - 1) - 4 * h: weight for z, weight in accum.items()}
     total = history_count(n, kernel)
     outcomes = {value: Fraction(weight, total) for value, weight in sorted(accum.items())}
     return ExactDist(n=n, kernel=kernel, statistic=statistic, outcomes=outcomes, history_count=total)

@@ -8,6 +8,7 @@ as quotients of raw gammas, so they stay finite far beyond n ~ 170.
 from __future__ import annotations
 
 import math
+import numbers
 from fractions import Fraction
 
 __all__ = [
@@ -83,54 +84,44 @@ def double_factorial(z: int) -> int:
     return result
 
 
-def _as_half_integer(x) -> int | None:
-    """2*x as an int when x is an exact integer or half-integer, else None."""
-    if isinstance(x, Fraction):
-        if x.denominator in (1, 2):
-            return int(x * 2)
-        return None
-    doubled = 2.0 * float(x)
-    nearest = round(doubled)
-    if doubled == nearest:
-        return nearest
-    return None
+def _rational(x) -> Fraction:
+    if not isinstance(x, numbers.Rational):
+        raise ValueError(f"hypergeometric_pfq needs rational (int/Fraction) arguments, got {x!r}")
+    return Fraction(x)
 
 
-def hypergeometric_pfq(upper, lower, z, exact: bool = False):
+def _doubled_integer(x: Fraction) -> int | None:
+    """2*x as an int when x is an integer or half-integer, else None."""
+    return int(2 * x) if x.denominator in (1, 2) else None
+
+
+def hypergeometric_pfq(upper, lower, z) -> Fraction:
     """Terminating generalized hypergeometric series pFq(upper; lower; z).
 
     Sums sum_s (prod <a_i>_s / prod <b_j>_s) z^s / s! until the first
-    upper Pochhammer factor is exactly zero.  Termination is detected
-    with exact half-integer bookkeeping on the parameters (stored as
-    doubled integers), never by floating comparison.
+    upper Pochhammer factor is exactly zero.  All parameters and ``z``
+    must be rational (int/Fraction); the sum is carried out in exact
+    ``Fraction`` arithmetic, which avoids the cancellation the
+    alternating terms suffer in floating point.  Termination is detected
+    with half-integer bookkeeping on the parameters (stored as doubled
+    integers).
 
-    With ``exact=True`` all parameters and ``z`` must be rational
-    (int/Fraction); the sum is then carried out in exact ``Fraction``
-    arithmetic, which avoids the cancellation the alternating terms
-    suffer in floating point.
-
-    Raises ValueError if no upper parameter can terminate the series, or
-    if a lower-parameter pole is reached before termination.
+    Raises ValueError for a non-rational argument, if no upper parameter
+    can terminate the series, or if a lower-parameter pole is reached
+    before termination.
     """
-    up2 = [_as_half_integer(a) for a in upper]
-    lo2 = [_as_half_integer(b) for b in lower]
+    ups = [_rational(a) for a in upper]
+    los = [_rational(b) for b in lower]
+    zv = _rational(z)
+    up2 = [_doubled_integer(a) for a in ups]
+    lo2 = [_doubled_integer(b) for b in los]
     # a nonpositive *integer* upper parameter (possibly reached from a
     # half-integer is impossible: a + s keeps parity of 2a) must exist
     if not any(a2 is not None and a2 <= 0 and a2 % 2 == 0 for a2 in up2):
         raise ValueError("series does not terminate: no nonpositive integer upper parameter")
 
-    if exact:
-        ups = [Fraction(a) for a in upper]
-        los = [Fraction(b) for b in lower]
-        zv = Fraction(z)
-        total = Fraction(1)
-        term = Fraction(1)
-    else:
-        ups = [float(a) for a in upper]
-        los = [float(b) for b in lower]
-        zv = float(z)
-        total = 1.0
-        term = 1.0
+    total = Fraction(1)
+    term = Fraction(1)
     for s in range(_MAX_PFQ_TERMS):
         # factor taking term s to term s+1 involves (a + s) and (b + s)
         if any(a2 is not None and a2 == -2 * s for a2 in up2):

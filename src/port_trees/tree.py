@@ -1,11 +1,7 @@
-"""Single growing plane-oriented recursive tree.
+"""The two attachment kernels of a plane-oriented recursive tree.
 
-The attachment target is sampled with the classic weight-bag trick:
-every node appears in a flat list once per unit of attachment weight,
-and the parent of each newcomer is a uniform pick from that list.  This
-makes insertion O(1) at a cost of two list entries per node.
-
-Two kernels are supported and fixed at construction time:
+A newcomer attaches to an existing node with probability proportional
+to that node's weight under one of two kernels:
 
 * ``Kernel.GAP`` -- gap-oriented attachment: a node with outdegree k
   carries k+1 insertion gaps, so node v is chosen with probability
@@ -19,9 +15,6 @@ Two kernels are supported and fixed at construction time:
 from __future__ import annotations
 
 import enum
-from typing import IO
-
-import numpy as np
 
 
 class Kernel(enum.Enum):
@@ -35,62 +28,3 @@ class Kernel(enum.Enum):
         except ValueError:
             raise ValueError(f"unknown kernel {name!r}; expected 'gap' or 'degree'") from None
 
-
-class Tree:
-    """A PORT grown node by node, tracking degrees and index sums.
-
-    Labels are 1-based insertion ranks; the root is label 1.  ``zagreb``
-    and ``cubic`` hold the running sums of squared and cubed degrees and
-    are updated in O(1) per insertion.
-    """
-
-    __slots__ = ("kernel", "n", "degree", "parent", "zagreb", "cubic", "_bag")
-
-    def __init__(self, kernel: Kernel = Kernel.GAP):
-        self.kernel = kernel
-        self.n = 1
-        self.degree = [0, 0]  # index 0 unused
-        self.parent = [0, 0]  # root has no parent; stored as 0
-        self.zagreb = 0
-        self.cubic = 0
-        # root carries one gap under GAP; degree-proportional starts empty
-        self._bag = [1] if kernel is Kernel.GAP else []
-
-    def insert(self, rng: np.random.Generator) -> int:
-        """Insert the next node, returning the chosen parent's label."""
-        if self._bag:
-            p = self._bag[int(rng.integers(len(self._bag)))]
-        else:
-            p = 1  # forced first insertion under Kernel.DEGREE
-        new = self.n + 1
-        d = self.degree[p]
-        self.degree[p] = d + 1
-        self.degree.append(1)
-        self.parent.append(p)
-        self.zagreb += 2 * d + 2
-        self.cubic += 3 * d * d + 3 * d + 2
-        self._bag.append(p)
-        self._bag.append(new)
-        self.n = new
-        return p
-
-    def grow_to(self, n_target: int, rng: np.random.Generator) -> "Tree":
-        if n_target < self.n:
-            raise ValueError(f"n_target={n_target} below current size {self.n}")
-        while self.n < n_target:
-            self.insert(rng)
-        return self
-
-    def bag_size(self) -> int:
-        return len(self._bag)
-
-    def degrees(self) -> list[int]:
-        """Degree sequence indexed by label (1..n)."""
-        return self.degree[1 : self.n + 1]
-
-    def to_csv(self, stream: IO[str]) -> None:
-        """One line per node: label,parent,degree (root's parent is empty)."""
-        stream.write("label,parent,degree\n")
-        for v in range(1, self.n + 1):
-            par = "" if v == 1 else str(self.parent[v])
-            stream.write(f"{v},{par},{self.degree[v]}\n")

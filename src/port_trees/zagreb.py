@@ -1,5 +1,6 @@
-"""Exact moments of the Zagreb and cubic degree indices, and the
-martingale transform used for the normality diagnostics.
+"""Exact moments of the Zagreb and cubic degree indices, their limit
+constants, and the increment bound of the martingale
+M_n = 2 Z_n/(n-1) - 4 H_{n-1} used by the normality diagnostics.
 
 All three moment recurrences (mean of Z, mean of Y, second moment of Z)
 are coupled, so ``moment_series`` evaluates them jointly in one forward
@@ -18,9 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
-from .special import log_gamma
+from .special import harmonic, log_gamma
 
 __all__ = [
     "VAR_Z_COEFFICIENT",
@@ -29,16 +29,13 @@ __all__ = [
     "Y_WEAK_LIMIT",
     "RATIONAL_CAP",
     "ZagrebMomentSeries",
-    "MartingaleTrace",
     "moment_series",
     "zagreb_mean",
     "cubic_mean",
     "cubic_mean_closed",
     "zagreb_second_moment",
     "zagreb_variance_asymptotic",
-    "martingale_transform",
     "martingale_diff_bound",
-    "conditional_variance_targets",
 ]
 
 # leading coefficient of Var[Z_n] ~ (16 - 2 pi^2 / 3) n^2
@@ -100,10 +97,7 @@ def zagreb_mean(n: int) -> Fraction:
     """E[Z_n] = 2(n-1) H_{n-1}, exact."""
     if n < 1:
         raise ValueError(f"zagreb_mean requires n >= 1, got {n}")
-    h = Fraction(0)
-    for k in range(1, n):
-        h += Fraction(1, k)
-    return 2 * (n - 1) * h
+    return 2 * (n - 1) * harmonic(n - 1)
 
 
 def cubic_mean(n: int) -> Fraction:
@@ -152,35 +146,6 @@ def zagreb_variance_asymptotic(n: int) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class MartingaleTrace:
-    """Martingale values M_n = (2/(n-1)) Z_n - 4 H_{n-1} along one
-    trajectory of Z values for n = 2 .. N, and the increments from n=3."""
-
-    alpha: list
-    beta: list
-    m_values: list
-    diffs: list
-
-
-def martingale_transform(z_trajectory: Sequence[float]) -> MartingaleTrace:
-    """Transform a Z trajectory (n = 2 .. N) into its martingale trace."""
-    if len(z_trajectory) < 1:
-        raise ValueError("need Z values for n = 2 .. N, got an empty trajectory")
-    alpha, beta, m_values = [], [], []
-    h = 0.0  # H_{n-1}
-    for offset, z in enumerate(z_trajectory):
-        n = offset + 2
-        h += 1.0 / (n - 1)
-        a = 2.0 / (n - 1)
-        b = -4.0 * h
-        alpha.append(a)
-        beta.append(b)
-        m_values.append(a * z + b)
-    diffs = [m_values[i] - m_values[i - 1] for i in range(1, len(m_values))]
-    return MartingaleTrace(alpha=alpha, beta=beta, m_values=m_values, diffs=diffs)
-
-
 def martingale_diff_bound(j: int) -> float:
     """Uniform bound (6j^2 - 8j - 2)/((j-1)(j-2)) on |M_j - M_{j-1}|,
     strictly decreasing for j >= 3."""
@@ -188,7 +153,3 @@ def martingale_diff_bound(j: int) -> float:
         raise ValueError(f"martingale_diff_bound requires j >= 3, got {j}")
     return (6 * j * j - 8 * j - 2) / ((j - 1) * (j - 2))
 
-
-def conditional_variance_targets() -> tuple[float, float]:
-    """(limit of E[M_n^2], slope of V_n in n) -- both 64 - 8 pi^2/3."""
-    return (M_SECOND_MOMENT_LIMIT, M_SECOND_MOMENT_LIMIT)

@@ -30,7 +30,6 @@ from port_trees.degree import (
     degree_pmf_recurrence,
     degree_variance,
     root_pmf,
-    root_pmf_recurrence,
 )
 from port_trees.montecarlo import SimulationConfig, grow_forest, jarque_bera, martingale_diagnostics
 from port_trees.oracle import enumerate_statistic, oracle_moment
@@ -59,7 +58,7 @@ def test_criterion_01_oracle_formula_equivalence_degree():
     for n in range(2, 9):
         for j in range(1, n + 1):
             dist = enumerate_statistic(n, Kernel.GAP, "degree", j=j)
-            law = root_pmf_recurrence(n, exact=True) if j == 1 else degree_pmf_recurrence(n, j, exact=True)
+            law = degree_pmf_recurrence(n, j, exact=True)
             ok &= dist.outcomes == {d: p for d, p in law.probs.items() if p}
             closed = root_pmf if j == 1 else (lambda nn, dd, jj=j: degree_pmf_closed(nn, jj, dd))
             for d, p in dist.outcomes.items():
@@ -239,7 +238,7 @@ def test_criterion_11_normalization_and_determinism(tmp_path, capsys):
     ok_norm = True
     for j in (2, 100, 250, 500):
         ok_norm &= abs(degree_pmf_recurrence(500, j).total() - 1.0) <= 1e-10
-    ok_norm &= abs(root_pmf_recurrence(500).total() - 1.0) <= 1e-10
+    ok_norm &= abs(degree_pmf_recurrence(500, 1).total() - 1.0) <= 1e-10
     runs = []
     for name in ("a", "b"):
         out = tmp_path / name

@@ -1,7 +1,10 @@
 import json
+import os
+import sys
 
 import pytest
 
+from port_trees import cli
 from port_trees.cli import main
 
 
@@ -174,3 +177,66 @@ def test_usage_errors_exit_1(capsys):
         main(["no-such-command"])
     assert exc.value.code == 1
     assert main([]) == 1
+
+
+def test_zagreb_moments_beyond_the_digit_limit(capsys, tmp_path):
+    # exact E[Z^2] at n = 1500 has thousands of digits
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run(capsys, "zagreb-moments", "--n-max", "1500", "--rational")
+        assert code == 0, err
+        code, _, err = run(capsys, "zagreb-moments", "--n-max", "1500", "--rational", "--out", str(tmp_path))
+        assert code == 0, err
+    finally:
+        sys.set_int_max_str_digits(limit)
+    rows = out.strip().split("\n")
+    assert len(rows) == 1501
+    assert max(len(cell) for cell in rows[-1].split(",")) > 640
+    assert (tmp_path / "series.csv").read_text() == out
+
+
+@pytest.mark.parametrize("bad", [{"--kde": "-5"}, {"--reps": "0"}, {"--n": "1"}])
+def test_simulate_rejects_bad_config_before_writing(capsys, tmp_path, bad):
+    out_dir = tmp_path / "run"
+    flags = {"--n": "30", "--reps": "50", "--seed": "1", "--out": str(out_dir), **bad}
+    code, _, err = run(capsys, "simulate", *[item for pair in flags.items() for item in pair])
+    assert code == 1
+    assert "port: error:" in err
+    assert not out_dir.exists()
+
+
+def test_failed_simulation_leaves_no_manifest(capsys, tmp_path):
+    # three replicates are too few for the Jarque-Bera summary
+    out_dir = tmp_path / "run"
+    code, _, err = run(capsys, "simulate", "--n", "30", "--reps", "3", "--out", str(out_dir))
+    assert code == 1
+    assert not (out_dir / "run-manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["exact-pmf", "--n", "6", "--j", "2"],
+        ["exact-moments", "--n", "6", "--j", "2"],
+        ["zagreb-moments", "--n-max", "6"],
+        ["oracle", "--n", "4", "--stat", "zagreb"],
+        ["simulate", "--n", "20", "--reps", "20", "--kde", "8"],
+        ["poisson", "--dt", "1", "--reps", "20"],
+        ["normality-report", "--n", "20", "--reps", "100"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_manifest_is_written_last(capsys, tmp_path, monkeypatch, argv):
+    present = []
+    write_manifest = cli._write_manifest
+
+    def spy(out_dir, subcommand, resolved):
+        present.append(sorted(os.listdir(out_dir)))
+        write_manifest(out_dir, subcommand, resolved)
+
+    monkeypatch.setattr(cli, "_write_manifest", spy)
+    code, _, _ = run(capsys, *argv, "--out", str(tmp_path))
+    assert code == 0
+    assert present and present[-1] and "run-manifest.json" not in present[-1]
+    assert sorted(os.listdir(tmp_path)) == sorted(present[-1] + ["run-manifest.json"])

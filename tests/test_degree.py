@@ -13,7 +13,6 @@ from port_trees.degree import (
     degree_support,
     degree_variance,
     root_pmf,
-    root_pmf_recurrence,
 )
 
 
@@ -56,8 +55,12 @@ def test_out_of_support_is_zero():
 def test_j1_rejected_outside_root_route():
     with pytest.raises(ValueError):
         degree_pmf_closed(5, 1, 1)
-    with pytest.raises(ValueError):
-        degree_pmf_recurrence(5, 1)
+
+
+def test_recurrence_rejects_bad_labels():
+    for n, j in [(1, 1), (5, 0), (5, 6)]:
+        with pytest.raises(ValueError):
+            degree_pmf_recurrence(n, j)
 
 
 def test_root_pmf_small_cases():
@@ -69,10 +72,31 @@ def test_root_pmf_small_cases():
 
 def test_root_pmf_matches_recurrence():
     for n in (3, 6, 20, 50):
-        law = root_pmf_recurrence(n, exact=True)
+        law = degree_pmf_recurrence(n, 1, exact=True)
+        assert list(law.probs) == list(range(1, n))
         for d, p in law.probs.items():
             assert root_pmf(n, d) == pytest.approx(float(p), rel=1e-10)
         assert law.total() == 1
+
+
+def test_root_recurrence_small_laws():
+    assert degree_pmf_recurrence(2, 1, exact=True).probs == {1: Fraction(1)}
+    assert degree_pmf_recurrence(4, 1, exact=True).probs == {1: Fraction(1, 5), 2: Fraction(2, 5), 3: Fraction(2, 5)}
+
+
+@pytest.mark.parametrize("j", [1, 2])
+def test_recurrence_table_holds_plain_nonzero_scalars(j):
+    # numpy scalars would change every repr the CLI writes; the far tail
+    # underflows to 0.0 at this n and must stay out of the table
+    n = 1500
+    law = degree_pmf_recurrence(n, j)
+    assert all(type(d) is int and type(p) is float and p > 0.0 for d, p in law.probs.items())
+    assert len(law.probs) < len(degree_support(n, j))
+    exact = degree_pmf_recurrence(60, j, exact=True)
+    assert all(type(p) is Fraction for p in exact.probs.values())
+    approx = degree_pmf_recurrence(60, j)
+    for d, p in exact.probs.items():
+        assert approx.probs[d] == pytest.approx(float(p), rel=1e-12)
 
 
 def test_root_pmf_normalizes_at_n50():

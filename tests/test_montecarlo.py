@@ -14,6 +14,7 @@ from port_trees.montecarlo import (
     summarize,
 )
 from port_trees.oracle import enumerate_statistic, oracle_moment
+from port_trees.special import harmonic
 from port_trees.tree import Kernel
 from port_trees.zagreb import M_SECOND_MOMENT_LIMIT, zagreb_mean
 
@@ -43,6 +44,28 @@ def test_forest_root_degree_law():
         assert abs(p_hat - float(p)) < 4 * se
 
 
+@pytest.mark.parametrize("statistic", ["zagreb", "cubic", "root-degree"])
+@pytest.mark.parametrize("kernel", list(Kernel))
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_forest_law_matches_oracle(n, kernel, statistic):
+    res = grow_forest(n, 100_000, kernel, seed=n, want_root=True)
+    values = {"zagreb": res.zagreb, "cubic": res.cubic}.get(statistic, res.extra["root-degree"])
+    dist = enumerate_statistic(n, kernel, statistic)
+    assert set(np.unique(values)) <= set(dist.outcomes)
+    for v, p in dist.outcomes.items():
+        p_hat = float(np.mean(values == v))
+        se = math.sqrt(float(p) * (1 - float(p)) / values.size)
+        assert abs(p_hat - float(p)) <= 4 * se  # exact for a degenerate law
+
+
+def test_forest_martingale_is_the_zagreb_map():
+    n = 300
+    res = grow_forest(n, 200, Kernel.DEGREE, seed=4, want_martingale=True)
+    h = float(harmonic(n - 1))
+    expected = 2.0 * res.zagreb / (n - 1) - 4.0 * h
+    assert np.allclose(res.extra["martingale"], expected, rtol=0.0, atol=1e-9)
+
+
 def test_forest_reproducible_across_chunkings():
     a = grow_forest(50, 1000, Kernel.DEGREE, seed=5, chunk_size=1000)
     b = grow_forest(50, 1000, Kernel.DEGREE, seed=5, chunk_size=1000)
@@ -57,6 +80,19 @@ def test_forest_validates_arguments():
         grow_forest(10, 0, Kernel.GAP, seed=0)
     with pytest.raises(ValueError):
         grow_forest(10, 10, Kernel.GAP, seed=0, want_martingale=True)
+    for chunk_size in (0, -1):
+        with pytest.raises(ValueError, match="chunk_size"):
+            grow_forest(10, 10, Kernel.GAP, seed=0, chunk_size=chunk_size)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("n", 1), ("replicates", 0), ("chunk_size", 0), ("chunk_size", -1), ("kde_grid", -5)],
+)
+def test_simulation_config_validates(field, value):
+    kwargs = {"n": 10, "replicates": 10, field: value}
+    with pytest.raises(ValueError, match=field):
+        SimulationConfig(**kwargs)
 
 
 def test_jarque_bera_normal_sample():

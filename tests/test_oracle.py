@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from port_trees.degree import degree_mean, degree_pmf_recurrence, degree_variance, root_pmf_recurrence
+from port_trees.degree import degree_mean, degree_pmf_recurrence, degree_variance
 from port_trees.oracle import enumerate_statistic, history_count, oracle_moment
+from port_trees.special import harmonic
 from port_trees.tree import Kernel
 from port_trees.zagreb import zagreb_mean, cubic_mean, zagreb_second_moment
 
@@ -51,7 +52,7 @@ def test_oracle_matches_degree_recurrence():
     for n in range(2, 8):
         for j in range(1, n + 1):
             dist = enumerate_statistic(n, Kernel.GAP, "degree", j=j)
-            law = root_pmf_recurrence(n, exact=True) if j == 1 else degree_pmf_recurrence(n, j, exact=True)
+            law = degree_pmf_recurrence(n, j, exact=True)
             assert dist.outcomes == {d: p for d, p in law.probs.items() if p}
 
 
@@ -80,6 +81,17 @@ def test_kernel_distinction_regression():
     gap_mean = oracle_moment(enumerate_statistic(4, Kernel.GAP, "zagreb"), 1)
     assert gap_mean == Fraction(166, 15)
     assert gap_mean != zagreb_mean(4)
+
+
+@pytest.mark.parametrize("kernel", list(Kernel))
+def test_zagreb2_and_martingale_are_images_of_zagreb(kernel):
+    for n in range(2, 9):
+        zlaw = enumerate_statistic(n, kernel, "zagreb").outcomes
+        h = harmonic(n - 1)
+        squares = {z * z: p for z, p in zlaw.items()}
+        martingale = {Fraction(2 * z, n - 1) - 4 * h: p for z, p in zlaw.items()}
+        assert list(enumerate_statistic(n, kernel, "zagreb2").outcomes.items()) == list(squares.items())
+        assert list(enumerate_statistic(n, kernel, "martingale").outcomes.items()) == list(martingale.items())
 
 
 def test_martingale_statistic_is_centered():

@@ -90,27 +90,44 @@ def test_double_factorial_identities(m):
 
 def test_pfq_trivial_cases():
     # a zero upper parameter keeps only the s=0 term
-    assert hypergeometric_pfq([0, 3.3], [1.7], 1.0) == 1.0
-    # 2F? with upper -1: 1 + (-1)(1)(1)/1 = 0
-    assert hypergeometric_pfq([-1, 1, 1], [1, 1], 1.0) == pytest.approx(0.0, abs=1e-15)
+    assert hypergeometric_pfq([0, Fraction(33, 10)], [Fraction(17, 10)], 1) == 1
+    # 3F2 with upper -1: 1 + (-1)(1)(1)/1 = 0
+    assert hypergeometric_pfq([-1, 1, 1], [1, 1], 1) == 0
 
 
 def test_pfq_matches_binomial_sum():
     # 1F0(-m;;z) = (1-z)^m for integer m
     for m in (1, 2, 5):
-        for z in (0.3, -1.2):
-            assert hypergeometric_pfq([-m], [], z) == pytest.approx((1 - z) ** m, rel=1e-12)
+        for z in (Fraction(3, 10), Fraction(-6, 5)):
+            assert hypergeometric_pfq([-m], [], z) == (1 - z) ** m
+
+
+@pytest.mark.parametrize("m", [1, 4, 9])
+def test_pfq_chu_vandermonde(m):
+    # 2F1(-m, b; c; 1) = (c-b)_m / (c)_m
+    b, c = Fraction(3, 2), Fraction(7, 3)
+    expected = math.prod(c - b + i for i in range(m)) / math.prod(c + i for i in range(m))
+    assert hypergeometric_pfq([-m, b], [c], 1) == expected
 
 
 def test_pfq_rejects_nonterminating():
     with pytest.raises(ValueError):
-        hypergeometric_pfq([0.5, 1.0], [2.0], 1.0)
+        hypergeometric_pfq([Fraction(1, 2), 1], [2], 1)
     # half-integer upper parameters never hit an integer zero
     with pytest.raises(ValueError):
-        hypergeometric_pfq([-0.5], [2.0], 1.0)
+        hypergeometric_pfq([Fraction(-1, 2)], [2], 1)
 
 
 def test_pfq_rejects_lower_pole_before_termination():
     # lower parameter -1 dies at s=1, before the upper -3 stops at s=3
     with pytest.raises(ValueError):
-        hypergeometric_pfq([-3], [-1], 1.0)
+        hypergeometric_pfq([-3], [-1], 1)
+
+
+def test_pfq_rejects_non_rational_arguments():
+    with pytest.raises(ValueError, match="rational"):
+        hypergeometric_pfq([-2, 0.5], [1], 1)
+    with pytest.raises(ValueError, match="rational"):
+        hypergeometric_pfq([-2], [1.5], 1)
+    with pytest.raises(ValueError, match="rational"):
+        hypergeometric_pfq([-2], [1], 0.25)

@@ -1,124 +1,73 @@
-import io
+"""The two attachment kernels, as realized by the forest sampler."""
+
+import math
 
 import numpy as np
 import pytest
 
-from port_trees.tree import Kernel, Tree
+from port_trees.montecarlo import grow_forest
+from port_trees.oracle import enumerate_statistic
+from port_trees.tree import Kernel
 
 
-def test_new_tree_gap():
-    t = Tree(Kernel.GAP)
-    assert t.n == 1
-    assert t.bag_size() == 1
-    assert t.zagreb == 0 and t.cubic == 0
-
-
-def test_new_tree_degree_kernel():
-    t = Tree(Kernel.DEGREE)
-    assert t.n == 1
-    assert t.bag_size() == 0
-    assert t.zagreb == 0
+def _within_4se(hits, p):
+    return abs(float(np.mean(hits)) - p) <= 4 * math.sqrt(p * (1 - p) / hits.size)
 
 
 def test_first_insertion_deterministic():
     for kernel in Kernel:
-        t = Tree(kernel)
-        p = t.insert(np.random.default_rng(0))
-        assert p == 1
-        assert t.degree[1] == 1 and t.degree[2] == 1
-        assert t.zagreb == 2 and t.cubic == 2
+        res = grow_forest(2, 50, kernel, seed=0, want_root=True)
+        assert (res.zagreb == 2).all() and (res.cubic == 2).all()
+        assert (res.extra["root-degree"] == 1).all()
 
 
 def test_second_insertion_probabilities_gap():
     # gap weights at n=2 are 2 (root) and 1 (node 2) out of 3
-    rng = np.random.default_rng(123)
-    hits = 0
-    trials = 200_000
-    for _ in range(trials):
-        t = Tree(Kernel.GAP)
-        t.insert(rng)
-        hits += t.insert(rng) == 1
-    p = hits / trials
-    se = (2 / 3 * 1 / 3 / trials) ** 0.5
-    assert abs(p - 2 / 3) < 4 * se
+    res = grow_forest(3, 200_000, Kernel.GAP, seed=123, want_root=True)
+    assert _within_4se(res.extra["root-degree"] == 2, 2 / 3)
 
 
 def test_second_insertion_probabilities_degree():
-    rng = np.random.default_rng(321)
-    hits = 0
-    trials = 200_000
-    for _ in range(trials):
-        t = Tree(Kernel.DEGREE)
-        t.insert(rng)
-        hits += t.insert(rng) == 1
-    p = hits / trials
-    se = (0.25 / trials) ** 0.5
-    assert abs(p - 0.5) < 4 * se
-
-
-def test_gap_insertion_frequencies_at_n5():
-    # empirical pick frequencies at the 5 -> 6 step match (outdeg+1)/(2*5-1)
-    rng = np.random.default_rng(7)
-    trials = 100_000
-    counts = np.zeros(6)
-    expected = np.zeros(6)
-    for _ in range(trials):
-        t = Tree(Kernel.GAP)
-        t.grow_to(5, rng)
-        weights = [t.degree[v] + (1 if v == 1 else 0) for v in range(1, 6)]
-        for v in range(1, 6):
-            expected[v] += weights[v - 1] / 9.0
-        counts[t.insert(rng)] += 1
-    for v in range(1, 6):
-        p_hat = counts[v] / trials
-        p = expected[v] / trials
-        se = (p * (1 - p) / trials) ** 0.5
-        assert abs(p_hat - p) < 4 * se + 1e-12
+    # degree weights at n=2 are 1 and 1 out of 2
+    res = grow_forest(3, 200_000, Kernel.DEGREE, seed=321, want_root=True)
+    assert _within_4se(res.extra["root-degree"] == 2, 1 / 2)
 
 
 @pytest.mark.parametrize("kernel", list(Kernel))
 @pytest.mark.parametrize("n", [2, 17, 500])
 def test_growth_invariants(kernel, n):
-    t = Tree(kernel)
-    t.grow_to(n, np.random.default_rng(n))
-    degs = t.degrees()
-    assert sum(degs) == 2 * (n - 1)
-    assert min(degs) >= 1
-    assert t.degree[n] == 1
-    assert t.zagreb == sum(d * d for d in degs)
-    assert t.cubic == sum(d**3 for d in degs)
-    assert t.bag_size() == (2 * n - 1 if kernel is Kernel.GAP else 2 * (n - 1))
+    res = grow_forest(n, 64, kernel, seed=n, labels=(n,), want_root=True)
+    z, y, root = res.zagreb, res.cubic, res.extra["root-degree"]
+    assert (res.extra[f"degree:{n}"] == 1).all()  # the newest node is a leaf
+    assert ((root >= 1) & (root <= n - 1)).all()
+    # the degrees sum to 2(n-1) and d^3 = d (mod 6), d^2 = d (mod 2)
+    assert (z % 2 == 0).all()
+    assert (y % 6 == 2 * (n - 1) % 6).all()
+    # every other node has degree >= 1; the star bounds Z from above
+    assert (z >= root**2 + n - 1).all() and (y >= root**3 + n - 1).all()
+    assert (z <= n * (n - 1)).all()
+
+
+def test_gap_insertion_frequencies_at_n5():
+    # the per-node degree laws at n = 6 carry the pick frequencies of every
+    # step up to 5 -> 6, which must match (outdeg+1)/(2m-1)
+    n, reps = 6, 200_000
+    res = grow_forest(n, reps, Kernel.GAP, seed=7, labels=tuple(range(2, n + 1)), want_root=True)
+    for v in range(1, n + 1):
+        degrees = res.extra["root-degree" if v == 1 else f"degree:{v}"]
+        law = enumerate_statistic(n, Kernel.GAP, "degree", j=v).outcomes
+        for d, p in law.items():
+            assert _within_4se(degrees == d, float(p))
 
 
 def test_identical_seed_identical_tree():
-    grown = []
-    for _ in range(2):
-        t = Tree(Kernel.GAP)
-        t.grow_to(300, np.random.default_rng(99))
-        grown.append((tuple(t.parent), tuple(t.degree)))
-    assert grown[0] == grown[1]
-
-
-def test_grow_to_rejects_shrinking():
-    t = Tree(Kernel.GAP)
-    t.grow_to(5, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        t.grow_to(3, np.random.default_rng(0))
-
-
-def test_csv_dump():
-    t = Tree(Kernel.GAP)
-    t.grow_to(4, np.random.default_rng(5))
-    buf = io.StringIO()
-    t.to_csv(buf)
-    lines = buf.getvalue().strip().split("\n")
-    assert lines[0] == "label,parent,degree"
-    assert len(lines) == 5
-    assert lines[1].startswith("1,,")  # root has no parent
-    for line in lines[2:]:
-        label, parent, degree = line.split(",")
-        assert 1 <= int(parent) < int(label)
-        assert int(degree) >= 1
+    grown = [
+        grow_forest(300, 20, Kernel.GAP, seed=99, labels=(2, 10, 150), want_root=True) for _ in range(2)
+    ]
+    assert np.array_equal(grown[0].zagreb, grown[1].zagreb)
+    assert np.array_equal(grown[0].cubic, grown[1].cubic)
+    for key in ("root-degree", "degree:2", "degree:10", "degree:150"):
+        assert np.array_equal(grown[0].extra[key], grown[1].extra[key])
 
 
 def test_kernel_parse():

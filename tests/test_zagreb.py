@@ -3,17 +3,17 @@ from fractions import Fraction
 
 import pytest
 
+from port_trees.oracle import enumerate_statistic
 from port_trees.special import harmonic
+from port_trees.tree import Kernel
 from port_trees.zagreb import (
     M_SECOND_MOMENT_LIMIT,
     VAR_Z_COEFFICIENT,
     Y_WEAK_LIMIT,
     Z_WEAK_LIMIT,
-    conditional_variance_targets,
     cubic_mean,
     cubic_mean_closed,
     martingale_diff_bound,
-    martingale_transform,
     moment_series,
     zagreb_mean,
     zagreb_second_moment,
@@ -86,27 +86,20 @@ def test_weak_law_constants():
 
 
 def test_martingale_transform_known_values():
-    trace = martingale_transform([2, 6, 12])  # Z_2, Z_3, Z_4
-    assert trace.m_values[0] == pytest.approx(0.0, abs=1e-12)
-    assert trace.m_values[1] == pytest.approx(0.0, abs=1e-12)
-    assert trace.m_values[2] == pytest.approx(2 / 3, abs=1e-12)
-    trace_low = martingale_transform([2, 6, 10])
-    assert trace_low.m_values[2] == pytest.approx(-2 / 3, abs=1e-12)
+    # the map Z -> M gives M_2 = M_3 = 0 and M_4 = +-2/3 for Z_4 = 12 or 10
+    for n in (2, 3):
+        assert enumerate_statistic(n, Kernel.DEGREE, "martingale").outcomes == {0: 1}
+    dist = enumerate_statistic(4, Kernel.DEGREE, "martingale")
+    assert dist.outcomes == {Fraction(-2, 3): Fraction(1, 2), Fraction(2, 3): Fraction(1, 2)}
 
 
 def test_martingale_normalized_form():
-    # M_n = (Z_n - E[Z_n]) / ((n-1)/2) pointwise
-    z_traj = [2, 6, 10, 18, 26]
-    trace = martingale_transform(z_traj)
-    for offset, z in enumerate(z_traj):
-        n = offset + 2
-        expected = (z - float(zagreb_mean(n))) / ((n - 1) / 2)
-        assert trace.m_values[offset] == pytest.approx(expected, abs=1e-10)
-
-
-def test_martingale_transform_rejects_empty():
-    with pytest.raises(ValueError):
-        martingale_transform([])
+    # M_n = (Z_n - E[Z_n]) / ((n-1)/2) exactly, outcome by outcome
+    for n in range(2, 9):
+        zlaw = enumerate_statistic(n, Kernel.DEGREE, "zagreb").outcomes
+        mlaw = enumerate_statistic(n, Kernel.DEGREE, "martingale").outcomes
+        expected = {(z - zagreb_mean(n)) / Fraction(n - 1, 2): p for z, p in zlaw.items()}
+        assert list(mlaw.items()) == list(expected.items())
 
 
 def test_diff_bound_values():
@@ -123,8 +116,6 @@ def test_diff_bound_strictly_decreasing():
 
 
 def test_conditional_variance_targets():
-    m2, slope = conditional_variance_targets()
-    assert m2 == pytest.approx(64 - 8 * math.pi**2 / 3, rel=1e-15)
-    assert slope == m2
-    assert m2 == pytest.approx(4 * VAR_Z_COEFFICIENT, rel=1e-12)
-    assert M_SECOND_MOMENT_LIMIT == m2
+    # limit of E[M_n^2] and slope of the conditional variance V_n / n
+    assert M_SECOND_MOMENT_LIMIT == pytest.approx(64 - 8 * math.pi**2 / 3, rel=1e-15)
+    assert M_SECOND_MOMENT_LIMIT == pytest.approx(4 * VAR_Z_COEFFICIENT, rel=1e-12)
