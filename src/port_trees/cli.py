@@ -25,6 +25,7 @@ import numpy as np
 
 from . import __version__
 from .degree import (
+    _check_nj,
     degree_mean,
     degree_pmf_closed,
     degree_pmf_hypergeom,
@@ -134,6 +135,7 @@ def _cmd_exact_pmf(args, config) -> int:
         raise SystemExit(f"unknown method {method!r}")
     if rational and method != "recurrence":
         raise SystemExit("--rational is only available with the recurrence method")
+    _check_nj(n, j, j_min=1)  # the recurrence's range holds for every method
     if method == "recurrence":
         law = degree_pmf_recurrence(n, j, exact=rational)
         rows = [(d, _num(p)) for d, p in sorted(law.probs.items())]
@@ -241,6 +243,12 @@ def _cmd_poisson(args, config) -> int:
     out_dir = _resolve(args, config, "out", str, required=True)
     if mode not in ("yule", "tree"):
         raise SystemExit(f"unknown mode {mode!r}")
+    if reps < 2:  # the summary holds a sample variance
+        raise SystemExit(f"--reps must be >= 2, got {reps}")
+    if dt < 0:
+        raise SystemExit(f"--dt must be >= 0, got {dt}")
+    if mode == "tree" and j < 2:
+        raise SystemExit(f"--j must be >= 2 in tree mode, got {j}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     if mode == "yule":
         sample = simulate_yule(dt, rng, size=reps)

@@ -91,6 +91,8 @@ def degree_support(n: int, j: int) -> range:
 
 
 def _check_nj(n: int, j: int, j_min: int = 2) -> None:
+    if n < 2:
+        raise ValueError(f"need n >= 2, got n={n}")
     if j < j_min or j > n:
         raise ValueError(f"need {j_min} <= j <= n, got j={j}, n={n}")
 
@@ -152,8 +154,6 @@ def degree_pmf_recurrence(n: int, j: int, exact: bool = False) -> DegreeLaw:
     object array of Fractions and the law sums to 1 exactly.
     """
     _check_nj(n, j, j_min=1)
-    if n < 2:
-        raise ValueError(f"degree_pmf_recurrence requires n >= 2, got {n}")
     one = Fraction(1) if exact else 1.0
     dtype = object if exact else float
     offset = 1 if j == 1 else 0  # the root's extra gap
@@ -238,16 +238,12 @@ def _mean_gamma_ratio(n: int, j: int) -> float:
 def degree_mean(n: int, j: int) -> float:
     """Exact mean degree of node j at time n (root loses its phantom gap)."""
     _check_nj(n, j, j_min=1)
-    if n < 2:
-        raise ValueError(f"degree_mean requires n >= 2, got {n}")
     return _mean_gamma_ratio(n, j) - (1.0 if j == 1 else 0.0)
 
 
 def degree_variance(n: int, j: int) -> float:
     """Exact variance of the degree of node j at time n."""
     _check_nj(n, j, j_min=1)
-    if n < 2:
-        raise ValueError(f"degree_variance requires n >= 2, got {n}")
     a = _mean_gamma_ratio(n, j)
     return -a * a - a + (4 * n - 2) / (2 * j - 1)
 

@@ -1,11 +1,16 @@
 """Replicated tree simulation at scale, with reproducible seeding.
 
-Replicates are grown in parallel as flat numpy arrays (one row per
-tree), in chunks sized by a memory budget.  Each chunk draws from its
-own stream spawned deterministically from the master seed, so results
-are byte-reproducible given (seed, config) regardless of chunking being
-an implementation detail -- the chunk size is part of the resolved
-configuration recorded in the run manifest.
+Replicates are grown in parallel as numpy arrays (one row per tree),
+in chunks of at most ``_CHUNK_ELEMENT_BUDGET`` node slots.  A chunk has
+no loop over insertion steps: the bag sampler of Batagelj & Brandes
+draws every attachment slot at once and resolves the parents by pointer
+jumping, and one parent array then gives the degrees, Z, Y, the degree
+of node j, the root degree and the whole martingale path M_m.  Each
+chunk draws from its own stream spawned deterministically from the
+master seed, so results are byte-reproducible given (seed, config)
+regardless of chunking being an implementation detail -- the chunk
+size is part of the resolved configuration recorded in the run
+manifest.
 
 Normality is assessed with the Jarque-Bera moment test (exactly
 specified, decisive at the observed skewness) rather than Shapiro-Wilk,
@@ -39,8 +44,11 @@ __all__ = [
 
 # bound-check tolerance: the bound is exact, the trace is float
 _BOUND_EPS = 1e-9
-# per-chunk element budget for the bag + degree matrices (int32)
-_CHUNK_ELEMENT_BUDGET = 30_000_000
+# per-chunk budget of node slots, replicates x n; the martingale path
+# keeps about 45 bytes per slot alive at its peak
+_CHUNK_ELEMENT_BUDGET = 500_000
+# largest Z whose square fits in int64
+_ZAGREB2_MAX_Z = math.isqrt(np.iinfo(np.int64).max)
 
 STATISTIC_CHOICES = ("zagreb", "cubic", "zagreb2", "root-degree", "martingale")
 
@@ -65,12 +73,14 @@ class SimulationConfig:
             raise ValueError(f"chunk_size must be None or >= 1, got {self.chunk_size}")
         if self.kde_grid < 0:
             raise ValueError(f"kde_grid must be >= 0 (0 disables the KDE), got {self.kde_grid}")
+        rows = min(self.resolved_chunk(), self.replicates)
+        if rows * self.n >= 2**31:  # the sampler indexes a chunk's nodes in int32
+            raise ValueError(f"chunk_size * n must stay below 2**31 node slots, got {rows} * {self.n}")
 
     def resolved_chunk(self) -> int:
         if self.chunk_size is not None:
             return self.chunk_size
-        per_row = 3 * self.n + 1  # bag (2n) + degrees (n+1), int32 each
-        return max(1, min(self.replicates, _CHUNK_ELEMENT_BUDGET // per_row))
+        return max(1, min(self.replicates, _CHUNK_ELEMENT_BUDGET // self.n))
 
 
 @dataclass(frozen=True)
@@ -96,57 +106,99 @@ class ForestResult:
     extra: dict = field(default_factory=dict)
 
 
+def _draw_parents(n, reps, kernel, rng):
+    """Parents of nodes 2..n in ``reps`` trees, drawn with no loop over nodes.
+
+    Node labels live in a (reps, n) grid, node k of row r at flat index
+    r * n + k - 1.  Returns an int32 (reps, n - 1) array whose column
+    m - 2 holds the flat index of node m's parent.
+
+    This is the bag sampler of Batagelj & Brandes (Phys. Rev. E 71,
+    036113, 2005).  Under the degree kernel the tree on m - 1 nodes has
+    2(m - 2) edge ends: slot 2k + 1 holds node k + 2 and slot 2k holds
+    its parent.  The gap kernel puts the root's extra gap in front, read
+    here as slot -1.  Node m >= 3 draws a slot q uniformly.  An odd slot
+    names node (q >> 1) + 2 (the root for q = -1); an even slot inherits
+    the parent of the earlier node (q >> 1) + 2.  All slots are drawn at
+    once.  Then every pending node copies its target's current entry,
+    which halves the remaining chains, until none is pending.
+    """
+    first_slot = -1 if kernel is Kernel.GAP else 0
+    ends = 2 * np.arange(1, n - 1, dtype=np.int32)  # 2(m - 2) edge ends met by node m = 3..n
+    q = rng.integers(first_slot, ends, size=(reps, n - 2), dtype=np.int32)
+    ref = np.empty((reps, n), dtype=np.int32)
+    row_start = np.arange(0, reps * n, n, dtype=np.int32)[:, None]
+    ref[:, :2] = row_start  # node 2 hangs off the root; the root's entry is never read
+    np.add(q >> 1, row_start + 1, out=ref[:, 2:])
+    ref[:, 2:] ^= (q & 1) - 1  # even slot: ~target marks the entry pending
+    flat = ref.reshape(-1)
+    pending = np.flatnonzero(flat < 0)
+    while pending.size:
+        got = flat[~flat[pending]]
+        flat[pending] = got
+        pending = pending[got < 0]
+    return ref[:, 1:]
+
+
+def _earlier_siblings(parents):
+    """For each node of a (reps, n - 1) parent array, the number of
+    earlier nodes with the same parent, found by one sort of
+    (parent, node) keys."""
+    size = parents.size
+    shift = size.bit_length()
+    keys = parents.reshape(-1).astype(np.int64)
+    keys <<= shift
+    keys |= np.arange(size)
+    keys.sort()
+    node = keys & ((1 << shift) - 1)
+    keys >>= shift  # each node's parent, grouped
+    rank = np.arange(size, dtype=np.int64)
+    group_start = rank * np.concatenate(([True], keys[1:] != keys[:-1]))
+    np.maximum.accumulate(group_start, out=group_start)
+    rank -= group_start
+    earlier = np.empty(size, dtype=np.int64)
+    earlier[node] = rank
+    return earlier.reshape(parents.shape)
+
+
+def _martingale_path(parents, n):
+    """Final M_n, largest |M_m - M_{m-1}| and the increment-bound flag
+    of each row, from the parents of ``_draw_parents`` (degree kernel).
+
+    Node m raises Z by 2d + 2, where d is its parent's degree just
+    before m arrives: the parent's earlier children, plus one for the
+    edge to its own parent unless it is the root.
+    """
+    z_path = _earlier_siblings(parents)
+    z_path += parents != parents[:, :1]  # node 2's parent is the root
+    z_path *= 2
+    z_path += 2
+    np.cumsum(z_path, axis=1, out=z_path)  # Z_m for m = 2..n
+    m = np.arange(2, n + 1)
+    h = np.cumsum(1.0 / (m - 1))  # H_{m-1}
+    m_path = (2.0 / (m - 1)) * z_path
+    m_path -= 4.0 * h
+    diff = np.diff(m_path, axis=1)  # m = 3..n
+    np.abs(diff, out=diff)
+    bound_ok = (diff <= martingale_diff_bound(m[1:]) + _BOUND_EPS).all(axis=1)
+    return m_path[:, -1].copy(), diff.max(axis=1, initial=0.0), bound_ok
+
+
 def _grow_chunk(n, reps, kernel, rng, labels=(), want_root=False, want_martingale=False):
-    bag = np.empty((reps, 2 * n), dtype=np.int32)
-    deg = np.zeros((reps, n + 1), dtype=np.int32)
-    rows = np.arange(reps)
-    z = np.zeros(reps, dtype=np.int64)
-    y = np.zeros(reps, dtype=np.int64)
-    if kernel is Kernel.GAP:
-        bag[:, 0] = 1
-        size = 1
-        m0 = 2
-    else:
-        # first insertion is forced; start from the unique 2-node tree
-        bag[:, 0] = 1
-        bag[:, 1] = 2
-        deg[:, 1] = 1
-        deg[:, 2] = 1
-        z[:] = 2
-        y[:] = 2
-        size = 2
-        m0 = 3
-    if want_martingale:
-        h = sum(1.0 / k for k in range(1, m0 - 1))  # H_{m0-2}
-        m_prev = (2.0 / (m0 - 2)) * z - 4.0 * h if m0 == 3 else None
-        max_diff = np.zeros(reps)
-        bound_ok = np.ones(reps, dtype=bool)
-    for m in range(m0, n + 1):
-        idx = rng.integers(0, size, size=reps)
-        parent = bag[rows, idx]
-        d_old = deg[rows, parent].astype(np.int64)
-        z += 2 * d_old + 2
-        y += 3 * d_old * (d_old + 1) + 2
-        deg[rows, parent] += 1
-        deg[:, m] = 1
-        bag[:, size] = parent
-        bag[:, size + 1] = m
-        size += 2
-        if want_martingale:
-            h += 1.0 / (m - 1)
-            m_cur = (2.0 / (m - 1)) * z - 4.0 * h
-            if m_prev is not None and m >= 3:
-                diff = np.abs(m_cur - m_prev)
-                np.maximum(max_diff, diff, out=max_diff)
-                bound_ok &= diff <= martingale_diff_bound(m) + _BOUND_EPS
-            m_prev = m_cur
-    result = ForestResult(zagreb=z, cubic=y)
+    parents = _draw_parents(n, reps, kernel, rng)
+    deg = np.bincount(parents.reshape(-1), minlength=reps * n).reshape(reps, n)
+    deg[:, 1:] += 1  # the edge to the parent; the root has none
+    result = ForestResult(
+        zagreb=np.einsum("ij,ij->i", deg, deg),
+        cubic=np.einsum("ij,ij,ij->i", deg, deg, deg),
+    )
     for j in labels:
-        result.extra[f"degree:{j}"] = deg[:, j].copy()
+        result.extra[f"degree:{j}"] = deg[:, j - 1].copy()
     if want_root:
-        result.extra["root-degree"] = deg[:, 1].astype(np.int64)
+        result.extra["root-degree"] = deg[:, 0].copy()
     if want_martingale:
-        result.extra["martingale"] = m_prev
+        m_final, max_diff, bound_ok = _martingale_path(parents, n)
+        result.extra["martingale"] = m_final
         result.extra["martingale_max_diff"] = max_diff
         result.extra["martingale_bound_ok"] = bound_ok
     return result
@@ -193,6 +245,8 @@ def _extract_statistic(result: ForestResult, statistic: str) -> np.ndarray:
     if statistic == "cubic":
         return result.cubic
     if statistic == "zagreb2":
+        if result.zagreb.max() > _ZAGREB2_MAX_Z:
+            raise ValueError(f"zagreb2 overflows int64 for Z > {_ZAGREB2_MAX_Z}; largest Z is {result.zagreb.max()}")
         return result.zagreb**2
     return result.extra[statistic]
 

@@ -14,7 +14,6 @@ from fractions import Fraction
 __all__ = [
     "log_gamma",
     "reciprocal_gamma",
-    "digamma_plus_gamma",
     "harmonic",
     "pochhammer",
     "double_factorial",
@@ -54,13 +53,6 @@ def harmonic(n: int) -> Fraction:
     for k in range(1, n + 1):
         total += Fraction(1, k)
     return total
-
-
-def digamma_plus_gamma(n: int) -> Fraction:
-    """Psi(n) + gamma as the exact rational H_{n-1}, for integer n >= 1."""
-    if n < 1:
-        raise ValueError(f"digamma_plus_gamma requires n >= 1, got {n}")
-    return harmonic(n - 1)
 
 
 def pochhammer(x: float, k: int) -> float:

@@ -20,6 +20,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .special import harmonic, log_gamma
 
 __all__ = [
@@ -146,10 +148,11 @@ def zagreb_variance_asymptotic(n: int) -> dict:
     }
 
 
-def martingale_diff_bound(j: int) -> float:
+def martingale_diff_bound(j):
     """Uniform bound (6j^2 - 8j - 2)/((j-1)(j-2)) on |M_j - M_{j-1}|,
-    strictly decreasing for j >= 3."""
-    if j < 3:
+    strictly decreasing for j >= 3.  ``j`` may be an int or an integer
+    array (one bound per entry)."""
+    if np.any(np.asarray(j) < 3):
         raise ValueError(f"martingale_diff_bound requires j >= 3, got {j}")
     return (6 * j * j - 8 * j - 2) / ((j - 1) * (j - 2))
 

@@ -2,9 +2,10 @@ import json
 import os
 import sys
 
+import numpy as np
 import pytest
 
-from port_trees import cli
+from port_trees import cli, montecarlo
 from port_trees.cli import main
 
 
@@ -204,6 +205,46 @@ def test_simulate_rejects_bad_config_before_writing(capsys, tmp_path, bad):
     assert code == 1
     assert "port: error:" in err
     assert not out_dir.exists()
+
+
+def test_simulate_zagreb2_refuses_int64_overflow(capsys, tmp_path, monkeypatch):
+    def huge_forest(n, replicates, kernel, seed, **flags):
+        zagreb = np.full(replicates, 3_037_000_500, dtype=np.int64)  # one above the int64 square root
+        return montecarlo.ForestResult(zagreb=zagreb, cubic=zagreb)
+
+    monkeypatch.setattr(montecarlo, "grow_forest", huge_forest)
+    out_dir = tmp_path / "run"
+    code, _, err = run(capsys, "simulate", "--n", "30", "--reps", "20", "--stat", "zagreb2", "--out", str(out_dir))
+    assert code == 1
+    assert "zagreb2 overflows int64" in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [{"--reps": "0"}, {"--reps": "1"}, {"--reps": "-3"}, {"--dt": "-1"}, {"--mode": "tree", "--j": "1"}],
+)
+def test_poisson_rejects_bad_input_before_writing(capsys, tmp_path, bad):
+    out_dir = tmp_path / "poi"
+    flags = {"--dt": "1", "--reps": "20", "--seed": "1", "--out": str(out_dir), **bad}
+    code, _, err = run(capsys, "poisson", *[item for pair in flags.items() for item in pair])
+    assert code == 1
+    assert "port: error: --" in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("method", ["closed", "recurrence", "hypergeom"])
+@pytest.mark.parametrize("n,j", [(5, 9), (1, 1), (5, 0)])
+def test_exact_pmf_rejects_bad_n_j_for_every_method(capsys, tmp_path, method, n, j):
+    code, out, err = run(capsys, "exact-pmf", "--n", str(n), "--j", str(j), "--method", method)
+    assert code == 1
+    assert out == ""
+    assert "port: error: need" in err
+    code, _, _ = run(
+        capsys, "exact-pmf", "--n", str(n), "--j", str(j), "--method", method, "--out", str(tmp_path / "pmf")
+    )
+    assert code == 1
+    assert not (tmp_path / "pmf").exists()
 
 
 def test_failed_simulation_leaves_no_manifest(capsys, tmp_path):

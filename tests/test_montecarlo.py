@@ -5,7 +5,11 @@ import numpy as np
 import pytest
 
 from port_trees.montecarlo import (
+    ForestResult,
     SimulationConfig,
+    _draw_parents,
+    _extract_statistic,
+    _grow_chunk,
     grow_forest,
     jarque_bera,
     kde,
@@ -16,7 +20,7 @@ from port_trees.montecarlo import (
 from port_trees.oracle import enumerate_statistic, oracle_moment
 from port_trees.special import harmonic
 from port_trees.tree import Kernel
-from port_trees.zagreb import M_SECOND_MOMENT_LIMIT, zagreb_mean
+from port_trees.zagreb import M_SECOND_MOMENT_LIMIT, martingale_diff_bound, zagreb_mean
 
 
 def _within_se(sample_mean, exact, sample_var, count, k=4):
@@ -58,6 +62,100 @@ def test_forest_law_matches_oracle(n, kernel, statistic):
         assert abs(p_hat - float(p)) <= 4 * se  # exact for a degenerate law
 
 
+def _oracle_stats(n):
+    return ["zagreb", "cubic", "root-degree"] + [f"degree:{j}" for j in range(2, n + 1)]
+
+
+@pytest.mark.parametrize("kernel", list(Kernel))
+@pytest.mark.parametrize("n,statistic", [(n, s) for n in (6, 8) for s in _oracle_stats(n)])
+def test_forest_laws_match_oracle_at_6_and_8(n, statistic, kernel):
+    res = grow_forest(n, 100_000, kernel, seed=n, labels=tuple(range(2, n + 1)), want_root=True)
+    values = {"zagreb": res.zagreb, "cubic": res.cubic, **res.extra}[statistic]
+    name, _, j = statistic.partition(":")
+    dist = enumerate_statistic(n, kernel, name, j=int(j) if j else None)
+    assert set(np.unique(values)) <= set(dist.outcomes)
+    for v, p in dist.outcomes.items():
+        p_hat = float(np.mean(values == v))
+        se = math.sqrt(float(p) * (1 - float(p)) / values.size)
+        assert abs(p_hat - float(p)) <= 4 * se
+
+
+def _replay(parents, n):
+    """Insert nodes 2..n one at a time under the given parent labels and
+    track degrees, Z, Y and the martingale M_m = 2 Z_m/(m-1) - 4 H_{m-1}
+    with scalar arithmetic in the sampler's order of operations."""
+    deg = [0] * (n + 1)
+    z = y = 0
+    h = 1.0  # H_1
+    m_prev, max_diff, bound_ok = 0.0, 0.0, True  # M_2 = 0
+    for m in range(2, n + 1):
+        p = parents[m - 2]
+        assert 1 <= p < m
+        d = deg[p]
+        z += 2 * d + 2
+        y += 3 * d * (d + 1) + 2
+        deg[p] += 1
+        deg[m] = 1
+        if m >= 3:
+            h += 1.0 / (m - 1)
+            m_cur = (2.0 / (m - 1)) * z - 4.0 * h
+            diff = abs(m_cur - m_prev)
+            max_diff = max(max_diff, diff)
+            bound_ok = bound_ok and diff <= martingale_diff_bound(m) + 1e-9
+            m_prev = m_cur
+    return deg, z, y, m_prev, max_diff, bound_ok
+
+
+@pytest.mark.parametrize("kernel", list(Kernel))
+def test_forest_matches_scalar_replay(kernel):
+    n, reps, seed = 40, 6, 9
+    parents = _draw_parents(n, reps, kernel, np.random.default_rng(seed))
+    # same stream: _grow_chunk draws exactly these parents
+    res = _grow_chunk(
+        n, reps, kernel, np.random.default_rng(seed),
+        labels=tuple(range(2, n + 1)), want_root=True, want_martingale=True,
+    )
+    labels = parents - np.arange(reps)[:, None] * n + 1  # flat grid index -> node label
+    for r in range(reps):
+        deg, z, y, m_n, max_diff, bound_ok = _replay(labels[r].tolist(), n)
+        assert res.zagreb[r] == z
+        assert res.cubic[r] == y
+        assert res.extra["root-degree"][r] == deg[1]
+        assert [int(res.extra[f"degree:{j}"][r]) for j in range(2, n + 1)] == deg[2:]
+        assert res.extra["martingale"][r] == m_n
+        assert res.extra["martingale_max_diff"][r] == max_diff
+        assert res.extra["martingale_bound_ok"][r] == bound_ok
+
+
+@pytest.mark.parametrize(
+    "kernel,want_martingale", [(Kernel.DEGREE, False), (Kernel.DEGREE, True), (Kernel.GAP, False)]
+)
+@pytest.mark.parametrize("n,z,y", [(2, 2, 2), (3, 6, 10)])
+def test_forest_smallest_trees(n, z, y, kernel, want_martingale):
+    res = grow_forest(n, 50, kernel, seed=1, labels=(2,), want_root=True, want_martingale=want_martingale)
+    assert res.zagreb.dtype == np.int64 and res.cubic.dtype == np.int64
+    assert np.all(res.zagreb == z) and np.all(res.cubic == y)
+    # degrees sum to 2(n - 1) and node n is a leaf
+    assert np.all(res.extra["root-degree"] + res.extra["degree:2"] + (n - 2) == 2 * (n - 1))
+    if want_martingale:
+        # Z_2 and Z_3 are deterministic, so M_2 = M_3 = 0
+        assert np.all(res.extra["martingale"] == 0.0)
+        assert np.all(res.extra["martingale_max_diff"] == 0.0)
+        assert np.all(res.extra["martingale_bound_ok"])
+    else:
+        assert "martingale" not in res.extra
+
+
+def test_zagreb2_refuses_int64_overflow():
+    largest = math.isqrt(np.iinfo(np.int64).max)
+    ones = np.ones(2, dtype=np.int64)
+    fits = ForestResult(zagreb=np.array([2, largest]), cubic=ones)
+    assert _extract_statistic(fits, "zagreb2").tolist() == [4, largest**2]
+    wraps = ForestResult(zagreb=np.array([2, largest + 1]), cubic=ones)
+    with pytest.raises(ValueError, match="zagreb2 overflows int64"):
+        _extract_statistic(wraps, "zagreb2")
+
+
 def test_forest_martingale_is_the_zagreb_map():
     n = 300
     res = grow_forest(n, 200, Kernel.DEGREE, seed=4, want_martingale=True)
@@ -93,6 +191,13 @@ def test_simulation_config_validates(field, value):
     kwargs = {"n": 10, "replicates": 10, field: value}
     with pytest.raises(ValueError, match=field):
         SimulationConfig(**kwargs)
+
+
+def test_simulation_config_caps_chunk_slots():
+    # a chunk's node slots are indexed in int32
+    with pytest.raises(ValueError, match="chunk_size"):
+        SimulationConfig(n=2**20, replicates=2**11, chunk_size=2**11)
+    SimulationConfig(n=2**20, replicates=2**11 - 1, chunk_size=2**20)  # only 2**11 - 1 rows are grown
 
 
 def test_jarque_bera_normal_sample():

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from port_trees.special import (
-    digamma_plus_gamma,
     double_factorial,
     harmonic,
     hypergeometric_pfq,
@@ -46,14 +45,6 @@ def test_reciprocal_gamma_negative_nonintegers():
 @pytest.mark.parametrize("x", [0.5 + 0.5 * k for k in range(100)])
 def test_reciprocal_gamma_inverts_log_gamma(x):
     assert reciprocal_gamma(x) * math.exp(log_gamma(x)) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_digamma_plus_gamma_is_harmonic():
-    assert digamma_plus_gamma(1) == 0
-    assert digamma_plus_gamma(3) == Fraction(3, 2)
-    assert digamma_plus_gamma(5) == Fraction(25, 12)
-    with pytest.raises(ValueError):
-        digamma_plus_gamma(0)
 
 
 def test_harmonic_telescopes():
