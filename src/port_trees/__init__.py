@@ -25,7 +25,6 @@ from .zagreb import (
     Z_WEAK_LIMIT,
     ZagrebMomentSeries,
     cubic_mean,
-    cubic_mean_closed,
     martingale_diff_bound,
     moment_series,
     zagreb_mean,

@@ -52,19 +52,17 @@ def oracle_moment(dist: ExactDist, order: int) -> Fraction:
     return sum((Fraction(v) ** order) * p for v, p in dist.outcomes.items())
 
 
-def enumerate_statistic(
-    n: int, kernel: Kernel, statistic: str, j: int | None = None, cap: int = DEFAULT_CAP
-) -> ExactDist:
+def enumerate_statistic(n: int, kernel: Kernel, statistic: str, j: int | None = None) -> ExactDist:
     """Exact law of ``statistic`` over all n-node attachment histories.
 
     ``statistic`` is one of ``root-degree``, ``degree`` (requires j),
-    ``zagreb``, ``cubic``, ``zagreb2``, ``martingale``.  The default cap
-    n <= 9 keeps the history count near 2 million.
+    ``zagreb``, ``cubic``, ``zagreb2``, ``martingale``.  The cap
+    n <= DEFAULT_CAP = 9 keeps the history count near 2 million.
     """
     if n < 2:
         raise ValueError(f"enumeration requires n >= 2, got {n}")
-    if n > cap:
-        raise ValueError(f"n={n} exceeds the enumeration cap {cap}")
+    if n > DEFAULT_CAP:
+        raise ValueError(f"n={n} exceeds the enumeration cap {DEFAULT_CAP}")
     if statistic not in STATISTICS:
         raise ValueError(f"unknown statistic {statistic!r}")
     if statistic == "degree":

@@ -15,7 +15,6 @@ __all__ = [
     "log_gamma",
     "reciprocal_gamma",
     "harmonic",
-    "pochhammer",
     "double_factorial",
     "hypergeometric_pfq",
 ]
@@ -45,24 +44,26 @@ def reciprocal_gamma(x: float) -> float:
     return math.sin(math.pi * x) * math.exp(math.lgamma(1.0 - x)) / math.pi
 
 
-def harmonic(n: int) -> Fraction:
-    """Exact harmonic number H_n = sum_{k=1}^n 1/k, with H_0 = 0."""
+def harmonic(n: int, order: int = 1) -> Fraction:
+    """Exact H_n^(order) = sum_{k=1}^n 1/k^order, with H_0 = 0, by binary
+    splitting (Haible & Papanikolaou, 1998): halves are summed unreduced
+    and joined by cross-multiplication, with one gcd reduction at the end."""
     if n < 0:
         raise ValueError(f"harmonic requires n >= 0, got {n}")
-    total = Fraction(0)
-    for k in range(1, n + 1):
-        total += Fraction(1, k)
-    return total
+    if order < 1:
+        raise ValueError(f"harmonic requires order >= 1, got {order}")
+    p, q = _split_powers(1, n + 1, order)
+    return Fraction(p, q)
 
 
-def pochhammer(x: float, k: int) -> float:
-    """Rising factorial x (x+1) ... (x+k-1); equals 1 for k = 0."""
-    if k < 0:
-        raise ValueError(f"pochhammer requires k >= 0, got {k}")
-    result = 1.0
-    for i in range(k):
-        result *= x + i
-    return result
+def _split_powers(lo: int, hi: int, order: int) -> tuple[int, int]:
+    """sum_{lo <= k < hi} 1/k^order as an unreduced (numerator, denominator)."""
+    if hi - lo <= 1:  # one term, or none
+        return hi - lo, lo**order
+    mid = (lo + hi) // 2
+    p1, q1 = _split_powers(lo, mid, order)
+    p2, q2 = _split_powers(mid, hi, order)
+    return p1 * q2 + p2 * q1, q1 * q2
 
 
 def double_factorial(z: int) -> int:

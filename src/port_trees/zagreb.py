@@ -2,16 +2,12 @@
 constants, and the increment bound of the martingale
 M_n = 2 Z_n/(n-1) - 4 H_{n-1} used by the normality diagnostics.
 
-All three moment recurrences (mean of Z, mean of Y, second moment of Z)
-are coupled, so ``moment_series`` evaluates them jointly in one forward
-pass.  Exact rational arithmetic is the default up to ``RATIONAL_CAP``
-nodes; beyond that a float forward pass is used.
+The moments are closed forms in m = n - 1, H = H_m, H2 = sum_{k<=m} 1/k^2
+and B_n = Gamma(n+1/2)/(sqrt(pi) Gamma(n-1)):
 
-Note on the cubic-index recurrence: solving the conditional expectation
-E[Y_n | F_{n-1}] = (1 + 3/(2(n-2))) Y_{n-1} + 3/(2(n-2)) Z_{n-1} + 2
-with E[Z_m] = 2(m-1) H_{m-1} gives the inhomogeneous term 3 H_{n-2} + 2;
-this is the version consistent with the closed form (checked against
-exhaustive enumeration and the gamma-ratio expression).
+    E[Z_n]   = 2 m H
+    E[Y_n]   = 32 B_n - 6 m H - 16 m
+    E[Z_n^2] = 4 m (m+1) (H^2 - H2) + 20 m H + 16 m^2 + 64 m - 128 B_n
 """
 
 from __future__ import annotations
@@ -22,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .special import harmonic, log_gamma
+from .special import harmonic
 
 __all__ = [
     "VAR_Z_COEFFICIENT",
@@ -34,7 +30,6 @@ __all__ = [
     "moment_series",
     "zagreb_mean",
     "cubic_mean",
-    "cubic_mean_closed",
     "zagreb_second_moment",
     "zagreb_variance_asymptotic",
     "martingale_diff_bound",
@@ -51,9 +46,26 @@ Y_WEAK_LIMIT = 32.0 / math.sqrt(math.pi)
 RATIONAL_CAP = 10_000
 
 
+def _mean_z(m, h):
+    return 2 * m * h
+
+
+def _mean_y(m, h, b):
+    return 32 * b - 6 * m * h - 16 * m
+
+
+def _second_z(m, h, h2, b):
+    return 4 * m * (m + 1) * (h * h - h2) + 20 * m * h + 16 * m * m + 64 * m - 128 * b
+
+
+def _b(n: int) -> Fraction:
+    """B_n = Gamma(n+1/2)/(sqrt(pi) Gamma(n-1)) = n(n-1) C(2n, n)/4^n, exact."""
+    return Fraction(n * (n - 1) * math.comb(2 * n, n), 4**n)
+
+
 @dataclass(frozen=True)
 class ZagrebMomentSeries:
-    """Per-n exact moments for n = 1 .. n_max (index n-1 in each list)."""
+    """Per-n moments for n = 1 .. n_max (index n-1 in each list)."""
 
     n_max: int
     mean_z: list
@@ -65,7 +77,7 @@ class ZagrebMomentSeries:
 
 
 def moment_series(n_max: int, exact: bool | None = None) -> ZagrebMomentSeries:
-    """Jointly evaluate E[Z_n], E[Y_n], E[Z_n^2] for n = 1 .. n_max.
+    """E[Z_n], E[Y_n], E[Z_n^2] for n = 1 .. n_max from the closed forms.
 
     ``exact=None`` picks rational arithmetic up to RATIONAL_CAP and
     floats beyond.
@@ -75,23 +87,18 @@ def moment_series(n_max: int, exact: bool | None = None) -> ZagrebMomentSeries:
     if exact is None:
         exact = n_max <= RATIONAL_CAP
     one = Fraction(1) if exact else 1.0
-    mean_z = [one * 0]
-    mean_y = [one * 0]
-    second_z = [one * 0]
-    if n_max >= 2:
-        mean_z.append(one * 2)
-        mean_y.append(one * 2)
-        second_z.append(one * 4)
-    ez, ey, ez2 = one * 2, one * 2, one * 4
-    h = one  # H_{n-2} for the upcoming n = 3
-    for n in range(3, n_max + 1):
-        ez2 = (n * ez2 + 2 * ey + 4 * (n - 1) * ez) / (n - 2) + 4
-        ey = (2 * n - 1) * ey / (2 * (n - 2)) + 3 * h + 2
-        ez = (n - 1) * ez / (n - 2) + 2
-        h = h + one / (n - 1)
-        mean_z.append(ez)
-        mean_y.append(ey)
-        second_z.append(ez2)
+    h = h2 = one * 0  # H_{n-1} and H2_{n-1}
+    c = one  # C(2n, n) / 4^n, so that B_n = n(n-1) c
+    mean_z, mean_y, second_z = [], [], []
+    for n in range(1, n_max + 1):
+        m = n - 1
+        c = c * (2 * n - 1) / (2 * n)
+        b = n * m * c
+        mean_z.append(_mean_z(m, h))
+        mean_y.append(_mean_y(m, h, b))
+        second_z.append(_second_z(m, h, h2, b))
+        h += one / n
+        h2 += one / (n * n)
     return ZagrebMomentSeries(n_max=n_max, mean_z=mean_z, mean_y=mean_y, second_z=second_z)
 
 
@@ -99,32 +106,21 @@ def zagreb_mean(n: int) -> Fraction:
     """E[Z_n] = 2(n-1) H_{n-1}, exact."""
     if n < 1:
         raise ValueError(f"zagreb_mean requires n >= 1, got {n}")
-    return 2 * (n - 1) * harmonic(n - 1)
+    return _mean_z(n - 1, harmonic(n - 1))
 
 
 def cubic_mean(n: int) -> Fraction:
-    """E[Y_n] via the exact recurrence (authoritative at any n)."""
+    """E[Y_n] = 32 B_n - 6(n-1) H_{n-1} - 16(n-1), exact."""
     if n < 1:
         raise ValueError(f"cubic_mean requires n >= 1, got {n}")
-    return moment_series(n, exact=True).mean_y[n - 1]
-
-
-def cubic_mean_closed(n: int) -> float:
-    """E[Y_n] closed form; floating point, valid up to gamma overflow."""
-    if n < 1:
-        raise ValueError(f"cubic_mean_closed requires n >= 1, got {n}")
-    if n == 1:
-        return 0.0
-    h = sum(1.0 / k for k in range(1, n))
-    lead = 32.0 * math.exp(log_gamma(n + 0.5) - log_gamma(n - 1.0)) / math.sqrt(math.pi)
-    return lead - 6.0 * (n - 1) * (h + 8.0 / 3.0)
+    return _mean_y(n - 1, harmonic(n - 1), _b(n))
 
 
 def zagreb_second_moment(n: int) -> Fraction:
-    """E[Z_n^2] via the exact coupled recurrences."""
+    """E[Z_n^2] from its closed form, exact."""
     if n < 2:
         raise ValueError(f"zagreb_second_moment requires n >= 2, got {n}")
-    return moment_series(n, exact=True).second_z[n - 1]
+    return _second_z(n - 1, harmonic(n - 1), harmonic(n - 1, order=2), _b(n))
 
 
 def zagreb_variance_asymptotic(n: int) -> dict:
@@ -135,8 +131,10 @@ def zagreb_variance_asymptotic(n: int) -> dict:
     """
     if n < 2:
         raise ValueError(f"zagreb_variance_asymptotic requires n >= 2, got {n}")
-    series = moment_series(n, exact=n <= RATIONAL_CAP)
-    exact_var = float(series.var_z(n))
+    if n <= RATIONAL_CAP:
+        exact_var = float(zagreb_second_moment(n) - zagreb_mean(n) ** 2)
+    else:
+        exact_var = moment_series(n, exact=False).var_z(n)
     g = 0.5772156649015329
     logn = math.log(n)
     second_asym = 4 * (n * logn) ** 2 + 8 * g * n * n * logn + (16 + 4 * g * g - 2 * math.pi**2 / 3) * n * n

@@ -8,7 +8,7 @@ match what the exact mathematics gives:
   at n = 10^4 sits 7.0% below the constant, because the
   -128 Gamma(n+1/2)/(sqrt(pi) Gamma(n-1)) term of Var[Z_n] leaves a
   relative deficit of about 7.66 n^{-1/2}; the 2% band is first met at
-  n ~ 1.37*10^5.  The test ties the float recurrence to the exact
+  n ~ 1.37*10^5.  The test ties the float series to the exact
   rational value at n = 10^4 and checks the band at n = 10^6.
 * criterion 7: Y_n/n^{3/2} -> 32/sqrt(pi) is a limit.  The exact
   E[Y_{10^5}]/10^{7.5} = 17.774 sits 1.55% below the constant, and a
@@ -46,7 +46,6 @@ from port_trees.zagreb import (
     VAR_Z_COEFFICIENT,
     Y_WEAK_LIMIT,
     cubic_mean,
-    cubic_mean_closed,
     moment_series,
     zagreb_mean,
     zagreb_second_moment,
@@ -120,7 +119,7 @@ def test_criterion_04_zagreb_exactness_vs_oracle():
     ok &= cubic_mean(3) == 10
     ok &= zagreb_second_moment(4) == 122
     ok &= zagreb_second_moment(4) - zagreb_mean(4) ** 2 == 1
-    _report("criterion 4: Zagreb/cubic moment recurrences exact vs oracle, n <= 8", ok)
+    _report("criterion 4: Zagreb/cubic moment closed forms exact vs oracle, n <= 8", ok)
     assert ok
 
 
@@ -134,9 +133,8 @@ def test_criterion_05_kernel_distinction_regression():
 
 
 def test_criterion_06_asymptotic_variance_constant():
-    exact = moment_series(10_000, exact=True)
+    exact_var = zagreb_second_moment(10_000) - zagreb_mean(10_000) ** 2
     floats = moment_series(1_000_000, exact=False)
-    exact_var = exact.var_z(10_000)
     route_rel = abs(floats.var_z(10_000) - float(exact_var)) / float(exact_var)
     ratio_1e4 = float(exact_var) / 10_000**2
     ratio_1e6 = floats.var_z(1_000_000) / 1_000_000**2
@@ -164,11 +162,12 @@ def test_criterion_07_weak_laws_monte_carlo():
     exact_mean = float(zagreb_mean(n))
     se = math.sqrt(z.var(ddof=1) / z.size)
     ok_z = abs(z.mean() - exact_mean) <= 4 * se
-    exact_y = cubic_mean_closed(n)
+    mean_y = moment_series(n, exact=False).mean_y
+    exact_y = mean_y[n - 1]
     se_y = math.sqrt(y.var(ddof=1) / y.size)
     ok_y_mean = abs(y.mean() - exact_y) <= 4 * se_y
     # the limit itself, on the exact means
-    y_dev = {m: abs(cubic_mean_closed(m) / m**1.5 - Y_WEAK_LIMIT) / Y_WEAK_LIMIT for m in (10**4, n)}
+    y_dev = {m: abs(mean_y[m - 1] / m**1.5 - Y_WEAK_LIMIT) / Y_WEAK_LIMIT for m in (10**4, n)}
     ok_y_limit = y_dev[n] <= 0.05 and y_dev[n] < y_dev[10**4]
     _report(
         "criterion 7: weak laws at n=1e5, 200 replicates",

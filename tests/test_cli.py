@@ -171,6 +171,22 @@ def test_verify_suite_passes(capsys):
     assert "FAIL" not in out
 
 
+@pytest.mark.parametrize(
+    "suite,n_max,message",
+    [
+        ("oracle", "1", "--n-max >= 2, got 1"),
+        ("routes", "-5", "--n-max >= 2, got -5"),
+        ("nope", "5", "unknown suite 'nope'"),
+        ("oracle", "10", "n=10 exceeds the enumeration cap 9"),
+    ],
+)
+def test_verify_rejects_bad_input(capsys, suite, n_max, message):
+    code, out, err = run(capsys, "verify", "--suite", suite, "--n-max", n_max)
+    assert code == 1
+    assert message in err
+    assert out == ""
+
+
 def test_usage_errors_exit_1(capsys):
     assert main(["exact-pmf"]) == 1  # missing required options
     assert main(["exact-pmf", "--n", "5", "--j", "2", "--method", "nope"]) == 1

@@ -1,6 +1,6 @@
 """Run the quick demos end to end; each must exit 0.
 
-Demos 02 (about 47 s) and 04 (about 10 s) are left out for time.
+Demo 04 (about 10 s) is left out for time.
 """
 
 import os
@@ -13,7 +13,9 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("name", ["01_degree_distributions.py", "03_martingale_diagnostics.py"])
+@pytest.mark.parametrize(
+    "name", ["01_degree_distributions.py", "02_zagreb_normality.py", "03_martingale_diagnostics.py"]
+)
 def test_demo_runs(name):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))

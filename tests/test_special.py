@@ -8,7 +8,6 @@ from port_trees.special import (
     harmonic,
     hypergeometric_pfq,
     log_gamma,
-    pochhammer,
     reciprocal_gamma,
 )
 
@@ -48,21 +47,14 @@ def test_reciprocal_gamma_inverts_log_gamma(x):
 
 
 def test_harmonic_telescopes():
-    h = Fraction(0)
-    for n in range(1, 400):
-        assert harmonic(n) - h == Fraction(1, n)
-        h = harmonic(n)
-
-
-def test_pochhammer():
-    assert pochhammer(2.5, 0) == 1.0
-    assert pochhammer(1.0, 4) == 24.0
-    assert pochhammer(-2.0, 3) == 0.0
-
-
-@pytest.mark.parametrize("x,k", [(0.5, 3), (1.0, 7), (2.5, 10), (7.0, 4)])
-def test_pochhammer_gamma_ratio(x, k):
-    assert pochhammer(x, k) == pytest.approx(math.exp(log_gamma(x + k) - log_gamma(x)), rel=1e-10)
+    for order in (1, 2):
+        h = harmonic(0, order)
+        assert h == 0
+        for n in range(1, 400):
+            assert harmonic(n, order) - h == Fraction(1, n**order)
+            h = harmonic(n, order)
+    with pytest.raises(ValueError):
+        harmonic(5, order=0)
 
 
 def test_double_factorial():

@@ -12,13 +12,44 @@ from port_trees.zagreb import (
     Y_WEAK_LIMIT,
     Z_WEAK_LIMIT,
     cubic_mean,
-    cubic_mean_closed,
     martingale_diff_bound,
     moment_series,
     zagreb_mean,
     zagreb_second_moment,
     zagreb_variance_asymptotic,
 )
+
+
+def _recurrence(n_max: int) -> list:
+    """(E[Z_n], E[Y_n], E[Z_n^2]) for n = 1 .. n_max from the coupled one-step
+    recurrences, the reference the closed forms are checked against.
+
+    A new node attaches to a node of degree d with probability d/(2(n-2)),
+    which adds 2d + 2 to Z and 3d^2 + 3d + 2 to Y.  Hence
+    E[Z_n | F_{n-1}] = (n-1)/(n-2) Z_{n-1} + 2,
+    E[Y_n | F_{n-1}] = (1 + 3/(2(n-2))) Y_{n-1} + 3/(2(n-2)) Z_{n-1} + 2, where
+    E[Z_{n-1}] = 2(n-2) H_{n-2} turns the Z term into 3 H_{n-2}, and
+    E[Z_n^2 | F_{n-1}] = (n Z_{n-1}^2 + 2 Y_{n-1} + 4(n-1) Z_{n-1})/(n-2) + 4.
+    """
+    rows = [(Fraction(0),) * 3, (Fraction(2), Fraction(2), Fraction(4))]
+    ez, ey, ez2 = rows[-1]
+    h = Fraction(1)  # H_{n-2}
+    for n in range(3, n_max + 1):
+        ez2 = (n * ez2 + 2 * ey + 4 * (n - 1) * ez) / (n - 2) + 4
+        ey = (2 * n - 1) * ey / (2 * (n - 2)) + 3 * h + 2
+        ez = (n - 1) * ez / (n - 2) + 2
+        h += Fraction(1, n - 1)
+        rows.append((ez, ey, ez2))
+    return rows
+
+
+def test_closed_forms_equal_the_recurrence():
+    reference = _recurrence(400)
+    series = moment_series(400, exact=True)
+    assert list(zip(series.mean_z, series.mean_y, series.second_z)) == reference
+    assert (zagreb_mean(1), cubic_mean(1)) == reference[0][:2]
+    for n in range(2, 401):
+        assert (zagreb_mean(n), cubic_mean(n), zagreb_second_moment(n)) == reference[n - 1]
 
 
 def test_zagreb_mean_small():
@@ -41,8 +72,9 @@ def test_cubic_mean_small():
 
 
 def test_cubic_closed_vs_recurrence():
+    approx = moment_series(150, exact=False)
     for n in (2, 3, 10, 80, 150):
-        assert cubic_mean_closed(n) == pytest.approx(float(cubic_mean(n)), rel=1e-9)
+        assert approx.mean_y[n - 1] == pytest.approx(float(cubic_mean(n)), rel=1e-9)
 
 
 def test_second_moment_small():
