@@ -11,7 +11,7 @@ from port_trees import (
     mgf_w,
     moments_w,
     scaled_limit_test,
-    simulate_poissonized_tree,
+    simulate_gap_tree,
     simulate_yule,
 )
 
@@ -27,8 +27,8 @@ rng = np.random.default_rng(0)
 sample = simulate_yule(dt, rng, size=200_000)
 print(f"  sampled mean {sample.mean():.4f}, var {sample.var(ddof=1):.4f}  (200k draws)")
 
-print("\nWhole-tree event simulation for node j=3 (marginal must match):")
-vals = np.array([simulate_poissonized_tree(3, dt, rng).final_white() for _ in range(20_000)])
+print("\nWhole-tree gap dynamics for node j=3 (marginal must match):")
+vals = simulate_gap_tree(3, dt, rng, 20_000)
 print(f"  full-tree mean {vals.mean():.4f} vs e^dt = {math.exp(dt):.4f}")
 
 print("\nScaled limit: W e^-dt converges to a unit-mean exponential")

@@ -46,6 +46,6 @@ from .poisson import (
     mgf_w,
     moments_w,
     scaled_limit_test,
-    simulate_poissonized_tree,
+    simulate_gap_tree,
     simulate_yule,
 )

@@ -34,8 +34,8 @@ from .degree import (
     root_pmf,
 )
 from .montecarlo import SimulationConfig, martingale_diagnostics, run_experiment
-from .oracle import enumerate_statistic, oracle_moment
-from .poisson import moments_w, simulate_poissonized_tree, simulate_yule
+from .oracle import DEFAULT_CAP, enumerate_statistic, oracle_moment
+from .poisson import moments_w, simulate_gap_tree, simulate_yule
 from .tree import Kernel
 from .zagreb import martingale_diff_bound, moment_series, zagreb_mean, zagreb_second_moment
 
@@ -250,10 +250,7 @@ def _cmd_poisson(args, config) -> int:
     if mode == "tree" and j < 2:
         raise SystemExit(f"--j must be >= 2 in tree mode, got {j}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    if mode == "yule":
-        sample = simulate_yule(dt, rng, size=reps)
-    else:
-        sample = np.array([simulate_poissonized_tree(j, dt, rng).final_white() for _ in range(reps)], dtype=np.int64)
+    sample = simulate_yule(dt, rng, size=reps) if mode == "yule" else simulate_gap_tree(j, dt, rng, reps)
     with _output(out_dir, "sample.csv") as fh:
         fh.writelines(f"{int(v)}\n" for v in sample)
     mean_t, second_t, var_t = moments_w(dt)
@@ -375,6 +372,8 @@ def _cmd_verify(args, config) -> int:
         raise SystemExit(f"unknown suite {suite!r}; expected all, {', '.join(suites)}")
     if n_max < 2:
         raise SystemExit(f"verify requires --n-max >= 2, got {n_max}")
+    if suite in ("all", "oracle") and n_max > DEFAULT_CAP:
+        raise SystemExit(f"n={n_max} exceeds the enumeration cap {DEFAULT_CAP}")
     checks = [check for name, run in suites.items() if suite in ("all", name) for check in run()]
     failed = [name for name, ok in checks if not ok]
     for name, ok in checks:

@@ -258,36 +258,34 @@ def jarque_bera(sample) -> tuple[float, float]:
     K; the chi-square(2) tail is exp(-JB/2).
     """
     x = np.asarray(sample, dtype=float)
-    k = x.size
-    if k < 8:
-        raise ValueError(f"jarque_bera needs at least 8 observations, got {k}")
-    centered = x - x.mean()
-    m2 = np.mean(centered**2)
-    if m2 == 0.0:
-        raise ValueError("jarque_bera is undefined for a zero-variance sample")
-    s = np.mean(centered**3) / m2**1.5
-    kurt = np.mean(centered**4) / m2**2 - 3.0
-    jb = k / 6.0 * (s * s + kurt * kurt / 4.0)
-    return float(jb), float(math.exp(-jb / 2.0))
+    return _jarque_bera(x.size, *_skew_kurtosis(x))
 
 
-def _moments(x: np.ndarray) -> tuple[float, float, float, float]:
+def _skew_kurtosis(x: np.ndarray) -> tuple[float, float]:
+    """Skewness and excess kurtosis of x, centred once, where the
+    Jarque-Bera test is defined."""
+    if x.size < 8:
+        raise ValueError(f"jarque_bera needs at least 8 observations, got {x.size}")
     centered = x - x.mean()
     m2 = float(np.mean(centered**2))
-    skew = float(np.mean(centered**3) / m2**1.5) if m2 > 0 else 0.0
-    kurt = float(np.mean(centered**4) / m2**2 - 3.0) if m2 > 0 else 0.0
-    var = float(np.var(x, ddof=1)) if x.size > 1 else 0.0
-    return float(x.mean()), var, skew, kurt
+    if m2 == 0.0:
+        raise ValueError("jarque_bera is undefined for a zero-variance sample")
+    return float(np.mean(centered**3) / m2**1.5), float(np.mean(centered**4) / m2**2 - 3.0)
+
+
+def _jarque_bera(k: int, skew: float, kurt: float) -> tuple[float, float]:
+    jb = k / 6.0 * (skew * skew + kurt * kurt / 4.0)
+    return float(jb), float(math.exp(-jb / 2.0))
 
 
 def summarize(sample) -> StatsSummary:
     x = np.asarray(sample, dtype=float)
-    mean, var, skew, kurt = _moments(x)
-    jb, p = jarque_bera(x)
+    skew, kurt = _skew_kurtosis(x)
+    jb, p = _jarque_bera(x.size, skew, kurt)
     return StatsSummary(
         count=x.size,
-        mean=mean,
-        variance=var,
+        mean=float(x.mean()),
+        variance=float(np.var(x, ddof=1)),
         skewness=skew,
         excess_kurtosis=kurt,
         jb_statistic=jb,

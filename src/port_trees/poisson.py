@@ -4,9 +4,9 @@ Each insertion gap carries an independent unit-rate exponential clock.
 The gap count W(t) of the watched node is a pure-birth (Yule) process
 started at 1: the other gaps never influence its dynamics, so W at
 elapsed time dt is geometric on {1, 2, ...} with success probability
-e^{-dt}.  ``simulate_yule`` samples that marginal directly; the
-event-by-event ``simulate_poissonized_tree`` exists to validate the
-reduction against the full gap dynamics.
+e^{-dt}.  ``simulate_yule`` samples that marginal directly;
+``simulate_gap_tree`` validates the reduction against the full gap
+dynamics, growing whole trees with the forest sampler.
 """
 
 from __future__ import annotations
@@ -17,17 +17,19 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
+from .montecarlo import SimulationConfig, _draw_parents
+from .tree import Kernel
+
 __all__ = [
     "mgf_w",
     "moments_w",
     "simulate_yule",
-    "simulate_poissonized_tree",
-    "PoissonTrajectory",
+    "simulate_gap_tree",
     "scaled_limit_test",
     "ScaledLimitReport",
 ]
 
-EVENT_CAP = 10_000_000
+NODE_CAP = 10_000_000  # largest tree, j + K nodes, that simulate_gap_tree grows
 
 
 def mgf_w(u: float, dt: float) -> float:
@@ -60,54 +62,43 @@ def simulate_yule(dt: float, rng: np.random.Generator, size: int | None = None):
     return rng.geometric(p, size=size).astype(np.int64)
 
 
-@dataclass(frozen=True)
-class PoissonTrajectory:
-    """Event log of a full-tree continuous-time run watching node j."""
+def simulate_gap_tree(j: int, dt: float, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Sample W at elapsed time dt from the whole tree's gap dynamics.
 
-    j: int
-    horizon: float
-    times: np.ndarray  # event times, starting after 0
-    white: np.ndarray  # gap count of node j after each event
-
-    def final_white(self) -> int:
-        return int(self.white[-1]) if self.white.size else 1
-
-
-def simulate_poissonized_tree(
-    j: int, horizon: float, rng: np.random.Generator, event_cap: int = EVENT_CAP
-) -> PoissonTrajectory:
-    """Event-by-event growth of the full extended tree from node j's birth.
-
-    The tree holding j nodes carries 2j-1 gaps in total; the watched
-    node j (non-root) owns exactly 1 of them.  Every gap rings at unit
-    rate, so the next event arrives after Exp(total gaps) and the
-    ringing gap is uniform; each event adds two gaps, one of them white
-    when the white gap rang.
+    After k events the tree grown from node j's birth holds
+    2(k + j - 1/2) gaps, each ringing at unit rate, so the event count
+    K is a linear birth process, K ~ NegBin(j - 1/2, e^{-2dt}) (Kendall,
+    Ann. Math. Statist. 19, 1948), independent of which gaps ring.  The
+    ringing gaps form the gap-kernel tree, so W is the degree of node j
+    at n = j + K: one plus its children among nodes j+1 ... j+K.  The
+    replicates are sorted by K, so each chunk of trees grows only as far
+    as its own largest K.  The geometric law of W is never assumed.
     """
     if j < 2:
-        raise ValueError(f"simulate_poissonized_tree requires j >= 2, got {j}")
-    if horizon < 0:
-        raise ValueError(f"horizon must be >= 0, got {horizon}")
-    white = 1
-    blue = 2 * j - 2
-    t = 0.0
-    times: list[float] = []
-    whites: list[int] = []
-    while True:
-        total = white + blue
-        t += rng.exponential(1.0 / total)
-        if t > horizon:
-            break
-        if rng.random() * total < white:
-            white += 1
-            blue += 1
-        else:
-            blue += 2
-        times.append(t)
-        whites.append(white)
-        if len(times) > event_cap:
-            raise RuntimeError(f"event cap {event_cap} exceeded before horizon {horizon}")
-    return PoissonTrajectory(j=j, horizon=horizon, times=np.asarray(times), white=np.asarray(whites, dtype=np.int64))
+        raise ValueError(f"simulate_gap_tree requires j >= 2, got {j}")
+    if not dt >= 0:  # NaN too
+        raise ValueError(f"elapsed time must be >= 0, got {dt}")
+    if size < 1:
+        raise ValueError(f"size must be >= 1, got {size}")
+    try:
+        k = rng.negative_binomial(j - 0.5, math.exp(-2.0 * dt), size)
+        top = j + int(k.max())
+    except ValueError:  # e^{-2dt} underflows, or K is beyond numpy's sampler
+        top = math.inf
+    if top > NODE_CAP:
+        raise ValueError(f"dt={dt} grows the tree past the cap of {NODE_CAP} nodes")
+    rows = SimulationConfig(n=top, replicates=size).resolved_chunk()
+    order = np.argsort(k, kind="stable")
+    w = np.ones(size, dtype=np.int64)
+    for start in range(0, size, rows):
+        chunk = order[start : start + rows]
+        events = k[chunk]
+        n = j + int(events[-1])
+        children = _draw_parents(n, chunk.size, Kernel.GAP, rng)[:, j - 1 :]  # parents of nodes j+1 ... n
+        node_j = np.arange(j - 1, chunk.size * n, n)[:, None]  # flat index of node j in each row
+        born = np.arange(n - j) < events[:, None]
+        w[chunk] += ((children == node_j) & born).sum(axis=1)
+    return w
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ __all__ = [
     "log_gamma",
     "reciprocal_gamma",
     "harmonic",
-    "double_factorial",
     "hypergeometric_pfq",
 ]
 
@@ -64,17 +63,6 @@ def _split_powers(lo: int, hi: int, order: int) -> tuple[int, int]:
     p1, q1 = _split_powers(lo, mid, order)
     p2, q2 = _split_powers(mid, hi, order)
     return p1 * q2 + p2 * q1, q1 * q2
-
-
-def double_factorial(z: int) -> int:
-    """z!! = z (z-2) (z-4) ...; 0!! = 1.  Exact (big-integer) arithmetic."""
-    if z < 0:
-        raise ValueError(f"double_factorial requires z >= 0, got {z}")
-    result = 1
-    while z > 1:
-        result *= z
-        z -= 2
-    return result
 
 
 def _rational(x) -> Fraction:

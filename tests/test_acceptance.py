@@ -39,7 +39,7 @@ from port_trees.degree import (
 )
 from port_trees.montecarlo import SimulationConfig, grow_forest, jarque_bera, martingale_diagnostics
 from port_trees.oracle import enumerate_statistic, oracle_moment
-from port_trees.poisson import scaled_limit_test, simulate_poissonized_tree, simulate_yule
+from port_trees.poisson import scaled_limit_test, simulate_gap_tree, simulate_yule
 from port_trees.tree import Kernel
 from port_trees.zagreb import (
     M_SECOND_MOMENT_LIMIT,
@@ -233,7 +233,7 @@ def test_criterion_10_poissonized_process():
     ok_ks = ks.ks_distance < 0.01
     from scipy import stats
 
-    tree_vals = np.array([simulate_poissonized_tree(3, 1.0, rng).final_white() for _ in range(10_000)])
+    tree_vals = simulate_gap_tree(3, 1.0, rng, 10_000)
     yule_vals = simulate_yule(1.0, rng, size=10_000)
     p2 = stats.ks_2samp(tree_vals, yule_vals).pvalue
     ok_2s = p2 > 0.001

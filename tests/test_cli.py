@@ -120,13 +120,15 @@ def test_poisson_subcommand(capsys, tmp_path):
 
 
 def test_poisson_tree_mode(capsys, tmp_path):
-    out_dir = tmp_path / "poitree"
-    code, _, _ = run(
-        capsys, "poisson", "--j", "2", "--dt", "1", "--reps", "500", "--mode", "tree",
-        "--seed", "3", "--out", str(out_dir),
-    )
-    assert code == 0
-    assert (out_dir / "sample.csv").read_text().count("\n") == 500
+    dirs = [tmp_path / "a", tmp_path / "b"]
+    for out_dir in dirs:
+        code, _, _ = run(
+            capsys, "poisson", "--j", "2", "--dt", "1", "--reps", "500", "--mode", "tree",
+            "--seed", "3", "--out", str(out_dir),
+        )
+        assert code == 0
+    assert (dirs[0] / "sample.csv").read_text().count("\n") == 500
+    assert (dirs[0] / "sample.csv").read_bytes() == (dirs[1] / "sample.csv").read_bytes()
 
 
 def test_normality_report(capsys, tmp_path):
@@ -180,11 +182,14 @@ def test_verify_suite_passes(capsys):
         ("oracle", "10", "n=10 exceeds the enumeration cap 9"),
     ],
 )
-def test_verify_rejects_bad_input(capsys, suite, n_max, message):
+def test_verify_rejects_bad_input(capsys, monkeypatch, suite, n_max, message):
+    calls = []
+    monkeypatch.setattr(cli, "enumerate_statistic", lambda *args, **kwargs: calls.append(args))
     code, out, err = run(capsys, "verify", "--suite", suite, "--n-max", n_max)
     assert code == 1
     assert message in err
     assert out == ""
+    assert calls == []  # rejected before any check ran
 
 
 def test_usage_errors_exit_1(capsys):
@@ -237,15 +242,24 @@ def test_simulate_zagreb2_refuses_int64_overflow(capsys, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "bad",
-    [{"--reps": "0"}, {"--reps": "1"}, {"--reps": "-3"}, {"--dt": "-1"}, {"--mode": "tree", "--j": "1"}],
+    "bad,message",
+    [
+        ({"--reps": "0"}, "port: error: --"),
+        ({"--reps": "1"}, "port: error: --"),
+        ({"--reps": "-3"}, "port: error: --"),
+        ({"--dt": "-1"}, "port: error: --"),
+        ({"--mode": "tree", "--j": "1"}, "port: error: --"),
+        # the tree would outgrow the node cap: refused before any parent is drawn
+        ({"--mode": "tree", "--j": "2", "--dt": "9", "--reps": "2"}, "port: error: dt=9.0 grows the tree past the cap"),
+    ],
+    ids=[f"bad{i}" for i in range(6)],
 )
-def test_poisson_rejects_bad_input_before_writing(capsys, tmp_path, bad):
+def test_poisson_rejects_bad_input_before_writing(capsys, tmp_path, bad, message):
     out_dir = tmp_path / "poi"
     flags = {"--dt": "1", "--reps": "20", "--seed": "1", "--out": str(out_dir), **bad}
     code, _, err = run(capsys, "poisson", *[item for pair in flags.items() for item in pair])
     assert code == 1
-    assert "port: error: --" in err
+    assert message in err
     assert not out_dir.exists()
 
 

@@ -1,7 +1,4 @@
-"""Run the quick demos end to end; each must exit 0.
-
-Demo 04 (about 10 s) is left out for time.
-"""
+"""Run the demos end to end; each must exit 0."""
 
 import os
 import subprocess
@@ -14,7 +11,13 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize(
-    "name", ["01_degree_distributions.py", "02_zagreb_normality.py", "03_martingale_diagnostics.py"]
+    "name",
+    [
+        "01_degree_distributions.py",
+        "02_zagreb_normality.py",
+        "03_martingale_diagnostics.py",
+        "04_poissonized_degrees.py",
+    ],
 )
 def test_demo_runs(name):
     env = dict(os.environ)

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from port_trees.degree import degree_pmf_recurrence
 from port_trees.poisson import (
     mgf_w,
     moments_w,
     scaled_limit_test,
-    simulate_poissonized_tree,
+    simulate_gap_tree,
     simulate_yule,
 )
 
@@ -84,29 +85,45 @@ def test_yule_is_geometric():
 
 def test_full_tree_trivial_horizon():
     rng = np.random.default_rng(3)
-    traj = simulate_poissonized_tree(3, 0.0, rng)
-    assert traj.final_white() == 1
-    assert traj.times.size == 0
+    sample = simulate_gap_tree(3, 0.0, rng, 100)
+    assert sample.dtype == np.int64
+    assert np.all(sample == 1)
 
 
-def test_full_tree_gap_growth_rate():
-    # each event adds exactly two gaps
+def test_full_tree_matches_exact_mixture_law():
+    # W is node j's degree at n = j + K with K ~ NegBin(j - 1/2, e^{-2dt});
+    # the degree laws come from the exact DP, so each frequency is pinned
+    j, dt, size = 3, 0.4, 200_000
     rng = np.random.default_rng(4)
-    traj = simulate_poissonized_tree(2, 2.0, rng)
-    assert traj.white.size == traj.times.size
-    assert np.all(np.diff(traj.times) > 0)
+    sample = simulate_gap_tree(j, dt, rng, size)
+    law = np.zeros(11)
+    for k in range(81):  # the NegBin tail beyond 80 is below 1e-18
+        weight = stats.nbinom.pmf(k, j - 0.5, math.exp(-2 * dt))
+        for d, p in degree_pmf_recurrence(j + k, j).probs.items():
+            if d <= 10:
+                law[d] += weight * p
+    for d in range(1, 11):
+        freq = np.count_nonzero(sample == d) / size
+        se = math.sqrt(law[d] * (1 - law[d]) / size)
+        assert abs(freq - law[d]) < 4 * se, (d, freq, law[d])
+
+
+def test_full_tree_is_deterministic():
+    first = simulate_gap_tree(3, 1.5, np.random.default_rng(11), 2000)
+    second = simulate_gap_tree(3, 1.5, np.random.default_rng(11), 2000)
+    assert np.array_equal(first, second)
 
 
 def test_full_tree_mean_matches_yule():
     rng = np.random.default_rng(5)
-    vals = np.array([simulate_poissonized_tree(2, 1.0, rng).final_white() for _ in range(10_000)])
+    vals = simulate_gap_tree(2, 1.0, rng, 10_000)
     se = math.sqrt(vals.var(ddof=1) / vals.size)
     assert abs(vals.mean() - math.e) < 4 * se
 
 
 def test_full_tree_marginal_equals_yule_marginal():
     rng = np.random.default_rng(6)
-    tree_vals = np.array([simulate_poissonized_tree(3, 1.0, rng).final_white() for _ in range(10_000)])
+    tree_vals = simulate_gap_tree(3, 1.0, rng, 10_000)
     yule_vals = simulate_yule(1.0, rng, size=10_000)
     assert stats.ks_2samp(tree_vals, yule_vals).pvalue > 0.001
 
@@ -114,11 +131,16 @@ def test_full_tree_marginal_equals_yule_marginal():
 def test_full_tree_argument_validation():
     rng = np.random.default_rng(7)
     with pytest.raises(ValueError):
-        simulate_poissonized_tree(1, 1.0, rng)
+        simulate_gap_tree(1, 1.0, rng, 10)
+    for dt in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="elapsed time"):
+            simulate_gap_tree(2, dt, rng, 10)
     with pytest.raises(ValueError):
-        simulate_poissonized_tree(2, -1.0, rng)
-    with pytest.raises(RuntimeError):
-        simulate_poissonized_tree(2, 30.0, rng, event_cap=100)
+        simulate_gap_tree(2, 1.0, rng, 0)
+    with pytest.raises(ValueError, match="cap"):
+        simulate_gap_tree(2, 10.0, rng, 1)
+    with pytest.raises(ValueError, match="cap"):
+        simulate_gap_tree(2, 400.0, rng, 1)  # e^{-2dt} underflows to 0
 
 
 def test_scaled_limit_regime_guards():

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from port_trees.special import (
-    double_factorial,
     harmonic,
     hypergeometric_pfq,
     log_gamma,
@@ -55,20 +54,6 @@ def test_harmonic_telescopes():
             h = harmonic(n, order)
     with pytest.raises(ValueError):
         harmonic(5, order=0)
-
-
-def test_double_factorial():
-    assert double_factorial(0) == 1
-    assert double_factorial(5) == 15
-    assert double_factorial(8) == 384
-    with pytest.raises(ValueError):
-        double_factorial(-1)
-
-
-@pytest.mark.parametrize("m", range(1, 16))
-def test_double_factorial_identities(m):
-    assert double_factorial(2 * m) == 2**m * math.factorial(m)
-    assert double_factorial(2 * m - 1) == math.factorial(2 * m) // (2**m * math.factorial(m))
 
 
 def test_pfq_trivial_cases():
