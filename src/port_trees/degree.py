@@ -60,9 +60,6 @@ class DegreeLaw:
     probs: dict
     method: str
 
-    def support(self) -> range:
-        return range(1, max(self.probs) + 1)
-
     def total(self):
         return sum(self.probs.values())
 

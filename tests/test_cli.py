@@ -1,5 +1,6 @@
 import json
 import os
+import subprocess
 import sys
 
 import numpy as np
@@ -13,6 +14,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_cli_imports_no_scipy():
+    # numpy is the only runtime dependency; scipy is a test-only reference
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    code = "import port_trees.cli, sys; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_exact_pmf_root(capsys):
@@ -251,8 +261,13 @@ def test_simulate_zagreb2_refuses_int64_overflow(capsys, tmp_path, monkeypatch):
         ({"--mode": "tree", "--j": "1"}, "port: error: --"),
         # the tree would outgrow the node cap: refused before any parent is drawn
         ({"--mode": "tree", "--j": "2", "--dt": "9", "--reps": "2"}, "port: error: dt=9.0 grows the tree past the cap"),
+        # Yule mode beyond DT_MAX: numpy's sampler rejects, saturates or overflows the moments
+        ({"--dt": "nan"}, "port: error: elapsed time must be in [0, 40.0], got dt=nan"),
+        ({"--dt": "inf"}, "port: error: elapsed time must be in [0, 40.0], got dt=inf"),
+        ({"--dt": "50"}, "port: error: elapsed time must be in [0, 40.0], got dt=50.0"),
+        ({"--dt": "710"}, "port: error: elapsed time must be in [0, 40.0], got dt=710.0"),
     ],
-    ids=[f"bad{i}" for i in range(6)],
+    ids=[f"bad{i}" for i in range(10)],
 )
 def test_poisson_rejects_bad_input_before_writing(capsys, tmp_path, bad, message):
     out_dir = tmp_path / "poi"

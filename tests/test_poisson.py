@@ -6,6 +6,7 @@ from scipy import stats
 
 from port_trees.degree import degree_pmf_recurrence
 from port_trees.poisson import (
+    DT_MAX,
     mgf_w,
     moments_w,
     scaled_limit_test,
@@ -58,6 +59,17 @@ def test_yule_degenerate_at_start():
     rng = np.random.default_rng(0)
     assert simulate_yule(0.0, rng) == 1
     assert np.all(simulate_yule(0.0, rng, size=100) == 1)
+
+
+def test_yule_rejects_horizons_it_cannot_sample():
+    # past DT_MAX numpy's geometric sampler saturates at 2^63 - 1, or rejects e^{-dt} = 0
+    rng = np.random.default_rng(12)
+    for dt in (-1.0, DT_MAX + 0.5, math.nan, math.inf):
+        for size in (None, 10):
+            with pytest.raises(ValueError, match="dt="):
+                simulate_yule(dt, rng, size)
+    assert simulate_yule(DT_MAX, rng) >= 1
+    assert simulate_yule(DT_MAX, rng, size=10).max() < np.iinfo(np.int64).max
 
 
 def test_yule_mean_at_dt5():
@@ -158,3 +170,13 @@ def test_scaled_limit_convergence():
     assert report.ks_distance < 0.01
     # scaled sample has unit mean in the limit
     assert report.scaled_mean == pytest.approx(1.0, abs=0.02)
+
+
+@pytest.mark.parametrize("dt", [4.0, 6.0])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_scaled_limit_ks_distance_matches_scipy(seed, dt):
+    # the geometric lattice puts ties in the sample, so ties are covered too
+    report = scaled_limit_test(dt, 10_000, np.random.default_rng(seed))
+    sample = simulate_yule(dt, np.random.default_rng(seed), 10_000)
+    reference = stats.kstest(sample * math.exp(-dt), "expon").statistic
+    assert report.ks_distance == pytest.approx(reference, rel=0, abs=1e-12)
