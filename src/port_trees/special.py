@@ -13,6 +13,7 @@ from fractions import Fraction
 
 __all__ = [
     "log_gamma",
+    "reciprocal_gamma",
     "harmonic",
     "hypergeometric_pfq",
 ]
@@ -25,6 +26,21 @@ def log_gamma(x: float) -> float:
     if x <= 0:
         raise ValueError(f"log_gamma requires x > 0, got {x}")
     return math.lgamma(x)
+
+
+def reciprocal_gamma(x: float) -> float:
+    """1/Gamma(x), defined on all reals.
+
+    Returns exactly 0.0 at the poles x = 0, -1, -2, ... so that series
+    terms carrying a gamma pole in the denominator vanish without any
+    special-casing at the call site.
+    """
+    if x > 0:
+        return math.exp(-math.lgamma(x))
+    if x == math.floor(x):
+        return 0.0
+    # reflection: 1/Gamma(x) = Gamma(1-x) sin(pi x) / pi
+    return math.sin(math.pi * x) * math.exp(math.lgamma(1.0 - x)) / math.pi
 
 
 def harmonic(n: int, order: int = 1) -> Fraction:
