@@ -1,15 +1,18 @@
 """Command-line front end.
 
-One executable, ``port``, with one subcommand per capability.  Every
-run that writes to an output directory also drops a ``run-manifest.json``
-holding the fully resolved configuration, the seed, and the package
-version -- enough to reproduce the outputs byte for byte.  The manifest
-is written last, so it exists only for a run whose outputs were all
-written.
+One executable, ``port``, with one subcommand per capability, and one
+table of options, ``build_parser``, that declares each flag's type,
+default and required-ness once.  Every run that writes to an output
+directory also drops a ``run-manifest.json`` holding the fully resolved
+options, the seed among them, and the package version -- enough to
+reproduce the outputs byte for byte.  ``main`` writes it once, after
+every other output, so it exists only for a run that succeeded.
 
 A config file (simple ``key = value`` lines, ``#`` comments) can supply
-defaults via ``--config``; explicit flags always win.  The seed comes
-only from the flag or config file, never from the environment.
+defaults via ``--config``: keys are option names (``n_max`` or
+``n-max``), values are parsed with the flag's type, other keys are
+ignored, and explicit flags always win.  The seed comes only from the
+flag or config file, never from the environment.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from .tree import Kernel
 from .zagreb import martingale_diff_bound, moment_series, zagreb_mean, zagreb_second_moment
 
 SCHEMA_VERSION = 1
+_REQUIRED = object()  # default of a required option; main names the option if it stays unset
 
 
 class _Parser(argparse.ArgumentParser):
@@ -47,6 +51,28 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
+
+
+class _Config(argparse.Action):
+    """``--config FILE``, parsed before the subcommand: a key naming a flag
+    sets its default, which argparse parses as it would the flag's value."""
+
+    def __init__(self, commands, **kwargs):
+        super().__init__(**kwargs)
+        self.commands = commands  # [(subparser, {dest: its flag's action})]
+
+    def __call__(self, parser, namespace, path, option_string=None):
+        try:
+            config = _load_config(path)
+        except (OSError, ValueError) as exc:
+            raise argparse.ArgumentError(self, str(exc)) from None
+        for sub, flags in self.commands:
+            sub.set_defaults(**{
+                dest: value == "true" if flags[dest].nargs == 0 else value  # a switch takes no value
+                for dest, value in config.items()
+                if dest in flags
+            })
+        setattr(namespace, self.dest, path)
 
 
 def _num(x):
@@ -58,9 +84,7 @@ def _num(x):
     return str(x)
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
+def _load_config(path: str) -> dict:
     config = {}
     with open(path) as fh:
         for line in fh:
@@ -68,21 +92,10 @@ def _load_config(path: str | None) -> dict:
             if not line:
                 continue
             if "=" not in line:
-                raise SystemExit(f"bad config line (expected key = value): {line!r}")
+                raise ValueError(f"bad config line (expected key = value): {line!r}")
             key, value = (part.strip() for part in line.split("=", 1))
             config[key.replace("-", "_")] = value
     return config
-
-
-def _resolve(args, config, name, cast, default=None, required=False):
-    value = getattr(args, name, None)
-    if value is None and name in config:
-        value = config[name]
-    if value is None:
-        if required:
-            raise SystemExit(f"missing required option --{name.replace('_', '-')}")
-        return default
-    return cast(value)
 
 
 def _write_manifest(out_dir: str, subcommand: str, resolved: dict) -> None:
@@ -124,123 +137,76 @@ def _emit_rows(header, rows, fmt: str, out_dir: str | None, stem: str) -> None:
                 fh.write(",".join(str(c) for c in row) + "\n")
 
 
-def _cmd_exact_pmf(args, config) -> int:
-    n = _resolve(args, config, "n", int, required=True)
-    j = _resolve(args, config, "j", int, required=True)
-    method = _resolve(args, config, "method", str, default="recurrence")
-    rational = bool(args.rational or config.get("rational") == "true")
-    out_dir = _resolve(args, config, "out", str)
-    fmt = _resolve(args, config, "format", str, default="csv")
+def _cmd_exact_pmf(args) -> int:
+    n, j, method = args.n, args.j, args.method
     if method not in ("closed", "recurrence", "hypergeom"):
         raise SystemExit(f"unknown method {method!r}")
-    if rational and method != "recurrence":
+    if args.rational and method != "recurrence":
         raise SystemExit("--rational is only available with the recurrence method")
     _check_nj(n, j, j_min=1)  # the recurrence's range holds for every method
     if method == "recurrence":
-        law = degree_pmf_recurrence(n, j, exact=rational)
+        law = degree_pmf_recurrence(n, j, exact=args.rational)
         rows = [(d, _num(p)) for d, p in sorted(law.probs.items())]
     elif j == 1:
         rows = [(d, _num(root_pmf(n, d))) for d in range(1, n)]
     else:
         fn = degree_pmf_closed if method == "closed" else degree_pmf_hypergeom
         rows = [(d, _num(fn(n, j, d))) for d in range(1, n - j + 2)]
-    _emit_rows(("d", "probability"), rows, fmt, out_dir, "pmf")
-    if out_dir:
-        _write_manifest(out_dir, "exact-pmf", {"n": n, "j": j, "method": method, "rational": rational, "format": fmt})
+    _emit_rows(("d", "probability"), rows, args.format, args.out, "pmf")
     return 0
 
 
-def _cmd_exact_moments(args, config) -> int:
-    n = _resolve(args, config, "n", int, required=True)
-    j = _resolve(args, config, "j", int, required=True)
-    out_dir = _resolve(args, config, "out", str)
-    fmt = _resolve(args, config, "format", str, default="csv")
+def _cmd_exact_moments(args) -> int:
+    n, j = args.n, args.j
     rows = [(n, j, _num(degree_mean(n, j)), _num(degree_variance(n, j)))]
-    _emit_rows(("n", "j", "mean", "variance"), rows, fmt, out_dir, "moments")
-    if out_dir:
-        _write_manifest(out_dir, "exact-moments", {"n": n, "j": j, "format": fmt})
+    _emit_rows(("n", "j", "mean", "variance"), rows, args.format, args.out, "moments")
     return 0
 
 
-def _cmd_zagreb_moments(args, config) -> int:
-    n_max = _resolve(args, config, "n_max", int, required=True)
-    rational = bool(args.rational or config.get("rational") == "true")
-    out_dir = _resolve(args, config, "out", str)
-    fmt = _resolve(args, config, "format", str, default="csv")
-    series = moment_series(n_max, exact=rational if rational else None)
+def _cmd_zagreb_moments(args) -> int:
+    series = moment_series(args.n_max, exact=args.rational or None)
     rows = (
         (n, _num(mz), _num(my), _num(sz), _num(sz - mz * mz))
         for n, (mz, my, sz) in enumerate(zip(series.mean_z, series.mean_y, series.second_z), start=1)
     )
-    _emit_rows(("n", "mean_Z", "mean_Y", "second_Z", "var_Z"), rows, fmt, out_dir, "series")
-    if out_dir:
-        _write_manifest(out_dir, "zagreb-moments", {"n_max": n_max, "rational": rational, "format": fmt})
+    _emit_rows(("n", "mean_Z", "mean_Y", "second_Z", "var_Z"), rows, args.format, args.out, "series")
     return 0
 
 
-def _cmd_oracle(args, config) -> int:
-    n = _resolve(args, config, "n", int, required=True)
-    kernel = Kernel.parse(_resolve(args, config, "kernel", str, default="gap"))
-    stat = _resolve(args, config, "stat", str, required=True)
-    out_dir = _resolve(args, config, "out", str)
-    j = None
-    name = stat
-    if stat.startswith("degree:"):
-        name, j = "degree", int(stat.split(":", 1)[1])
-    dist = enumerate_statistic(n, kernel, name, j=j)
+def _cmd_oracle(args) -> int:
+    kernel = Kernel.parse(args.kernel)
+    name, j = args.stat, None
+    if name.startswith("degree:"):
+        name, j = "degree", int(name.split(":", 1)[1])
+    dist = enumerate_statistic(args.n, kernel, name, j=j)
     payload = {
         "schema_version": SCHEMA_VERSION,
-        "n": n,
+        "n": args.n,
         "kernel": kernel.value,
-        "statistic": stat,
+        "statistic": args.stat,
         "history_count": dist.history_count,
         "law": {_num(v): _num(p) for v, p in dist.outcomes.items()},
         "mean": _num(oracle_moment(dist, 1)),
         "second_moment": _num(oracle_moment(dist, 2)),
     }
-    with _output(out_dir, "oracle.json") as fh:
+    with _output(args.out, "oracle.json") as fh:
         fh.write(json.dumps(payload, indent=2) + "\n")
-    if out_dir:
-        _write_manifest(out_dir, "oracle", {"n": n, "kernel": kernel.value, "stat": stat})
     return 0
 
 
-def _cmd_simulate(args, config) -> int:
-    n = _resolve(args, config, "n", int, required=True)
-    reps = _resolve(args, config, "reps", int, required=True)
-    kernel = Kernel.parse(_resolve(args, config, "kernel", str, default="degree"))
-    stat = _resolve(args, config, "stat", str, default="zagreb")
-    seed = _resolve(args, config, "seed", int, default=0)
-    out_dir = _resolve(args, config, "out", str, required=True)
-    kde_grid = _resolve(args, config, "kde", int, default=0)
+def _cmd_simulate(args) -> int:
     sim = SimulationConfig(
-        n=n, replicates=reps, kernel=kernel, seed=seed, statistic=stat, out_dir=out_dir, kde_grid=kde_grid
+        n=args.n, replicates=args.reps, kernel=Kernel.parse(args.kernel), seed=args.seed,
+        statistic=args.stat, out_dir=args.out, kde_grid=args.kde,
     )
     summary = run_experiment(sim)
-    _write_manifest(
-        out_dir,
-        "simulate",
-        {
-            "n": n,
-            "reps": reps,
-            "kernel": kernel.value,
-            "stat": stat,
-            "seed": seed,
-            "kde": kde_grid,
-            "chunk_size": sim.resolved_chunk(),
-        },
-    )
-    print(f"simulate: n={n} reps={reps} stat={stat} mean={summary.mean:.6g} -> {out_dir}")
+    args.chunk_size = sim.resolved_chunk()
+    print(f"simulate: n={args.n} reps={args.reps} stat={args.stat} mean={summary.mean:.6g} -> {args.out}")
     return 0
 
 
-def _cmd_poisson(args, config) -> int:
-    j = _resolve(args, config, "j", int, default=2)
-    dt = _resolve(args, config, "dt", float, required=True)
-    reps = _resolve(args, config, "reps", int, required=True)
-    mode = _resolve(args, config, "mode", str, default="yule")
-    seed = _resolve(args, config, "seed", int, default=0)
-    out_dir = _resolve(args, config, "out", str, required=True)
+def _cmd_poisson(args) -> int:
+    j, dt, reps, mode = args.j, args.dt, args.reps, args.mode
     if mode not in ("yule", "tree"):
         raise SystemExit(f"unknown mode {mode!r}")
     if reps < 2:  # the summary holds a sample variance
@@ -249,9 +215,9 @@ def _cmd_poisson(args, config) -> int:
         raise SystemExit(f"--dt must be >= 0, got {dt}")
     if mode == "tree" and j < 2:
         raise SystemExit(f"--j must be >= 2 in tree mode, got {j}")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(args.seed)))
     sample = simulate_yule(dt, rng, size=reps) if mode == "yule" else simulate_gap_tree(j, dt, rng, reps)
-    with _output(out_dir, "sample.csv") as fh:
+    with _output(args.out, "sample.csv") as fh:
         fh.writelines(f"{int(v)}\n" for v in sample)
     mean_t, second_t, var_t = moments_w(dt)
     summary = {
@@ -265,25 +231,22 @@ def _cmd_poisson(args, config) -> int:
         "theoretical_mean": mean_t,
         "theoretical_variance": var_t,
     }
-    with open(os.path.join(out_dir, "summary.json"), "w") as fh:
+    with open(os.path.join(args.out, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2)
         fh.write("\n")
-    _write_manifest(out_dir, "poisson", {"j": j, "dt": dt, "reps": reps, "mode": mode, "seed": seed})
-    print(f"poisson: mode={mode} dt={dt} mean={summary['mean']:.6g} (theory {mean_t:.6g}) -> {out_dir}")
+    print(f"poisson: mode={mode} dt={dt} mean={summary['mean']:.6g} (theory {mean_t:.6g}) -> {args.out}")
     return 0
 
 
-def _cmd_normality_report(args, config) -> int:
-    n = _resolve(args, config, "n", int, required=True)
-    reps = _resolve(args, config, "reps", int, required=True)
-    seed = _resolve(args, config, "seed", int, default=0)
-    out_dir = _resolve(args, config, "out", str, required=True)
+def _cmd_normality_report(args) -> int:
+    n, reps = args.n, args.reps
     sim = SimulationConfig(
-        n=n, replicates=reps, kernel=Kernel.DEGREE, seed=seed, statistic="zagreb", out_dir=out_dir, kde_grid=256
+        n=n, replicates=reps, kernel=Kernel.DEGREE, seed=args.seed, statistic="zagreb", out_dir=args.out, kde_grid=256
     )
     if reps < 100:
         print("warning: fewer than 100 replicates; the normality test is underpowered", file=sys.stderr)
     summary = run_experiment(sim)
+    args.chunk_size = sim.resolved_chunk()
     verdict = "normality rejected" if summary.jb_pvalue < 1e-3 else "normality not rejected"
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -296,14 +259,9 @@ def _cmd_normality_report(args, config) -> int:
         "test": summary.normality_test,
         "verdict": verdict,
     }
-    with open(os.path.join(out_dir, "report.json"), "w") as fh:
+    with open(os.path.join(args.out, "report.json"), "w") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
-    _write_manifest(
-        out_dir,
-        "normality-report",
-        {"n": n, "reps": reps, "seed": seed, "chunk_size": sim.resolved_chunk()},
-    )
     print(f"normality-report: n={n} reps={reps} skewness={summary.skewness:.4f} "
           f"jb_p={summary.jb_pvalue:.3g} verdict: {verdict}")
     return 0
@@ -359,9 +317,8 @@ def _verify_martingale() -> list[tuple[str, bool]]:
     return checks
 
 
-def _cmd_verify(args, config) -> int:
-    suite = _resolve(args, config, "suite", str, default="all")
-    n_max = _resolve(args, config, "n_max", int, default=6)
+def _cmd_verify(args) -> int:
+    suite, n_max = args.suite, args.n_max
     suites = {
         "oracle": lambda: _verify_oracle(n_max),
         "routes": lambda: _verify_routes(max(n_max, 12)),
@@ -384,35 +341,32 @@ def _cmd_verify(args, config) -> int:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="port", description=__doc__)
-    parser.add_argument("--config", help="key = value defaults file")
+    commands = []
+    parser.add_argument("--config", action=_Config, commands=commands, help="key = value defaults file")
     sub = parser.add_subparsers(dest="subcommand")
 
     def add(name, fn, **flags):
         p = sub.add_parser(name)
-        for flag, kwargs in flags.items():
-            p.add_argument(f"--{flag}", **kwargs)
         p.set_defaults(fn=fn)
-        return p
+        actions = {dest: p.add_argument(f"--{dest.replace('_', '-')}", dest=dest, **kw) for dest, kw in flags.items()}
+        commands.append((p, actions))
 
-    add(
-        "exact-pmf",
-        _cmd_exact_pmf,
-        n={}, j={}, method={}, out={}, format={"choices": ("csv", "json")},
-        rational={"action": "store_true"},
-    )
-    add("exact-moments", _cmd_exact_moments, n={}, j={}, out={}, format={"choices": ("csv", "json")})
-    add(
-        "zagreb-moments",
-        _cmd_zagreb_moments,
-        **{"n-max": {"dest": "n_max"}},
-        out={}, format={"choices": ("csv", "json")},
-        rational={"action": "store_true"},
-    )
-    add("oracle", _cmd_oracle, n={}, kernel={}, stat={}, out={})
-    add("simulate", _cmd_simulate, n={}, reps={}, kernel={}, stat={}, seed={}, out={}, kde={})
-    add("poisson", _cmd_poisson, j={}, dt={}, reps={}, mode={}, seed={}, out={})
-    add("normality-report", _cmd_normality_report, n={}, reps={}, seed={}, out={})
-    add("verify", _cmd_verify, suite={}, **{"n-max": {"dest": "n_max"}})
+    count = {"type": int, "default": _REQUIRED}
+    required = {"default": _REQUIRED}
+    seed = {"type": int, "default": 0}
+    fmt = {"choices": ("csv", "json"), "default": "csv"}
+    switch = {"action": "store_true"}
+    add("exact-pmf", _cmd_exact_pmf, n=count, j=count, method={"default": "recurrence"}, out={}, format=fmt,
+        rational=switch)
+    add("exact-moments", _cmd_exact_moments, n=count, j=count, out={}, format=fmt)
+    add("zagreb-moments", _cmd_zagreb_moments, n_max=count, out={}, format=fmt, rational=switch)
+    add("oracle", _cmd_oracle, n=count, kernel={"default": "gap"}, stat=required, out={})
+    add("simulate", _cmd_simulate, n=count, reps=count, kernel={"default": "degree"}, stat={"default": "zagreb"},
+        seed=seed, out=required, kde={"type": int, "default": 0})
+    add("poisson", _cmd_poisson, j={"type": int, "default": 2}, dt={"type": float, "default": _REQUIRED}, reps=count,
+        mode={"default": "yule"}, seed=seed, out=required)
+    add("normality-report", _cmd_normality_report, n=count, reps=count, seed=seed, out=required)
+    add("verify", _cmd_verify, suite={"default": "all"}, n_max={"type": int, "default": 6})
     return parser
 
 
@@ -425,9 +379,11 @@ def main(argv=None) -> int:
     if getattr(args, "fn", None) is None:
         parser.print_usage(sys.stderr)
         return 1
-    config = _load_config(args.config)
     try:
-        return args.fn(args, config)
+        missing = [dest for dest, value in vars(args).items() if value is _REQUIRED]
+        if missing:
+            raise SystemExit(f"missing required option --{missing[0].replace('_', '-')}")
+        code = args.fn(args)
     except SystemExit as exc:
         if isinstance(exc.code, str):
             print(f"port: error: {exc.code}", file=sys.stderr)
@@ -436,6 +392,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"port: error: {exc}", file=sys.stderr)
         return 1
+    if code == 0 and getattr(args, "out", None):
+        resolved = {k: v for k, v in vars(args).items() if k not in ("fn", "config", "subcommand", "out")}
+        _write_manifest(args.out, args.subcommand, resolved)
+    return code
 
 
 if __name__ == "__main__":

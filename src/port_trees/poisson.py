@@ -34,22 +34,26 @@ NODE_CAP = 10_000_000  # largest tree, j + K nodes, that simulate_gap_tree grows
 DT_MAX = 40.0  # beyond it numpy's geometric sampler saturates at 2^63 - 1
 
 
+def _check_horizon(dt: float) -> None:
+    if not 0 <= dt <= DT_MAX:  # NaN too
+        raise ValueError(f"elapsed time must be in [0, {DT_MAX}], got dt={dt}")
+
+
 def mgf_w(u: float, dt: float) -> float:
     """Moment generating function of W at elapsed time dt:
     e^{u-dt} / (1 - (1 - e^{-dt}) e^u), for u inside the convergence
-    region u < -ln(1 - e^{-dt})."""
-    if dt < 0:
-        raise ValueError(f"elapsed time must be >= 0, got {dt}")
+    region u < -ln(1 - e^{-dt}), and dt in [0, DT_MAX]."""
+    _check_horizon(dt)
     if dt > 0 and u >= -math.log1p(-math.exp(-dt)):
         raise ValueError(f"u={u} outside the MGF convergence region for dt={dt}")
-    return math.exp(u - dt) / (1.0 - (-math.expm1(-dt)) * math.exp(u))
+    scaled = math.exp(u - dt)  # the denominator 1 - (1 - e^{-dt}) e^u, without cancelling to 0
+    return scaled / (scaled - math.expm1(u))
 
 
 def moments_w(dt: float) -> tuple[float, float, float]:
     """(mean, second moment, variance) of W at elapsed time dt:
-    e^{dt}, 2e^{2dt} - e^{dt}, e^{2dt} - e^{dt}."""
-    if dt < 0:
-        raise ValueError(f"elapsed time must be >= 0, got {dt}")
+    e^{dt}, 2e^{2dt} - e^{dt}, e^{2dt} - e^{dt}, for dt in [0, DT_MAX]."""
+    _check_horizon(dt)
     e = math.exp(dt)
     return e, 2.0 * e * e - e, e * e - e
 
@@ -60,8 +64,7 @@ def simulate_yule(dt: float, rng: np.random.Generator, size: int | None = None):
     dt is limited to [0, DT_MAX]: at DT_MAX a draw reaches numpy's
     int64 ceiling with probability exp(-2^63 e^{-40}), about 1e-17.
     """
-    if not 0 <= dt <= DT_MAX:  # NaN too
-        raise ValueError(f"elapsed time must be in [0, {DT_MAX}], got dt={dt}")
+    _check_horizon(dt)
     p = math.exp(-dt)
     if size is None:
         return int(rng.geometric(p))

@@ -301,19 +301,33 @@ def test_failed_simulation_leaves_no_manifest(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv,resolved",
     [
-        ["exact-pmf", "--n", "6", "--j", "2"],
-        ["exact-moments", "--n", "6", "--j", "2"],
-        ["zagreb-moments", "--n-max", "6"],
-        ["oracle", "--n", "4", "--stat", "zagreb"],
-        ["simulate", "--n", "20", "--reps", "20", "--kde", "8"],
-        ["poisson", "--dt", "1", "--reps", "20"],
-        ["normality-report", "--n", "20", "--reps", "100"],
+        (
+            ["exact-pmf", "--n", "6", "--j", "2"],
+            {"n": 6, "j": 2, "method": "recurrence", "rational": False, "format": "csv"},
+        ),
+        (["exact-moments", "--n", "6", "--j", "2"], {"n": 6, "j": 2, "format": "csv"}),
+        (["zagreb-moments", "--n-max", "6"], {"n_max": 6, "rational": False, "format": "csv"}),
+        (["oracle", "--n", "4", "--stat", "zagreb"], {"n": 4, "kernel": "gap", "stat": "zagreb"}),
+        (
+            ["simulate", "--n", "20", "--reps", "20", "--kde", "8"],
+            {"n": 20, "reps": 20, "kernel": "degree", "stat": "zagreb", "seed": 0, "kde": 8, "chunk_size": 20},
+        ),
+        (["poisson", "--dt", "1", "--reps", "20"], {"j": 2, "dt": 1.0, "reps": 20, "mode": "yule", "seed": 0}),
+        (["normality-report", "--n", "20", "--reps", "100"], {"n": 20, "reps": 100, "seed": 0, "chunk_size": 100}),
+        # config values are recorded typed, as the flags' would be; the unknown key is not recorded
+        (["--config", "{config}", "zagreb-moments"], {"n_max": 7, "rational": True, "format": "csv"}),
     ],
-    ids=lambda argv: argv[0],
+    ids=[
+        "exact-pmf", "exact-moments", "zagreb-moments", "oracle", "simulate", "poisson", "normality-report",
+        "zagreb-moments-config",
+    ],
 )
-def test_manifest_is_written_last(capsys, tmp_path, monkeypatch, argv):
+def test_manifest_is_written_last(capsys, tmp_path, tmp_path_factory, monkeypatch, argv, resolved):
+    config = tmp_path_factory.mktemp("config") / "port.cfg"
+    config.write_text("n_max = 7\nrational = true\nunknown = 1\n")
+    argv = [arg.format(config=config) for arg in argv]
     present = []
     write_manifest = cli._write_manifest
 
@@ -326,3 +340,73 @@ def test_manifest_is_written_last(capsys, tmp_path, monkeypatch, argv):
     assert code == 0
     assert present and present[-1] and "run-manifest.json" not in present[-1]
     assert sorted(os.listdir(tmp_path)) == sorted(present[-1] + ["run-manifest.json"])
+    assert json.loads((tmp_path / "run-manifest.json").read_text())["resolved"] == resolved
+
+
+def exit_code(argv):
+    """main's exit status, whether it returns it or argparse raises it."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        (None, "No such file or directory"),
+        ("n = 5\nj 2\n", "bad config line (expected key = value): 'j 2'"),
+    ],
+    ids=["missing-file", "bad-line"],
+)
+def test_config_file_errors_exit_1(capsys, tmp_path, text, message):
+    config = tmp_path / "port.cfg"
+    if text is not None:
+        config.write_text(text)
+    out_dir = tmp_path / "pmf"
+    assert exit_code(["--config", str(config), "exact-pmf", "--n", "5", "--j", "2", "--out", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert "port: error: argument --config: " in err
+    assert message in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "config_text,flags",
+    [(None, ["--n", "abc", "--j", "2"]), ("n = abc\n", ["--j", "2"])],
+    ids=["flag", "config"],
+)
+def test_bad_option_value_names_the_option(capsys, tmp_path, config_text, flags):
+    argv = ["exact-pmf", *flags, "--out", str(tmp_path / "pmf")]
+    if config_text is not None:
+        (tmp_path / "port.cfg").write_text(config_text)
+        argv = ["--config", str(tmp_path / "port.cfg"), *argv]
+    assert exit_code(argv) == 1
+    captured = capsys.readouterr()
+    assert "port exact-pmf: error: argument --n: invalid int value: 'abc'" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "pmf").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--config", "{missing}", "exact-pmf", "--n", "5", "--j", "2"],
+        ["--config", "{bad}", "exact-pmf", "--n", "5", "--j", "2"],
+        ["exact-pmf", "--n", "abc", "--j", "2"],
+        ["exact-pmf", "--j", "2"],
+        ["no-such-command"],
+    ],
+    ids=["missing-config", "bad-config-line", "bad-value", "missing-option", "unknown-subcommand"],
+)
+def test_usage_errors_exit_1_without_traceback(tmp_path, argv):
+    # a subprocess sees what main() in process cannot: a traceback escaping to the interpreter
+    (tmp_path / "bad.cfg").write_text("n 5\n")
+    argv = [arg.format(missing=tmp_path / "missing.cfg", bad=tmp_path / "bad.cfg") for arg in argv]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "port_trees.cli", *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 1
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr

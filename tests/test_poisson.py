@@ -72,6 +72,17 @@ def test_yule_rejects_horizons_it_cannot_sample():
     assert simulate_yule(DT_MAX, rng, size=10).max() < np.iinfo(np.int64).max
 
 
+def test_moments_and_mgf_refuse_the_same_horizons():
+    # NaN used to pass through as a NaN moment, and e^{2dt} overflowed past dt ~ 355
+    for dt in (-1.0, DT_MAX + 0.5, 710.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="dt="):
+            moments_w(dt)
+        with pytest.raises(ValueError, match="dt="):
+            mgf_w(0.0, dt)
+    assert moments_w(DT_MAX)[0] == pytest.approx(math.exp(DT_MAX), rel=1e-12)
+    assert mgf_w(0.0, DT_MAX) == pytest.approx(1.0, rel=1e-12)
+
+
 def test_yule_mean_at_dt5():
     rng = np.random.default_rng(1)
     sample = simulate_yule(5.0, rng, size=100_000)
