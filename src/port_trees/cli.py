@@ -1,12 +1,12 @@
 """Command-line front end.
 
-One executable, ``port``, with one subcommand per capability, and one
-table of options, ``build_parser``, that declares each flag's type,
-default and required-ness once.  Every run that writes to an output
-directory also drops a ``run-manifest.json`` holding the fully resolved
-options, the seed among them, and the package version -- enough to
-reproduce the outputs byte for byte.  ``main`` writes it once, after
-every other output, so it exists only for a run that succeeded.
+One executable, ``port``, with one subcommand per capability; one table
+of options, ``build_parser``, that declares each flag's type, default
+and required-ness once; and one writer, ``_output``, for every output
+file (the library only computes).  A run with ``--out`` also drops a
+``run-manifest.json`` holding the resolved options, the seed among them,
+and the package version -- enough to reproduce the outputs byte for
+byte.  ``main`` writes it last, so only a run that succeeded has one.
 
 A config file (simple ``key = value`` lines, ``#`` comments) can supply
 defaults via ``--config``: keys are option names (``n_max`` or
@@ -22,6 +22,7 @@ import contextlib
 import json
 import os
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -36,7 +37,7 @@ from .degree import (
     degree_variance,
     root_pmf,
 )
-from .montecarlo import SimulationConfig, martingale_diagnostics, run_experiment
+from .montecarlo import SimulationConfig, StatsSummary, kde, martingale_diagnostics, run_experiment
 from .oracle import DEFAULT_CAP, enumerate_statistic, oracle_moment
 from .poisson import moments_w, simulate_gap_tree, simulate_yule
 from .tree import Kernel
@@ -75,6 +76,18 @@ class _Config(argparse.Action):
         setattr(namespace, self.dest, path)
 
 
+def _directory(path: str) -> str:
+    if not path:
+        raise argparse.ArgumentTypeError("expected a directory name, got ''")
+    return path
+
+
+def _format(value: str) -> str:  # not ``choices``, which argparse skips for config values
+    if value not in ("csv", "json"):
+        raise argparse.ArgumentTypeError(f"invalid choice: {value!r} (choose from 'csv', 'json')")
+    return value
+
+
 def _num(x):
     """Serialize a number: rationals as 'p/q' strings, floats shortest."""
     if isinstance(x, Fraction):
@@ -98,21 +111,10 @@ def _load_config(path: str) -> dict:
     return config
 
 
-def _write_manifest(out_dir: str, subcommand: str, resolved: dict) -> None:
-    manifest = {
-        "schema_version": SCHEMA_VERSION,
-        "version": __version__,
-        "subcommand": subcommand,
-        "resolved": resolved,
-    }
-    with open(os.path.join(out_dir, "run-manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 @contextlib.contextmanager
 def _output(out_dir: str | None, name: str):
-    """The file ``name`` under ``out_dir`` (created if needed), or stdout."""
+    """The file ``name`` under ``out_dir`` (created if needed), or stdout:
+    the one place the package creates a directory or a file."""
     if out_dir is None:
         yield sys.stdout
         return
@@ -121,20 +123,42 @@ def _output(out_dir: str | None, name: str):
         yield fh
 
 
+def _emit_json(payload: dict, out_dir: str | None, name: str) -> None:
+    with _output(out_dir, name) as fh:
+        fh.write(json.dumps(payload, indent=2) + "\n")
+
+
 def _emit_rows(header, rows, fmt: str, out_dir: str | None, stem: str) -> None:
     """Write rows as CSV or JSON to ``out_dir/stem.fmt`` or stdout.
 
     CSV rows are written one at a time, so ``rows`` may be a generator
     and the whole table is never held as text.
     """
-    with _output(out_dir, f"{stem}.{fmt}") as fh:
-        if fmt == "json":
-            payload = {"schema_version": SCHEMA_VERSION, "columns": list(header), "rows": [list(r) for r in rows]}
-            fh.write(json.dumps(payload, indent=2) + "\n")
-        else:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(str(c) for c in row) + "\n")
+    if fmt == "json":
+        payload = {"schema_version": SCHEMA_VERSION, "columns": list(header), "rows": [list(r) for r in rows]}
+        return _emit_json(payload, out_dir, f"{stem}.json")
+    with _output(out_dir, f"{stem}.csv") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(str(c) for c in row) + "\n")
+
+
+def _emit_sample(out_dir: str, sample: np.ndarray, summary: dict) -> None:
+    """``sample.csv``, one value per line (``tolist`` prints ints as ints
+    and floats by ``repr``), and ``summary.json``."""
+    with _output(out_dir, "sample.csv") as fh:
+        fh.writelines(f"{v}\n" for v in sample.tolist())
+    _emit_json({"schema_version": SCHEMA_VERSION, **summary}, out_dir, "summary.json")
+
+
+def _write_manifest(out_dir: str, subcommand: str, resolved: dict) -> None:
+    manifest = {  # keys in sorted order, as in the resolved options
+        "resolved": dict(sorted(resolved.items())),
+        "schema_version": SCHEMA_VERSION,
+        "subcommand": subcommand,
+        "version": __version__,
+    }
+    _emit_json(manifest, out_dir, "run-manifest.json")
 
 
 def _cmd_exact_pmf(args) -> int:
@@ -189,17 +213,27 @@ def _cmd_oracle(args) -> int:
         "mean": _num(oracle_moment(dist, 1)),
         "second_moment": _num(oracle_moment(dist, 2)),
     }
-    with _output(args.out, "oracle.json") as fh:
-        fh.write(json.dumps(payload, indent=2) + "\n")
+    _emit_json(payload, args.out, "oracle.json")
     return 0
 
 
+def _simulate(sim: SimulationConfig, out_dir: str, kde_grid: int) -> StatsSummary:
+    """Run the experiment; write its sample, summary and, if ``kde_grid``, KDE."""
+    sample, summary = run_experiment(sim)
+    _emit_sample(out_dir, sample, asdict(summary))
+    if kde_grid:
+        grid, density = kde(sample, kde_grid)
+        _emit_rows(("x", "density"), zip(grid.tolist(), density.tolist()), "csv", out_dir, "kde")
+    return summary
+
+
 def _cmd_simulate(args) -> int:
+    if args.kde < 0:
+        raise SystemExit(f"--kde must be >= 0 (0 disables the KDE), got {args.kde}")
     sim = SimulationConfig(
-        n=args.n, replicates=args.reps, kernel=Kernel.parse(args.kernel), seed=args.seed,
-        statistic=args.stat, out_dir=args.out, kde_grid=args.kde,
+        n=args.n, replicates=args.reps, kernel=Kernel.parse(args.kernel), seed=args.seed, statistic=args.stat
     )
-    summary = run_experiment(sim)
+    summary = _simulate(sim, args.out, args.kde)
     args.chunk_size = sim.resolved_chunk()
     print(f"simulate: n={args.n} reps={args.reps} stat={args.stat} mean={summary.mean:.6g} -> {args.out}")
     return 0
@@ -217,11 +251,8 @@ def _cmd_poisson(args) -> int:
         raise SystemExit(f"--j must be >= 2 in tree mode, got {j}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(args.seed)))
     sample = simulate_yule(dt, rng, size=reps) if mode == "yule" else simulate_gap_tree(j, dt, rng, reps)
-    with _output(args.out, "sample.csv") as fh:
-        fh.writelines(f"{int(v)}\n" for v in sample)
-    mean_t, second_t, var_t = moments_w(dt)
+    mean_t, _, var_t = moments_w(dt)
     summary = {
-        "schema_version": SCHEMA_VERSION,
         "mode": mode,
         "j": j,
         "dt": dt,
@@ -231,21 +262,17 @@ def _cmd_poisson(args) -> int:
         "theoretical_mean": mean_t,
         "theoretical_variance": var_t,
     }
-    with open(os.path.join(args.out, "summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    _emit_sample(args.out, sample, summary)
     print(f"poisson: mode={mode} dt={dt} mean={summary['mean']:.6g} (theory {mean_t:.6g}) -> {args.out}")
     return 0
 
 
 def _cmd_normality_report(args) -> int:
     n, reps = args.n, args.reps
-    sim = SimulationConfig(
-        n=n, replicates=reps, kernel=Kernel.DEGREE, seed=args.seed, statistic="zagreb", out_dir=args.out, kde_grid=256
-    )
+    sim = SimulationConfig(n=n, replicates=reps, kernel=Kernel.DEGREE, seed=args.seed, statistic="zagreb")
     if reps < 100:
         print("warning: fewer than 100 replicates; the normality test is underpowered", file=sys.stderr)
-    summary = run_experiment(sim)
+    summary = _simulate(sim, args.out, 256)
     args.chunk_size = sim.resolved_chunk()
     verdict = "normality rejected" if summary.jb_pvalue < 1e-3 else "normality not rejected"
     report = {
@@ -259,9 +286,7 @@ def _cmd_normality_report(args) -> int:
         "test": summary.normality_test,
         "verdict": verdict,
     }
-    with open(os.path.join(args.out, "report.json"), "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    _emit_json(report, args.out, "report.json")
     print(f"normality-report: n={n} reps={reps} skewness={summary.skewness:.4f} "
           f"jb_p={summary.jb_pvalue:.3g} verdict: {verdict}")
     return 0
@@ -354,18 +379,20 @@ def build_parser() -> _Parser:
     count = {"type": int, "default": _REQUIRED}
     required = {"default": _REQUIRED}
     seed = {"type": int, "default": 0}
-    fmt = {"choices": ("csv", "json"), "default": "csv"}
+    out = {"type": _directory}
+    required_out = {**out, **required}
+    fmt = {"type": _format, "default": "csv", "metavar": "{csv,json}"}
     switch = {"action": "store_true"}
-    add("exact-pmf", _cmd_exact_pmf, n=count, j=count, method={"default": "recurrence"}, out={}, format=fmt,
+    add("exact-pmf", _cmd_exact_pmf, n=count, j=count, method={"default": "recurrence"}, out=out, format=fmt,
         rational=switch)
-    add("exact-moments", _cmd_exact_moments, n=count, j=count, out={}, format=fmt)
-    add("zagreb-moments", _cmd_zagreb_moments, n_max=count, out={}, format=fmt, rational=switch)
-    add("oracle", _cmd_oracle, n=count, kernel={"default": "gap"}, stat=required, out={})
+    add("exact-moments", _cmd_exact_moments, n=count, j=count, out=out, format=fmt)
+    add("zagreb-moments", _cmd_zagreb_moments, n_max=count, out=out, format=fmt, rational=switch)
+    add("oracle", _cmd_oracle, n=count, kernel={"default": "gap"}, stat=required, out=out)
     add("simulate", _cmd_simulate, n=count, reps=count, kernel={"default": "degree"}, stat={"default": "zagreb"},
-        seed=seed, out=required, kde={"type": int, "default": 0})
+        seed=seed, out=required_out, kde={"type": int, "default": 0})
     add("poisson", _cmd_poisson, j={"type": int, "default": 2}, dt={"type": float, "default": _REQUIRED}, reps=count,
-        mode={"default": "yule"}, seed=seed, out=required)
-    add("normality-report", _cmd_normality_report, n=count, reps=count, seed=seed, out=required)
+        mode={"default": "yule"}, seed=seed, out=required_out)
+    add("normality-report", _cmd_normality_report, n=count, reps=count, seed=seed, out=required_out)
     add("verify", _cmd_verify, suite={"default": "all"}, n_max={"type": int, "default": 6})
     return parser
 

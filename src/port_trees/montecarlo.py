@@ -10,7 +10,8 @@ chunk draws from its own stream spawned deterministically from the
 master seed, so results are byte-reproducible given (seed, config)
 regardless of chunking being an implementation detail -- the chunk
 size is part of the resolved configuration recorded in the run
-manifest.
+manifest.  The module computes and returns; it writes no file (the
+``port`` command line writes every output).
 
 Normality is assessed with the Jarque-Bera moment test (exactly
 specified, decisive at the observed skewness) rather than Shapiro-Wilk,
@@ -20,10 +21,8 @@ sample sizes; reports note the substitution.
 
 from __future__ import annotations
 
-import json
 import math
-import os
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,9 +59,7 @@ class SimulationConfig:
     kernel: Kernel = Kernel.DEGREE
     seed: int = 0
     statistic: str = "zagreb"  # or "degree:J"
-    out_dir: str | None = None
     chunk_size: int | None = None
-    kde_grid: int = 0  # 0 disables the KDE export
 
     def __post_init__(self):
         if self.n < 2:
@@ -71,8 +68,6 @@ class SimulationConfig:
             raise ValueError(f"replicates must be >= 1, got {self.replicates}")
         if self.chunk_size is not None and self.chunk_size < 1:
             raise ValueError(f"chunk_size must be None or >= 1, got {self.chunk_size}")
-        if self.kde_grid < 0:
-            raise ValueError(f"kde_grid must be >= 0 (0 disables the KDE), got {self.kde_grid}")
         rows = min(self.resolved_chunk(), self.replicates)
         if rows * self.n >= 2**31:  # the sampler indexes a chunk's nodes in int32
             raise ValueError(f"chunk_size * n must stay below 2**31 node slots, got {rows} * {self.n}")
@@ -319,63 +314,26 @@ def kde(sample, grid_size: int = 256) -> tuple[np.ndarray, np.ndarray]:
     return grid, density
 
 
-def _parse_statistic(statistic: str, n: int):
-    """Map a statistic name to grow_forest collection flags."""
-    labels: tuple = ()
-    want_root = statistic == "root-degree"
-    want_martingale = statistic == "martingale"
-    key = statistic
+def _parse_statistic(statistic: str, n: int) -> tuple[str, dict]:
+    """The statistic's key in a ForestResult and the grow_forest flags that collect it."""
     if statistic.startswith("degree:"):
         j = int(statistic.split(":", 1)[1])
         if not 1 <= j <= n:
             raise ValueError(f"degree statistic needs 1 <= j <= n, got j={j}")
-        if j == 1:
-            key = "root-degree"
-            want_root = True
-        else:
-            labels = (j,)
-            key = f"degree:{j}"
-    elif statistic not in STATISTIC_CHOICES:
+        return ("root-degree", {"want_root": True}) if j == 1 else (f"degree:{j}", {"labels": (j,)})
+    if statistic not in STATISTIC_CHOICES:
         raise ValueError(f"unknown statistic {statistic!r}")
-    return key, labels, want_root, want_martingale
+    return statistic, {"want_root": statistic == "root-degree", "want_martingale": statistic == "martingale"}
 
 
-def run_experiment(config: SimulationConfig) -> StatsSummary:
-    """Grow the configured forest, persist raw samples, return a summary.
-
-    Writes ``sample.csv`` (one value per line), ``summary.json``, and
-    optionally ``kde.csv`` under the configured output directory.
-    """
-    key, labels, want_root, want_martingale = _parse_statistic(config.statistic, config.n)
-    result = grow_forest(
-        config.n,
-        config.replicates,
-        config.kernel,
-        config.seed,
-        labels=labels,
-        want_root=want_root,
-        want_martingale=want_martingale,
-        chunk_size=config.resolved_chunk(),
-    )
+def run_experiment(config: SimulationConfig) -> tuple[np.ndarray, StatsSummary]:
+    """Grow the configured forest; return the statistic's sample, one
+    value per replicate, and its summary."""
+    key, flags = _parse_statistic(config.statistic, config.n)
+    chunk_size = config.resolved_chunk()
+    result = grow_forest(config.n, config.replicates, config.kernel, config.seed, chunk_size=chunk_size, **flags)
     values = _extract_statistic(result, key)
-    summary = summarize(values)
-    if config.out_dir is not None:
-        os.makedirs(config.out_dir, exist_ok=True)
-        with open(os.path.join(config.out_dir, "sample.csv"), "w") as fh:
-            if np.issubdtype(values.dtype, np.integer):
-                fh.writelines(f"{v}\n" for v in values)
-            else:
-                fh.writelines(f"{float(v)!r}\n" for v in values)
-        with open(os.path.join(config.out_dir, "summary.json"), "w") as fh:
-            json.dump({"schema_version": 1, **asdict(summary)}, fh, indent=2)
-            fh.write("\n")
-        if config.kde_grid:
-            grid, density = kde(values, config.kde_grid)
-            with open(os.path.join(config.out_dir, "kde.csv"), "w") as fh:
-                fh.write("x,density\n")
-                for g, d in zip(grid, density):
-                    fh.write(f"{float(g)!r},{float(d)!r}\n")
-    return summary
+    return values, summarize(values)
 
 
 def martingale_diagnostics(config: SimulationConfig) -> dict:

@@ -1,13 +1,16 @@
+import ast
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from port_trees import cli, montecarlo
 from port_trees.cli import main
+from port_trees.poisson import simulate_yule
 
 
 def run(capsys, *argv):
@@ -95,15 +98,78 @@ def test_oracle_degree_stat(capsys):
 def test_simulate_writes_manifest_and_outputs(capsys, tmp_path):
     out_dir = tmp_path / "run"
     code, _, _ = run(
-        capsys, "simulate", "--n", "30", "--reps", "100", "--stat", "zagreb",
-        "--seed", "5", "--out", str(out_dir),
+        capsys, "simulate", "--n", "50", "--reps", "400", "--stat", "zagreb",
+        "--seed", "5", "--kde", "64", "--out", str(out_dir),
     )
     assert code == 0
     manifest = json.loads((out_dir / "run-manifest.json").read_text())
     assert manifest["subcommand"] == "simulate"
     assert manifest["resolved"]["seed"] == 5
-    assert (out_dir / "sample.csv").exists()
-    assert (out_dir / "summary.json").exists()
+    sample = [int(line) for line in (out_dir / "sample.csv").read_text().splitlines()]
+    assert len(sample) == 400
+    summary = json.loads((out_dir / "summary.json").read_text())
+    assert summary["count"] == 400
+    assert summary["mean"] == pytest.approx(sum(sample) / 400, rel=1e-12)
+    kde_lines = (out_dir / "kde.csv").read_text().splitlines()
+    assert kde_lines[0] == "x,density"
+    assert len(kde_lines) == 65
+
+
+def _experiment_sample(statistic):
+    return montecarlo.run_experiment(montecarlo.SimulationConfig(n=60, replicates=50, seed=9, statistic=statistic))[0]
+
+
+@pytest.mark.parametrize(
+    "argv,expected,parse",
+    [
+        (["simulate", "--n", "60", "--reps", "50", "--stat", "cubic"], lambda: _experiment_sample("cubic"), int),
+        (
+            ["simulate", "--n", "60", "--reps", "50", "--stat", "martingale"],
+            lambda: _experiment_sample("martingale"),
+            float,
+        ),
+        (
+            ["poisson", "--dt", "1.5", "--reps", "300"],
+            lambda: simulate_yule(1.5, np.random.Generator(np.random.PCG64(np.random.SeedSequence(9))), size=300),
+            int,
+        ),
+    ],
+    ids=["simulate-cubic", "simulate-martingale", "poisson"],
+)
+def test_sample_csv_round_trips(capsys, tmp_path, argv, expected, parse):
+    # every value reads back exactly: ints as ints, floats with no tolerance
+    code, _, err = run(capsys, *argv, "--seed", "9", "--out", str(tmp_path))
+    assert code == 0, err
+    values = expected().tolist()
+    assert all(isinstance(v, parse) for v in values)
+    assert [parse(line) for line in (tmp_path / "sample.csv").read_text().splitlines()] == values
+
+
+def _file_writers(source: str) -> list[str]:
+    """The top-level definition around each os.makedirs / os.mkdir call
+    and each open() whose mode is not read-only."""
+    owners = []
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            func = ast.unparse(node.func)
+            if func == "open":
+                modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+                writes = any(not (isinstance(m, ast.Constant) and set(m.value) <= set("rbt")) for m in modes)
+            else:
+                writes = func in ("os.makedirs", "os.mkdir")
+            if writes:
+                owners.append(getattr(top, "name", "<module>"))
+    return owners
+
+
+def test_only_cli_output_writes_files():
+    package = Path(cli.__file__).parent
+    writers = {
+        f"{path.stem}.{owner}" for path in sorted(package.glob("*.py")) for owner in _file_writers(path.read_text())
+    }
+    assert writers == {"cli._output"}
 
 
 def test_simulate_byte_reproducible(capsys, tmp_path):
@@ -372,18 +438,23 @@ def test_config_file_errors_exit_1(capsys, tmp_path, text, message):
 
 
 @pytest.mark.parametrize(
-    "config_text,flags",
-    [(None, ["--n", "abc", "--j", "2"]), ("n = abc\n", ["--j", "2"])],
-    ids=["flag", "config"],
+    "config_text,flags,message",
+    [
+        (None, ["--n", "abc", "--j", "2"], "argument --n: invalid int value: 'abc'"),
+        ("n = abc\n", ["--j", "2"], "argument --n: invalid int value: 'abc'"),
+        # argparse checks ``choices`` only on the command line; --format's type checks config values too
+        ("format = xml\n", ["--n", "5", "--j", "2"], "argument --format: invalid choice: 'xml'"),
+    ],
+    ids=["flag", "config", "config-format"],
 )
-def test_bad_option_value_names_the_option(capsys, tmp_path, config_text, flags):
+def test_bad_option_value_names_the_option(capsys, tmp_path, config_text, flags, message):
     argv = ["exact-pmf", *flags, "--out", str(tmp_path / "pmf")]
     if config_text is not None:
         (tmp_path / "port.cfg").write_text(config_text)
         argv = ["--config", str(tmp_path / "port.cfg"), *argv]
     assert exit_code(argv) == 1
     captured = capsys.readouterr()
-    assert "port exact-pmf: error: argument --n: invalid int value: 'abc'" in captured.err
+    assert f"port exact-pmf: error: {message}" in captured.err
     assert captured.out == ""
     assert not (tmp_path / "pmf").exists()
 
@@ -396,8 +467,13 @@ def test_bad_option_value_names_the_option(capsys, tmp_path, config_text, flags)
         ["exact-pmf", "--n", "abc", "--j", "2"],
         ["exact-pmf", "--j", "2"],
         ["no-such-command"],
+        ["exact-pmf", "--n", "5", "--j", "2", "--out", ""],
+        ["simulate", "--n", "30", "--reps", "50", "--out", ""],
     ],
-    ids=["missing-config", "bad-config-line", "bad-value", "missing-option", "unknown-subcommand"],
+    ids=[
+        "missing-config", "bad-config-line", "bad-value", "missing-option", "unknown-subcommand",
+        "empty-out-exact-pmf", "empty-out-simulate",
+    ],
 )
 def test_usage_errors_exit_1_without_traceback(tmp_path, argv):
     # a subprocess sees what main() in process cannot: a traceback escaping to the interpreter

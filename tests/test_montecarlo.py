@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -185,7 +184,7 @@ def test_forest_validates_arguments():
 
 @pytest.mark.parametrize(
     "field,value",
-    [("n", 1), ("replicates", 0), ("chunk_size", 0), ("chunk_size", -1), ("kde_grid", -5)],
+    [("n", 1), ("replicates", 0), ("chunk_size", 0), ("chunk_size", -1)],
 )
 def test_simulation_config_validates(field, value):
     kwargs = {"n": 10, "replicates": 10, field: value}
@@ -252,37 +251,29 @@ def test_kde_guards():
         kde([2.0, 2.0, 2.0])
 
 
-def test_run_experiment_outputs(tmp_path):
-    config = SimulationConfig(
-        n=50, replicates=400, kernel=Kernel.DEGREE, seed=21,
-        statistic="zagreb", out_dir=str(tmp_path), kde_grid=64,
-    )
-    summary = run_experiment(config)
-    sample = (tmp_path / "sample.csv").read_text().strip().split("\n")
-    assert len(sample) == 400
-    payload = json.loads((tmp_path / "summary.json").read_text())
-    assert payload["count"] == 400
-    assert payload["mean"] == pytest.approx(summary.mean)
-    kde_lines = (tmp_path / "kde.csv").read_text().strip().split("\n")
-    assert kde_lines[0] == "x,density"
-    assert len(kde_lines) == 65
+def test_run_experiment_outputs():
+    config = SimulationConfig(n=50, replicates=400, kernel=Kernel.DEGREE, seed=21, statistic="zagreb")
+    sample, summary = run_experiment(config)
+    assert sample.shape == (400,) and sample.dtype == np.int64
+    # the sample is the Z of the forest grown with the config's seed and chunking
+    forest = grow_forest(50, 400, Kernel.DEGREE, seed=21, chunk_size=config.resolved_chunk())
+    assert np.array_equal(sample, forest.zagreb)
+    assert summary == summarize(sample)
+    assert summary.count == 400
 
 
-def test_run_experiment_byte_reproducible(tmp_path):
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    for out in (out1, out2):
-        run_experiment(
-            SimulationConfig(n=40, replicates=300, kernel=Kernel.GAP, seed=77,
-                             statistic="root-degree", out_dir=str(out))
-        )
-    assert (out1 / "sample.csv").read_bytes() == (out2 / "sample.csv").read_bytes()
-    assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
+def test_run_experiment_byte_reproducible():
+    config = SimulationConfig(n=40, replicates=300, kernel=Kernel.GAP, seed=77, statistic="root-degree")
+    (a, summary_a), (b, summary_b) = run_experiment(config), run_experiment(config)
+    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert summary_a == summary_b
 
 
 def test_run_experiment_degree_statistic():
-    summary = run_experiment(
+    sample, summary = run_experiment(
         SimulationConfig(n=3, replicates=50_000, kernel=Kernel.GAP, seed=31, statistic="degree:2")
     )
+    assert sample.size == summary.count == 50_000
     assert _within_se(summary.mean, 4 / 3, summary.variance, summary.count)
 
 
