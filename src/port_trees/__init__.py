@@ -26,6 +26,7 @@ from .zagreb import (
     ZagrebMomentSeries,
     cubic_mean,
     martingale_diff_bound,
+    moment_rows,
     moment_series,
     zagreb_mean,
     zagreb_second_moment,

@@ -41,7 +41,7 @@ from .montecarlo import SimulationConfig, StatsSummary, kde, martingale_diagnost
 from .oracle import DEFAULT_CAP, enumerate_statistic, oracle_moment
 from .poisson import moments_w, simulate_gap_tree, simulate_yule
 from .tree import Kernel
-from .zagreb import martingale_diff_bound, moment_series, zagreb_mean, zagreb_second_moment
+from .zagreb import martingale_diff_bound, moment_rows, zagreb_mean, zagreb_second_moment
 
 SCHEMA_VERSION = 1
 _REQUIRED = object()  # default of a required option; main names the option if it stays unset
@@ -89,12 +89,25 @@ def _format(value: str) -> str:  # not ``choices``, which argparse skips for con
 
 
 def _num(x):
-    """Serialize a number: rationals as 'p/q' strings, floats shortest."""
+    """Serialize a number: rationals (a Fraction or a (numerator,
+    denominator) pair) as 'p/q' strings, floats shortest."""
     if isinstance(x, Fraction):
         return f"{x.numerator}/{x.denominator}"
+    if isinstance(x, tuple):
+        return f"{x[0]}/{x[1]}"
     if isinstance(x, float):
         return repr(x)
     return str(x)
+
+
+def _split_stat(stat: str) -> tuple[str, int | None]:
+    """``--stat`` as (statistic, label): ``degree:J`` watches node J."""
+    if not stat.startswith("degree:"):
+        return stat, None
+    try:
+        return "degree", int(stat.split(":", 1)[1])
+    except ValueError:
+        raise SystemExit(f"--stat {stat!r}: expected degree:J with an integer J") from None
 
 
 def _load_config(path: str) -> dict:
@@ -188,10 +201,9 @@ def _cmd_exact_moments(args) -> int:
 
 
 def _cmd_zagreb_moments(args) -> int:
-    series = moment_series(args.n_max, exact=args.rational or None)
     rows = (
-        (n, _num(mz), _num(my), _num(sz), _num(sz - mz * mz))
-        for n, (mz, my, sz) in enumerate(zip(series.mean_z, series.mean_y, series.second_z), start=1)
+        (n, _num(mz), _num(my), _num(sz), _num(vz))
+        for n, mz, my, sz, vz in moment_rows(args.n_max, exact=args.rational or None)
     )
     _emit_rows(("n", "mean_Z", "mean_Y", "second_Z", "var_Z"), rows, args.format, args.out, "series")
     return 0
@@ -199,9 +211,7 @@ def _cmd_zagreb_moments(args) -> int:
 
 def _cmd_oracle(args) -> int:
     kernel = Kernel.parse(args.kernel)
-    name, j = args.stat, None
-    if name.startswith("degree:"):
-        name, j = "degree", int(name.split(":", 1)[1])
+    name, j = _split_stat(args.stat)
     dist = enumerate_statistic(args.n, kernel, name, j=j)
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -230,6 +240,7 @@ def _simulate(sim: SimulationConfig, out_dir: str, kde_grid: int) -> StatsSummar
 def _cmd_simulate(args) -> int:
     if args.kde < 0:
         raise SystemExit(f"--kde must be >= 0 (0 disables the KDE), got {args.kde}")
+    _split_stat(args.stat)  # the sampler parses degree:J again; a bad J is refused here, naming --stat
     sim = SimulationConfig(
         n=args.n, replicates=args.reps, kernel=Kernel.parse(args.kernel), seed=args.seed, statistic=args.stat
     )

@@ -94,48 +94,31 @@ def _check_nj(n: int, j: int, j_min: int = 2) -> None:
         raise ValueError(f"need {j_min} <= j <= n, got j={j}, n={n}")
 
 
-def _closed_term_ratio(n: int, j: int, i: int) -> Fraction:
-    """Gamma(j-1/2) Gamma(n-1-i/2) / (Gamma(n-1/2) Gamma(j-1-i/2)), exactly.
-
-    The gamma arguments pair up into integer-difference ratios (both
-    integer or both half-integer depending on the parity of i), so the
-    sqrt(pi) factors cancel and the ratio is rational.  A pole of
-    Gamma(j-1-i/2) in the denominator makes the whole ratio zero.
-    """
-    if i % 2 == 0:
-        m = i // 2
-        if j - 1 - m <= 0:
-            return Fraction(0)
-        ratio = Fraction(1)
-        for t in range(j - 1 - m, n - 1 - m):
-            ratio *= t
-        for k in range(j, n):
-            ratio /= Fraction(2 * k - 1, 2)
-        return ratio
-    m = (i - 1) // 2
-    ratio = Fraction(1)
-    for r in range(m + 1):
-        ratio *= Fraction(2 * (j - m + r) - 3, 2)
-        ratio /= Fraction(2 * (n - m + r) - 3, 2)
-    return ratio
-
-
 def degree_pmf_closed(n: int, j: int, d: int) -> float:
     """Alternating-sum closed form for P(degree of node j at time n = d).
 
-    Every summand is a binomial coefficient times a rational ratio of
-    gammas, so the alternating sum is accumulated in exact rational
-    arithmetic and converted to float only at the end; this keeps full
-    relative accuracy even at tiny tail probabilities where a floating
-    evaluation would lose everything to cancellation.  Pole terms
-    (gamma of a nonpositive integer in the denominator) vanish exactly.
+    The i-th summand is C(d-1, i) times the gamma ratio
+    R(i) = Gamma(j-1/2) Gamma(n-1-i/2) / (Gamma(n-1/2) Gamma(j-1-i/2)).
+    Its gamma arguments pair up into integer-difference ratios, so the
+    sqrt(pi) factors cancel and R(i) is rational; consecutive ratios of
+    one parity differ by one factor, R(i) = R(i-2) (2j-2-i)/(2n-2-i), and
+    a pole of Gamma(j-1-i/2) (even i >= 2j-2) makes R(i) zero from then
+    on.  The alternating sum is accumulated in exact rational arithmetic
+    and converted to float only at the end; this keeps full relative
+    accuracy even at tiny tail probabilities where a floating evaluation
+    would lose everything to cancellation.
     """
     _check_nj(n, j)
     if d < 1 or d > n - j + 1:
         return 0.0
+    # R(0) = prod_{t=j-1}^{n-2} 2t / prod_{k=j}^{n-1} (2k-1); R(1) = (2j-3)/(2n-3)
+    r0 = Fraction(math.prod(range(2 * j - 2, 2 * n - 2, 2)), math.prod(range(2 * j - 1, 2 * n - 1, 2)))
+    ratio = [r0, Fraction(2 * j - 3, 2 * n - 3)]  # R(i) of the latest even and odd i
     total = Fraction(0)
     for i in range(d):
-        term = math.comb(d - 1, i) * _closed_term_ratio(n, j, i)
+        if i >= 2:
+            ratio[i % 2] *= Fraction(2 * j - 2 - i, 2 * n - 2 - i)
+        term = math.comb(d - 1, i) * ratio[i % 2]
         total += -term if i % 2 else term
     return float(total)
 

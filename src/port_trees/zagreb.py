@@ -8,6 +8,18 @@ and B_n = Gamma(n+1/2)/(sqrt(pi) Gamma(n-1)):
     E[Z_n]   = 2 m H
     E[Y_n]   = 32 B_n - 6 m H - 16 m
     E[Z_n^2] = 4 m (m+1) (H^2 - H2) + 20 m H + 16 m^2 + 64 m - 128 B_n
+    Var[Z_n] = 4 m H^2 - 4 m (m+1) H2 + 20 m H + 16 m^2 + 64 m - 128 B_n
+
+``moment_rows`` streams the table one row at a time.  Its exact rows
+come from integers: with L = lcm(1..m), the loop keeps A = H L,
+C = H2 L^2 and K = C(2n, n), so that B_n = n m K / 4^n.  When m grows to
+n, L is multiplied by f = n / gcd(L, n), A and C are scaled by f and
+f^2, and L/n and (L/n)^2 are added.  Each moment is then one integer
+numerator over a known denominator: L for E[Z], L 4^n for E[Y], and
+L^2 4^n for E[Z^2] and Var[Z].  Writing L = L_odd 2^v, a numerator is
+reduced by cancelling the power of two by its trailing-zero count and
+running one gcd against L_odd (or L_odd^2) only.  The float rows keep
+the closed forms' own expression order.
 """
 
 from __future__ import annotations
@@ -27,6 +39,7 @@ __all__ = [
     "Y_WEAK_LIMIT",
     "RATIONAL_CAP",
     "ZagrebMomentSeries",
+    "moment_rows",
     "moment_series",
     "zagreb_mean",
     "cubic_mean",
@@ -76,30 +89,82 @@ class ZagrebMomentSeries:
         return self.second_z[n - 1] - self.mean_z[n - 1] ** 2
 
 
-def moment_series(n_max: int, exact: bool | None = None) -> ZagrebMomentSeries:
-    """E[Z_n], E[Y_n], E[Z_n^2] for n = 1 .. n_max from the closed forms.
+def _lowest(num: int, odd: int, v: int) -> tuple[int, int]:
+    """num / (odd 2^v) in lowest terms, for odd ``odd``: the power of two
+    cancels by trailing-zero count, so gcd runs against the odd part only."""
+    if num == 0:
+        return 0, 1
+    t = min((num & -num).bit_length() - 1, v)
+    num >>= t
+    g = math.gcd(num, odd)
+    return num // g, (odd // g) << (v - t)
 
-    ``exact=None`` picks rational arithmetic up to RATIONAL_CAP and
-    floats beyond.
-    """
-    if n_max < 1:
-        raise ValueError(f"moment_series requires n_max >= 1, got {n_max}")
-    if exact is None:
-        exact = n_max <= RATIONAL_CAP
-    one = Fraction(1) if exact else 1.0
-    h = h2 = one * 0  # H_{n-1} and H2_{n-1}
-    c = one  # C(2n, n) / 4^n, so that B_n = n(n-1) c
-    mean_z, mean_y, second_z = [], [], []
+
+def _exact_rows(n_max: int):
+    lcm, odd, v = 1, 1, 0  # L = lcm(1..m) = odd 2^v
+    a = c = 0  # A = H L and C = H2 L^2
+    k = 1  # C(2n, n), so that B_n = n m k / 4^n
+    for n in range(1, n_max + 1):
+        m = n - 1
+        k = k * 2 * (2 * n - 1) // n
+        lsq, aa = lcm * lcm, a * a
+        b128 = 128 * n * m * k * lsq  # 128 B_n over L^2 4^n
+        rest = 20 * m * a * lcm + (16 * m * m + 64 * m) * lsq
+        second = ((4 * m * (m + 1) * (aa - c) + rest) << 2 * n) - b128
+        yield (
+            n,
+            _lowest(2 * m * a, odd, v),
+            _lowest(32 * n * m * k * lcm - ((6 * m * a + 16 * m * lcm) << 2 * n), odd, v + 2 * n),
+            _lowest(second, odd * odd, 2 * v + 2 * n),
+            _lowest(second - (4 * m * m * aa << 2 * n), odd * odd, 2 * v + 2 * n),
+        )
+        f = n // math.gcd(lcm, n)  # m grows to n: f = p if n = p^k, else 1
+        t = (f & -f).bit_length() - 1
+        lcm, odd, v = lcm * f, odd * (f >> t), v + t
+        q = lcm // n
+        a = a * f + q
+        c = c * f * f + q * q
+
+
+def _float_rows(n_max: int):
+    h = h2 = 0.0  # H_{n-1} and H2_{n-1}
+    c = 1.0  # C(2n, n) / 4^n, so that B_n = n(n-1) c
     for n in range(1, n_max + 1):
         m = n - 1
         c = c * (2 * n - 1) / (2 * n)
         b = n * m * c
-        mean_z.append(_mean_z(m, h))
-        mean_y.append(_mean_y(m, h, b))
-        second_z.append(_second_z(m, h, h2, b))
-        h += one / n
-        h2 += one / (n * n)
-    return ZagrebMomentSeries(n_max=n_max, mean_z=mean_z, mean_y=mean_y, second_z=second_z)
+        mean_z, second_z = _mean_z(m, h), _second_z(m, h, h2, b)
+        yield n, mean_z, _mean_y(m, h, b), second_z, second_z - mean_z * mean_z
+        h += 1.0 / n
+        h2 += 1.0 / (n * n)
+
+
+def moment_rows(n_max: int, exact: bool | None = None):
+    """Rows (n, E[Z_n], E[Y_n], E[Z_n^2], Var[Z_n]) for n = 1 .. n_max,
+    one at a time.
+
+    Exact rows hold each moment as a (numerator, denominator) pair in
+    lowest terms; float rows hold floats.  ``exact=None`` picks exact
+    rows up to RATIONAL_CAP and floats beyond.
+    """
+    if n_max < 1:
+        raise ValueError(f"the moment series needs n_max >= 1, got {n_max}")
+    if exact is None:
+        exact = n_max <= RATIONAL_CAP
+    return _exact_rows(n_max) if exact else _float_rows(n_max)
+
+
+def moment_series(n_max: int, exact: bool | None = None) -> ZagrebMomentSeries:
+    """E[Z_n], E[Y_n], E[Z_n^2] for n = 1 .. n_max, as Fractions or floats
+    (``exact`` as in ``moment_rows``)."""
+    mean_z, mean_y, second_z = [], [], []
+    for _, mz, my, sz, _ in moment_rows(n_max, exact):
+        mean_z.append(mz)
+        mean_y.append(my)
+        second_z.append(sz)
+    if isinstance(mean_z[0], tuple):  # exact rows hold (numerator, denominator) pairs
+        mean_z, mean_y, second_z = ([Fraction(*x) for x in column] for column in (mean_z, mean_y, second_z))
+    return ZagrebMomentSeries(n_max, mean_z, mean_y, second_z)
 
 
 def zagreb_mean(n: int) -> Fraction:

@@ -71,12 +71,25 @@ def test_exact_moments(capsys):
     assert float(var) == pytest.approx(2 / 9, abs=1e-10)
 
 
-def test_zagreb_moments_rational(capsys):
+def test_zagreb_moments_rational(capsys, zagreb_recurrence):
     code, out, _ = run(capsys, "zagreb-moments", "--n-max", "4", "--rational")
     assert code == 0
     rows = out.strip().split("\n")
     assert rows[0] == "n,mean_Z,mean_Y,second_Z,var_Z"
     assert rows[4] == "4,11/1,24/1,122/1,1/1"
+    # every cell of a longer table, in both formats, against the coupled recurrence
+    expected = [
+        [n, *(f"{x.numerator}/{x.denominator}" for x in (ez, ey, ez2, ez2 - ez * ez))]
+        for n, (ez, ey, ez2) in enumerate(zagreb_recurrence[:300], start=1)
+    ]
+    code, out, _ = run(capsys, "zagreb-moments", "--n-max", "300", "--rational")
+    assert code == 0
+    assert out.strip().split("\n")[1:] == [",".join(map(str, row)) for row in expected]
+    code, out, _ = run(capsys, "zagreb-moments", "--n-max", "300", "--rational", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["columns"] == ["n", "mean_Z", "mean_Y", "second_Z", "var_Z"]
+    assert payload["rows"] == expected
 
 
 def test_oracle_json(capsys):
@@ -294,13 +307,22 @@ def test_zagreb_moments_beyond_the_digit_limit(capsys, tmp_path):
     assert (tmp_path / "series.csv").read_text() == out
 
 
-@pytest.mark.parametrize("bad", [{"--kde": "-5"}, {"--reps": "0"}, {"--n": "1"}])
-def test_simulate_rejects_bad_config_before_writing(capsys, tmp_path, bad):
+@pytest.mark.parametrize(
+    "bad,message",
+    [
+        ({"--kde": "-5"}, "port: error: --kde must be >= 0"),
+        ({"--reps": "0"}, "port: error: replicates must be >= 1"),
+        ({"--n": "1"}, "port: error: n must be >= 2"),
+        ({"--stat": "degree:abc"}, "port: error: --stat 'degree:abc': expected degree:J with an integer J"),
+    ],
+    ids=[f"bad{i}" for i in range(4)],
+)
+def test_simulate_rejects_bad_config_before_writing(capsys, tmp_path, bad, message):
     out_dir = tmp_path / "run"
     flags = {"--n": "30", "--reps": "50", "--seed": "1", "--out": str(out_dir), **bad}
     code, _, err = run(capsys, "simulate", *[item for pair in flags.items() for item in pair])
     assert code == 1
-    assert "port: error:" in err
+    assert message in err
     assert not out_dir.exists()
 
 
@@ -469,10 +491,11 @@ def test_bad_option_value_names_the_option(capsys, tmp_path, config_text, flags,
         ["no-such-command"],
         ["exact-pmf", "--n", "5", "--j", "2", "--out", ""],
         ["simulate", "--n", "30", "--reps", "50", "--out", ""],
+        ["oracle", "--n", "5", "--stat", "degree:abc"],
     ],
     ids=[
         "missing-config", "bad-config-line", "bad-value", "missing-option", "unknown-subcommand",
-        "empty-out-exact-pmf", "empty-out-simulate",
+        "empty-out-exact-pmf", "empty-out-simulate", "bad-stat-label",
     ],
 )
 def test_usage_errors_exit_1_without_traceback(tmp_path, argv):

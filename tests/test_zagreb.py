@@ -13,6 +13,7 @@ from port_trees.zagreb import (
     Z_WEAK_LIMIT,
     cubic_mean,
     martingale_diff_bound,
+    moment_rows,
     moment_series,
     zagreb_mean,
     zagreb_second_moment,
@@ -20,36 +21,34 @@ from port_trees.zagreb import (
 )
 
 
-def _recurrence(n_max: int) -> list:
-    """(E[Z_n], E[Y_n], E[Z_n^2]) for n = 1 .. n_max from the coupled one-step
-    recurrences, the reference the closed forms are checked against.
-
-    A new node attaches to a node of degree d with probability d/(2(n-2)),
-    which adds 2d + 2 to Z and 3d^2 + 3d + 2 to Y.  Hence
-    E[Z_n | F_{n-1}] = (n-1)/(n-2) Z_{n-1} + 2,
-    E[Y_n | F_{n-1}] = (1 + 3/(2(n-2))) Y_{n-1} + 3/(2(n-2)) Z_{n-1} + 2, where
-    E[Z_{n-1}] = 2(n-2) H_{n-2} turns the Z term into 3 H_{n-2}, and
-    E[Z_n^2 | F_{n-1}] = (n Z_{n-1}^2 + 2 Y_{n-1} + 4(n-1) Z_{n-1})/(n-2) + 4.
-    """
-    rows = [(Fraction(0),) * 3, (Fraction(2), Fraction(2), Fraction(4))]
-    ez, ey, ez2 = rows[-1]
-    h = Fraction(1)  # H_{n-2}
-    for n in range(3, n_max + 1):
-        ez2 = (n * ez2 + 2 * ey + 4 * (n - 1) * ez) / (n - 2) + 4
-        ey = (2 * n - 1) * ey / (2 * (n - 2)) + 3 * h + 2
-        ez = (n - 1) * ez / (n - 2) + 2
-        h += Fraction(1, n - 1)
-        rows.append((ez, ey, ez2))
-    return rows
+def _pair(x: Fraction) -> tuple:
+    return x.numerator, x.denominator
 
 
-def test_closed_forms_equal_the_recurrence():
-    reference = _recurrence(400)
+def test_closed_forms_equal_the_recurrence(zagreb_recurrence):
+    reference = zagreb_recurrence
     series = moment_series(400, exact=True)
     assert list(zip(series.mean_z, series.mean_y, series.second_z)) == reference
+    # the integer rows, pair by pair: equal values in lowest terms
+    assert list(moment_rows(400, exact=True)) == [
+        (n, _pair(ez), _pair(ey), _pair(ez2), _pair(ez2 - ez * ez))
+        for n, (ez, ey, ez2) in enumerate(reference, start=1)
+    ]
     assert (zagreb_mean(1), cubic_mean(1)) == reference[0][:2]
     for n in range(2, 401):
         assert (zagreb_mean(n), cubic_mean(n), zagreb_second_moment(n)) == reference[n - 1]
+
+
+def test_exact_rows_where_the_lcm_grows():
+    # L = lcm(1..n-1) doubles at n = 2^k + 1 and gains an odd prime power at
+    # 730 = 3^6 + 1, 962 = 31^2 + 1 and 2004 (2003 is prime); the scalars take
+    # their harmonic sums by binary splitting, a route independent of the rows
+    wanted = {n for k in range(1, 12) for n in (2**k - 1, 2**k, 2**k + 1) if n > 1} | {729, 730, 961, 962, 2003, 2004}
+    for n, mean_z, mean_y, second_z, var_z in moment_rows(max(wanted), exact=True):
+        if n in wanted:
+            ez, ez2 = zagreb_mean(n), zagreb_second_moment(n)
+            assert (mean_z, mean_y) == (_pair(ez), _pair(cubic_mean(n)))
+            assert (second_z, var_z) == (_pair(ez2), _pair(ez2 - ez * ez))
 
 
 def test_zagreb_mean_small():
