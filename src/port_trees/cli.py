@@ -37,7 +37,7 @@ from .degree import (
     degree_variance,
     root_pmf,
 )
-from .montecarlo import SimulationConfig, StatsSummary, kde, martingale_diagnostics, run_experiment
+from .montecarlo import SimulationConfig, StatsSummary, kde, martingale_diagnostics, run_experiment, split_statistic
 from .oracle import DEFAULT_CAP, enumerate_statistic, oracle_moment
 from .poisson import moments_w, simulate_gap_tree, simulate_yule
 from .tree import Kernel
@@ -98,16 +98,6 @@ def _num(x):
     if isinstance(x, float):
         return repr(x)
     return str(x)
-
-
-def _split_stat(stat: str) -> tuple[str, int | None]:
-    """``--stat`` as (statistic, label): ``degree:J`` watches node J."""
-    if not stat.startswith("degree:"):
-        return stat, None
-    try:
-        return "degree", int(stat.split(":", 1)[1])
-    except ValueError:
-        raise SystemExit(f"--stat {stat!r}: expected degree:J with an integer J") from None
 
 
 def _load_config(path: str) -> dict:
@@ -211,7 +201,7 @@ def _cmd_zagreb_moments(args) -> int:
 
 def _cmd_oracle(args) -> int:
     kernel = Kernel.parse(args.kernel)
-    name, j = _split_stat(args.stat)
+    name, j = split_statistic(args.stat)
     dist = enumerate_statistic(args.n, kernel, name, j=j)
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -240,7 +230,6 @@ def _simulate(sim: SimulationConfig, out_dir: str, kde_grid: int) -> StatsSummar
 def _cmd_simulate(args) -> int:
     if args.kde < 0:
         raise SystemExit(f"--kde must be >= 0 (0 disables the KDE), got {args.kde}")
-    _split_stat(args.stat)  # the sampler parses degree:J again; a bad J is refused here, naming --stat
     sim = SimulationConfig(
         n=args.n, replicates=args.reps, kernel=Kernel.parse(args.kernel), seed=args.seed, statistic=args.stat
     )

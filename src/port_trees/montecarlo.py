@@ -35,6 +35,7 @@ __all__ = [
     "ForestResult",
     "grow_forest",
     "run_experiment",
+    "split_statistic",
     "summarize",
     "jarque_bera",
     "kde",
@@ -314,10 +315,20 @@ def kde(sample, grid_size: int = 256) -> tuple[np.ndarray, np.ndarray]:
     return grid, density
 
 
+def split_statistic(statistic: str) -> tuple[str, int | None]:
+    """A ``--stat`` label as (statistic, node): ``degree:J`` watches node J."""
+    if not statistic.startswith("degree:"):
+        return statistic, None
+    try:
+        return "degree", int(statistic.split(":", 1)[1])
+    except ValueError:
+        raise ValueError(f"--stat {statistic!r}: expected degree:J with an integer J") from None
+
+
 def _parse_statistic(statistic: str, n: int) -> tuple[str, dict]:
     """The statistic's key in a ForestResult and the grow_forest flags that collect it."""
-    if statistic.startswith("degree:"):
-        j = int(statistic.split(":", 1)[1])
+    name, j = split_statistic(statistic)
+    if name == "degree":
         if not 1 <= j <= n:
             raise ValueError(f"degree statistic needs 1 <= j <= n, got j={j}")
         return ("root-degree", {"want_root": True}) if j == 1 else (f"degree:{j}", {"labels": (j,)})

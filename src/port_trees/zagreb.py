@@ -139,6 +139,10 @@ def _float_rows(n_max: int):
         h2 += 1.0 / (n * n)
 
 
+def _wants_exact(n_max: int, exact: bool | None) -> bool:
+    return n_max <= RATIONAL_CAP if exact is None else exact
+
+
 def moment_rows(n_max: int, exact: bool | None = None):
     """Rows (n, E[Z_n], E[Y_n], E[Z_n^2], Var[Z_n]) for n = 1 .. n_max,
     one at a time.
@@ -148,21 +152,20 @@ def moment_rows(n_max: int, exact: bool | None = None):
     rows up to RATIONAL_CAP and floats beyond.
     """
     if n_max < 1:
-        raise ValueError(f"the moment series needs n_max >= 1, got {n_max}")
-    if exact is None:
-        exact = n_max <= RATIONAL_CAP
-    return _exact_rows(n_max) if exact else _float_rows(n_max)
+        raise ValueError(f"moment_series requires n_max >= 1, got {n_max}")
+    return _exact_rows(n_max) if _wants_exact(n_max, exact) else _float_rows(n_max)
 
 
 def moment_series(n_max: int, exact: bool | None = None) -> ZagrebMomentSeries:
     """E[Z_n], E[Y_n], E[Z_n^2] for n = 1 .. n_max, as Fractions or floats
     (``exact`` as in ``moment_rows``)."""
+    exact = _wants_exact(n_max, exact)
     mean_z, mean_y, second_z = [], [], []
     for _, mz, my, sz, _ in moment_rows(n_max, exact):
         mean_z.append(mz)
         mean_y.append(my)
         second_z.append(sz)
-    if isinstance(mean_z[0], tuple):  # exact rows hold (numerator, denominator) pairs
+    if exact:
         mean_z, mean_y, second_z = ([Fraction(*x) for x in column] for column in (mean_z, mean_y, second_z))
     return ZagrebMomentSeries(n_max, mean_z, mean_y, second_z)
 

@@ -492,10 +492,11 @@ def test_bad_option_value_names_the_option(capsys, tmp_path, config_text, flags,
         ["exact-pmf", "--n", "5", "--j", "2", "--out", ""],
         ["simulate", "--n", "30", "--reps", "50", "--out", ""],
         ["oracle", "--n", "5", "--stat", "degree:abc"],
+        ["zagreb-moments", "--n-max", "0"],
     ],
     ids=[
         "missing-config", "bad-config-line", "bad-value", "missing-option", "unknown-subcommand",
-        "empty-out-exact-pmf", "empty-out-simulate", "bad-stat-label",
+        "empty-out-exact-pmf", "empty-out-simulate", "bad-stat-label", "empty-table",
     ],
 )
 def test_usage_errors_exit_1_without_traceback(tmp_path, argv):

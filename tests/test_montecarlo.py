@@ -192,6 +192,11 @@ def test_simulation_config_validates(field, value):
         SimulationConfig(**kwargs)
 
 
+def test_run_experiment_refuses_a_non_integer_degree_label():
+    with pytest.raises(ValueError, match="--stat 'degree:abc': expected degree:J with an integer J"):
+        run_experiment(SimulationConfig(n=10, replicates=10, statistic="degree:abc"))
+
+
 def test_simulation_config_caps_chunk_slots():
     # a chunk's node slots are indexed in int32
     with pytest.raises(ValueError, match="chunk_size"):

@@ -98,6 +98,13 @@ def test_series_invariants():
             assert series.mean_y[n - 1] >= series.mean_z[n - 1]
 
 
+def test_series_resolves_exact_and_rejects_an_empty_table():
+    assert isinstance(moment_series(3).var_z(3), Fraction)  # exact=None: exact up to RATIONAL_CAP
+    for build in (moment_rows, moment_series):
+        with pytest.raises(ValueError, match="moment_series requires n_max >= 1, got 0"):
+            build(0)
+
+
 def test_float_series_tracks_exact():
     exact = moment_series(200, exact=True)
     approx = moment_series(200, exact=False)
