@@ -134,12 +134,21 @@ def _emit_json(payload: dict, out_dir: str | None, name: str) -> None:
 def _emit_rows(header, rows, fmt: str, out_dir: str | None, stem: str) -> None:
     """Write rows as CSV or JSON to ``out_dir/stem.fmt`` or stdout.
 
-    CSV rows are written one at a time, so ``rows`` may be a generator
-    and the whole table is never held as text.
+    Rows are written one at a time in either format, so ``rows`` may be a
+    generator and the whole table is never held as text.  The JSON text is
+    the same as ``json.dumps(payload, indent=2)`` of the whole table.
     """
     if fmt == "json":
-        payload = {"schema_version": SCHEMA_VERSION, "columns": list(header), "rows": [list(r) for r in rows]}
-        return _emit_json(payload, out_dir, f"{stem}.json")
+        head = json.dumps({"schema_version": SCHEMA_VERSION, "columns": list(header)}, indent=2)
+        with _output(out_dir, f"{stem}.json") as fh:
+            fh.write(head[:-2] + ',\n  "rows": [')  # reopen the object after "columns"
+            first = "\n    "  # written before the first row, ",\n    " before each later one
+            sep = first
+            for row in rows:
+                fh.write(sep + json.dumps(list(row), indent=2).replace("\n", "\n    "))
+                sep = ",\n    "
+            fh.write("]\n}\n" if sep == first else "\n  ]\n}\n")  # no rows: json.dumps prints []
+        return
     with _output(out_dir, f"{stem}.csv") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:

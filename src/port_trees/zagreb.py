@@ -16,16 +16,46 @@ C = H2 L^2 and K = C(2n, n), so that B_n = n m K / 4^n.  When m grows to
 n, L is multiplied by f = n / gcd(L, n), A and C are scaled by f and
 f^2, and L/n and (L/n)^2 are added.  Each moment is then one integer
 numerator over a known denominator: L for E[Z], L 4^n for E[Y], and
-L^2 4^n for E[Z^2] and Var[Z].  Writing L = L_odd 2^v, a numerator is
-reduced by cancelling the power of two by its trailing-zero count and
-running one gcd against L_odd (or L_odd^2) only.  The float rows keep
-the closed forms' own expression order.
+L^2 4^n for E[Z^2] and Var[Z].  Writing L = L_odd 2^v, the gcd of a
+numerator and its denominator comes from cancelling the power of two by
+its trailing-zero count and running one gcd against L_odd (or L_odd^2)
+only.
+
+That binary state only finds the gcds.  The pairs themselves are built
+in base 10, as integer ``Decimal``s, because CPython's int -> str is
+quadratic in the digit count and the values run to thousands of digits.
+Beside the binary state the loop carries, with S = L^2, the decimals
+L, L4 = L 4^n, S4 = S 4^n, KL = K L, KS = K S, A, A4 = A 4^n, C4 = C 4^n,
+P = A L 4^n and Q = A^2 4^n, and updates them by small-integer products,
+exact small-integer quotients and sums only.  Each row multiplies every
+4^n term by 4 and steps KL and KS by (4n - 2)/n; the numerators are
+
+    E[Z]     2 m A                                           over L
+    E[Y]     32 n m KL - 6 m A4 - 16 m L4                    over L4
+    E[Z^2]   4 m (m+1) (Q - C4) + 20 m P
+               + (16 m^2 + 64 m) S4 - 128 n m KS             over S4
+    Var[Z]   the E[Z^2] numerator - 4 m^2 Q                  over S4
+
+and both sides are divided by the gcd.  When m grows to n, L, L4 and KL
+are scaled by f and S4 and KS by f^2, and then
+
+    A'  = A f + L'/n  (A4 likewise)    C4' = C4 f^2 + S4'/n^2
+    P'  = P f^2 + S4'/n                Q'  = Q f^2 + 2 (P f^2)/n + S4'/n^2
+
+That arithmetic runs under ``_EXACT``, a context of unbounded precision
+that traps rounding, in blocks that close before each row is yielded, so
+the caller's decimal context is neither used nor changed.  Outside
+``_EXACT`` convert the pairs with ``int()`` before doing arithmetic on
+them.  The float rows keep the closed forms' own expression order.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
+from collections import deque
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -58,6 +88,13 @@ Y_WEAK_LIMIT = 32.0 / math.sqrt(math.pi)
 
 RATIONAL_CAP = 10_000
 
+# unrounded integer arithmetic: a rounded result traps, and an inexact
+# division cannot finish at this precision (MemoryError)
+_EXACT = decimal.Context(
+    prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+    traps=[decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow, decimal.Inexact, decimal.Rounded],
+)
+
 
 def _mean_z(m, h):
     return 2 * m * h
@@ -89,21 +126,34 @@ class ZagrebMomentSeries:
         return self.second_z[n - 1] - self.mean_z[n - 1] ** 2
 
 
-def _lowest(num: int, odd: int, v: int) -> tuple[int, int]:
-    """num / (odd 2^v) in lowest terms, for odd ``odd``: the power of two
-    cancels by trailing-zero count, so gcd runs against the odd part only."""
+def _reduce(num: Decimal, den: Decimal, g: int) -> tuple[Decimal, Decimal]:
+    """(num / g, den / g) for a common divisor g, by ``divmod``: an exact
+    ``/`` costs twice as much at unbounded precision, so the remainders
+    are checked here instead."""
+    g = Decimal(g)
+    (p, r), (q, s) = divmod(num, g), divmod(den, g)
+    if r or s:
+        raise decimal.Inexact("a divisor leaves a remainder in an exact row")
+    return p, q
+
+
+def _divisor(num: int, odd: int, v: int) -> int:
+    """The gcd of num and odd 2^v, for odd ``odd``: the power of two cancels
+    by trailing-zero count, so gcd runs against the odd part only."""
     if num == 0:
-        return 0, 1
+        return odd << v
     t = min((num & -num).bit_length() - 1, v)
-    num >>= t
-    g = math.gcd(num, odd)
-    return num // g, (odd // g) << (v - t)
+    return math.gcd(num >> t, odd) << t
 
 
 def _exact_rows(n_max: int):
     lcm, odd, v = 1, 1, 0  # L = lcm(1..m) = odd 2^v
     a = c = 0  # A = H L and C = H2 L^2
     k = 1  # C(2n, n), so that B_n = n m k / 4^n
+    # base 10, with S = L^2: L, L 4^n, S 4^n, K L, K S, A, A 4^n, C 4^n,
+    # P = A L 4^n and Q = A^2 4^n
+    dl = dl4 = ds4 = dkl = dks = Decimal(1)
+    da = da4 = dc4 = dp = dq = Decimal(0)
     for n in range(1, n_max + 1):
         m = n - 1
         k = k * 2 * (2 * n - 1) // n
@@ -111,19 +161,36 @@ def _exact_rows(n_max: int):
         b128 = 128 * n * m * k * lsq  # 128 B_n over L^2 4^n
         rest = 20 * m * a * lcm + (16 * m * m + 64 * m) * lsq
         second = ((4 * m * (m + 1) * (aa - c) + rest) << 2 * n) - b128
-        yield (
-            n,
-            _lowest(2 * m * a, odd, v),
-            _lowest(32 * n * m * k * lcm - ((6 * m * a + 16 * m * lcm) << 2 * n), odd, v + 2 * n),
-            _lowest(second, odd * odd, 2 * v + 2 * n),
-            _lowest(second - (4 * m * m * aa << 2 * n), odd * odd, 2 * v + 2 * n),
-        )
+        var = second - (4 * m * m * aa << 2 * n)
+        gz = _divisor(2 * m * a, odd, v)
+        gy = _divisor(32 * n * m * k * lcm - ((6 * m * a + 16 * m * lcm) << 2 * n), odd, v + 2 * n)
+        g2 = _divisor(second, odd * odd, 2 * v + 2 * n)
+        gv = _divisor(var, odd * odd, 2 * v + 2 * n)
+        with decimal.localcontext(_EXACT):
+            dl4, ds4, da4, dc4, dp, dq = dl4 * 4, ds4 * 4, da4 * 4, dc4 * 4, dp * 4, dq * 4
+            dkl, dks = dkl * (4 * n - 2) / n, dks * (4 * n - 2) / n
+            dsecond = 4 * m * (m + 1) * (dq - dc4) + 20 * m * dp + (16 * m * m + 64 * m) * ds4 - 128 * n * m * dks
+            row = (
+                n,
+                _reduce(2 * m * da, dl, gz),
+                _reduce(32 * n * m * dkl - 6 * m * da4 - 16 * m * dl4, dl4, gy),
+                _reduce(dsecond, ds4, g2),
+                _reduce(dsecond - 4 * m * m * dq, ds4, gv),
+            )
+        yield row
         f = n // math.gcd(lcm, n)  # m grows to n: f = p if n = p^k, else 1
         t = (f & -f).bit_length() - 1
         lcm, odd, v = lcm * f, odd * (f >> t), v + t
         q = lcm // n
         a = a * f + q
         c = c * f * f + q * q
+        with decimal.localcontext(_EXACT):
+            f2 = f * f
+            dl, dl4, ds4, dkl, dks = dl * f, dl4 * f, ds4 * f2, dkl * f, dks * f2
+            da, da4, dc4, dp, dq = da * f, da4 * f, dc4 * f2, dp * f2, dq * f2
+            da, da4 = da + dl / n, da4 + dl4 / n
+            dc4, dq = dc4 + ds4 / (n * n), dq + 2 * dp / n + ds4 / (n * n)
+            dp += ds4 / n
 
 
 def _float_rows(n_max: int):
@@ -148,8 +215,10 @@ def moment_rows(n_max: int, exact: bool | None = None):
     one at a time.
 
     Exact rows hold each moment as a (numerator, denominator) pair in
-    lowest terms; float rows hold floats.  ``exact=None`` picks exact
-    rows up to RATIONAL_CAP and floats beyond.
+    lowest terms, both integer ``Decimal``s with exponent 0: they print
+    as plain digits, compare equal to ints, and take ``int()`` before
+    arithmetic under any other context.  Float rows hold floats.
+    ``exact=None`` picks exact rows up to RATIONAL_CAP and floats beyond.
     """
     if n_max < 1:
         raise ValueError(f"moment_series requires n_max >= 1, got {n_max}")
@@ -166,7 +235,7 @@ def moment_series(n_max: int, exact: bool | None = None) -> ZagrebMomentSeries:
         mean_y.append(my)
         second_z.append(sz)
     if exact:
-        mean_z, mean_y, second_z = ([Fraction(*x) for x in column] for column in (mean_z, mean_y, second_z))
+        mean_z, mean_y, second_z = ([Fraction(int(p), int(q)) for p, q in column] for column in (mean_z, mean_y, second_z))
     return ZagrebMomentSeries(n_max, mean_z, mean_y, second_z)
 
 
@@ -202,7 +271,7 @@ def zagreb_variance_asymptotic(n: int) -> dict:
     if n <= RATIONAL_CAP:
         exact_var = float(zagreb_second_moment(n) - zagreb_mean(n) ** 2)
     else:
-        exact_var = moment_series(n, exact=False).var_z(n)
+        exact_var = deque(moment_rows(n, exact=False), maxlen=1)[0][4]  # the last row's Var[Z_n]
     g = 0.5772156649015329
     logn = math.log(n)
     second_asym = 4 * (n * logn) ** 2 + 8 * g * n * n * logn + (16 + 4 * g * g - 2 * math.pi**2 / 3) * n * n

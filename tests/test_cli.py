@@ -62,6 +62,14 @@ def test_exact_pmf_json_round_trip(capsys):
     assert len(payload["rows"]) == 4
 
 
+def test_json_rows_stream_as_one_json_dumps(capsys):
+    # rows are written one at a time; the text must stay that of one json.dumps
+    for rows in ([], [(1, "0/1", 2.5, -1e-300)], [(d, f"{d}/7", d / 7, None) for d in range(1, 4)]):
+        cli._emit_rows(("a", "b", "c", "d"), iter(rows), "json", None, "t")
+        whole = {"schema_version": cli.SCHEMA_VERSION, "columns": ["a", "b", "c", "d"], "rows": [list(r) for r in rows]}
+        assert capsys.readouterr().out == json.dumps(whole, indent=2) + "\n"
+
+
 def test_exact_moments(capsys):
     code, out, _ = run(capsys, "exact-moments", "--n", "3", "--j", "2")
     assert code == 0

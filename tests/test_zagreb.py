@@ -1,4 +1,6 @@
+import decimal
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -37,6 +39,20 @@ def test_closed_forms_equal_the_recurrence(zagreb_recurrence):
     assert (zagreb_mean(1), cubic_mean(1)) == reference[0][:2]
     for n in range(2, 401):
         assert (zagreb_mean(n), cubic_mean(n), zagreb_second_moment(n)) == reference[n - 1]
+
+
+def test_exact_rows_ignore_the_callers_decimal_context(zagreb_recurrence):
+    # the rows are built under their own unbounded context; a 5-digit context
+    # around the consumer must neither round them nor be changed by them
+    with decimal.localcontext() as ctx:
+        ctx.prec = 5
+        rows = moment_rows(400, exact=True)
+        for (n, *pairs), (ez, ey, ez2) in zip(rows, zagreb_recurrence, strict=True):
+            assert decimal.getcontext().prec == 5
+            assert pairs == [_pair(ez), _pair(ey), _pair(ez2), _pair(ez2 - ez * ez)]
+            for value in (x for pair in pairs for x in pair):
+                # an integer Decimal with exponent 0 prints its plain digits, never E+ notation
+                assert type(value) is Decimal and value.as_tuple().exponent == 0
 
 
 def test_exact_rows_where_the_lcm_grows():
@@ -116,6 +132,11 @@ def test_variance_asymptotic_report():
     report = zagreb_variance_asymptotic(4)
     assert report["variance_exact"] == pytest.approx(1.0, rel=1e-12)
     assert VAR_Z_COEFFICIENT == pytest.approx(16 - 2 * math.pi**2 / 3, rel=1e-15)
+
+
+def test_variance_asymptotic_beyond_the_rational_cap_reads_the_float_row():
+    n = 10_001
+    assert zagreb_variance_asymptotic(n)["variance_exact"] == moment_series(n, exact=False).var_z(n)
 
 
 def test_weak_law_constants():
