@@ -91,6 +91,8 @@ def _format(value: str) -> str:  # not ``choices``, which argparse skips for con
 def _num(x):
     """Serialize a number: rationals (a Fraction or a (numerator,
     denominator) pair) as 'p/q' strings, floats shortest."""
+    if type(x) is float:  # the common case, tested before any ABC isinstance
+        return repr(x)
     if isinstance(x, Fraction):
         return f"{x.numerator}/{x.denominator}"
     if isinstance(x, tuple):
@@ -320,11 +322,10 @@ def _verify_routes(n_max: int) -> list[tuple[str, bool]]:
     checks = []
     for n in range(2, n_max + 1):
         for j in range(2, n + 1):
-            law = degree_pmf_recurrence(n, j)
+            # both routes divide once, so they must equal the exact law rounded to float
+            law = degree_pmf_recurrence(n, j, exact=True)
             ok = all(
-                abs(degree_pmf_closed(n, j, d) - p) <= 1e-9
-                and abs(degree_pmf_hypergeom(n, j, d) - p) <= 1e-9
-                for d, p in law.probs.items()
+                degree_pmf_closed(n, j, d) == float(p) == degree_pmf_hypergeom(n, j, d) for d, p in law.probs.items()
             )
             checks.append((f"route-equivalence n={n} j={j}", ok))
     return checks

@@ -3,15 +3,22 @@
 Three independent evaluation routes are provided for the law of the
 degree of the node labeled j in a gap-oriented tree of n nodes:
 
-* ``degree_pmf_closed`` -- the alternating gamma-ratio sum, accumulated
-  in exact rational arithmetic (each summand is rational) so the
-  alternating cancellation costs no precision.
+* ``degree_pmf_closed`` -- the alternating gamma-ratio sum.  Each
+  summand is rational, so the sum runs on integer numerators over one
+  denominator per parity and the alternating cancellation costs no
+  precision.
 * ``degree_pmf_recurrence`` -- a forward DP with all-nonnegative
   coefficients; numerically stable and the default route, with an
-  exact-rational mode.  It also covers the root (j = 1).
-* ``degree_pmf_hypergeom`` -- two terminating 3F2 series.
+  exact mode on integer numerators over the common denominator
+  prod (2m-3).  It also covers the root (j = 1).
+* ``degree_pmf_hypergeom`` -- two terminating 3F2 series, summed as
+  unreduced integer pairs.
 
-The root (j = 1) has its own closed form, ``root_pmf``.
+The exact routes build no ``Fraction`` in their loops: they divide once
+at the end, by ``p / q`` for a float (int true division rounds
+correctly, so p/q need not be in lowest terms) or by one ``Fraction``
+per probability in the DP's exact mode.  The root (j = 1) has its own
+closed form, ``root_pmf``.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .special import hypergeometric_pfq, log_gamma
+from .special import _pfq_sum, log_gamma
 
 __all__ = [
     "Regime",
@@ -103,24 +110,30 @@ def degree_pmf_closed(n: int, j: int, d: int) -> float:
     sqrt(pi) factors cancel and R(i) is rational; consecutive ratios of
     one parity differ by one factor, R(i) = R(i-2) (2j-2-i)/(2n-2-i), and
     a pole of Gamma(j-1-i/2) (even i >= 2j-2) makes R(i) zero from then
-    on.  The alternating sum is accumulated in exact rational arithmetic
-    and converted to float only at the end; this keeps full relative
-    accuracy even at tiny tail probabilities where a floating evaluation
-    would lose everything to cancellation.
+    on.  Each parity keeps R(i) as an integer numerator over an integer
+    denominator, and its partial sum of C(d-1, i) R(i) as an integer over
+    that same denominator, so a step is a few int multiplies.  The two
+    sums are subtracted by one cross-multiplication and divided once, at
+    the end; this keeps full relative accuracy even at tiny tail
+    probabilities where a floating evaluation would lose everything to
+    cancellation.
     """
     _check_nj(n, j)
     if d < 1 or d > n - j + 1:
         return 0.0
+    # per parity [numerator of R(i), denominator of R(i), numerator of the sum]
     # R(0) = prod_{t=j-1}^{n-2} 2t / prod_{k=j}^{n-1} (2k-1); R(1) = (2j-3)/(2n-3)
-    r0 = Fraction(math.prod(range(2 * j - 2, 2 * n - 2, 2)), math.prod(range(2 * j - 1, 2 * n - 1, 2)))
-    ratio = [r0, Fraction(2 * j - 3, 2 * n - 3)]  # R(i) of the latest even and odd i
-    total = Fraction(0)
-    for i in range(d):
+    r0 = math.prod(range(2 * j - 2, 2 * n - 2, 2))
+    even = [r0, math.prod(range(2 * j - 1, 2 * n - 1, 2)), r0]
+    odd = [2 * j - 3, 2 * n - 3, 0]
+    for i in range(1, d):
+        part = odd if i % 2 else even
         if i >= 2:
-            ratio[i % 2] *= Fraction(2 * j - 2 - i, 2 * n - 2 - i)
-        term = math.comb(d - 1, i) * ratio[i % 2]
-        total += -term if i % 2 else term
-    return float(total)
+            part[0] *= 2 * j - 2 - i
+            part[1] *= 2 * n - 2 - i
+            part[2] *= 2 * n - 2 - i
+        part[2] += math.comb(d - 1, i) * part[0]
+    return (even[2] * odd[1] - odd[2] * even[1]) / (even[1] * odd[1])
 
 
 def degree_pmf_recurrence(n: int, j: int, exact: bool = False) -> DegreeLaw:
@@ -130,22 +143,35 @@ def degree_pmf_recurrence(n: int, j: int, exact: bool = False) -> DegreeLaw:
     2m-3 gaps of the (m-1)-node tree.  Starting from the certain degree 1
     at time max(j, 2), each growth step with g = gaps(d) maps
     P_m(d) = (g(d-1)/(2m-3)) P_{m-1}(d-1) + ((2m-3-g(d))/(2m-3)) P_{m-1}(d)
-    as one numpy shift-add.  In exact mode the same step runs on an
-    object array of Fractions and the law sums to 1 exactly.
+    as one numpy shift-add.  Exact mode carries the integer numerators
+    N_m(d) = g(d-1) N_{m-1}(d-1) + (2m-3-g(d)) N_{m-1}(d) over the common
+    denominator D_m = prod (2k-3), with no division in the loop, and
+    builds one Fraction N(d)/D per degree at the end, so the law sums
+    to 1 exactly.
     """
     _check_nj(n, j, j_min=1)
-    one = Fraction(1) if exact else 1.0
-    dtype = object if exact else float
     offset = 1 if j == 1 else 0  # the root's extra gap
-    probs = np.array([one], dtype=dtype)  # probs[i] = P(degree = i + 1)
-    for m in range(max(j, 2) + 1, n + 1):
-        denom = one * (2 * m - 3)
-        gaps = np.arange(1 + offset, probs.size + 1 + offset, dtype=dtype)
-        new = np.append(probs * (2 * m - 3 - gaps) / denom, one * 0)
+    steps = range(max(j, 2) + 1, n + 1)
+    if exact:
+        nums, den = [1], 1  # nums[i] / den = P(degree = i + 1)
+        for m in steps:
+            c = 2 * m - 3
+            nums = [
+                (c - d - offset) * a + (d - 1 + offset) * b
+                for d, a, b in zip(range(1, len(nums) + 2), nums + [0], [0] + nums)
+            ]
+            den *= c
+        table = {d: Fraction(p, den) for d, p in enumerate(nums, start=1) if p}
+        return DegreeLaw(n=n, j=j, probs=table, method="recurrence")
+    probs = np.array([1.0])  # probs[i] = P(degree = i + 1)
+    for m in steps:
+        denom = 1.0 * (2 * m - 3)
+        gaps = np.arange(1 + offset, probs.size + 1 + offset, dtype=float)
+        new = np.append(probs * (2 * m - 3 - gaps) / denom, 0.0)
         new[1:] += probs * gaps / denom
         probs = new
-    # plain Python scalars: a numpy float would change every repr
-    table = {d: (p if exact else float(p)) for d, p in enumerate(probs, start=1) if p}
+    # plain Python floats: a numpy float would change every repr
+    table = {d: float(p) for d, p in enumerate(probs, start=1) if p}
     return DegreeLaw(n=n, j=j, probs=table, method="recurrence")
 
 
@@ -176,39 +202,35 @@ def degree_pmf_hypergeom(n: int, j: int, d: int) -> float:
 
     Both 3F2 series terminate and every gamma-ratio prefactor reduces to
     a rational number (the half-integer gammas appear in ratios whose
-    sqrt(pi) factors cancel), so the whole expression is evaluated in
-    exact rational arithmetic and converted to float at the end.  This
-    sidesteps the catastrophic cancellation between the two terms that a
-    floating evaluation suffers at small tail probabilities.
+    sqrt(pi) factors cancel).  Each series is summed as an unreduced
+    integer pair, each prefactor is a pair of integer products, and the
+    difference is one cross-multiplication divided once, at the end.
+    This sidesteps the catastrophic cancellation between the two terms
+    that a floating evaluation suffers at small tail probabilities.
     """
     _check_nj(n, j)
     if d < 1 or d > n - j + 1:
         return 0.0
-    f1 = hypergeometric_pfq(
+    t1, s1 = _pfq_sum(
         [Fraction(2 - d, 2), Fraction(1 - d, 2), Fraction(2 - j)],
         [Fraction(1, 2), Fraction(2 - n)],
         1,
     )
-    # Gamma(j-1/2)/Gamma(n-1/2) = 1 / prod_{k=j}^{n-1} (k - 1/2);
-    # Gamma(n-1)/Gamma(j-1)     = prod_{k=j-1}^{n-2} k
-    pref1 = Fraction(1)
-    for k in range(j - 1, n - 1):
-        pref1 *= k
-    for k in range(j, n):
-        pref1 /= Fraction(2 * k - 1, 2)
-    term1 = pref1 * f1
+    # Gamma(n-1)/Gamma(j-1) = prod_{k=j-1}^{n-2} k;
+    # Gamma(j-1/2)/Gamma(n-1/2) = 1 / prod_{k=j}^{n-1} (k - 1/2) = 2^{n-j} / prod (2k-1)
+    p1 = math.prod(range(j - 1, n - 1)) << (n - j)
+    q1 = math.prod(range(2 * j - 1, 2 * n - 1, 2))
     if d == 1:
-        term2 = Fraction(0)  # 1/Gamma(d-1) pole kills the second term
-    else:
-        f2 = hypergeometric_pfq(
-            [Fraction(3 - d, 2), Fraction(2 - d, 2), Fraction(5, 2) - j],
-            [Fraction(3, 2), Fraction(5, 2) - n],
-            1,
-        )
-        # Gamma(d)/Gamma(d-1) = d-1; Gamma(j-1/2)/Gamma(j-3/2) = j-3/2;
-        # Gamma(n-3/2)/Gamma(n-1/2) = 1/(n-3/2)
-        term2 = Fraction((d - 1) * (2 * j - 3), 2 * n - 3) * f2
-    return float(term1 - term2)
+        return (p1 * t1) / (q1 * s1)  # 1/Gamma(d-1) pole kills the second term
+    t2, s2 = _pfq_sum(
+        [Fraction(3 - d, 2), Fraction(2 - d, 2), Fraction(5, 2) - j],
+        [Fraction(3, 2), Fraction(5, 2) - n],
+        1,
+    )
+    # Gamma(d)/Gamma(d-1) = d-1; Gamma(j-1/2)/Gamma(j-3/2) = j-3/2;
+    # Gamma(n-3/2)/Gamma(n-1/2) = 1/(n-3/2)
+    p2, q2 = (d - 1) * (2 * j - 3), 2 * n - 3
+    return (p1 * t1 * q2 * s2 - p2 * t2 * q1 * s1) / (q1 * s1 * q2 * s2)
 
 
 def _mean_gamma_ratio(n: int, j: int) -> float:

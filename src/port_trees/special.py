@@ -71,48 +71,53 @@ def _rational(x) -> Fraction:
     return Fraction(x)
 
 
-def _doubled_integer(x: Fraction) -> int | None:
-    """2*x as an int when x is an integer or half-integer, else None."""
-    return int(2 * x) if x.denominator in (1, 2) else None
-
-
 def hypergeometric_pfq(upper, lower, z) -> Fraction:
     """Terminating generalized hypergeometric series pFq(upper; lower; z).
 
     Sums sum_s (prod <a_i>_s / prod <b_j>_s) z^s / s! until the first
     upper Pochhammer factor is exactly zero.  All parameters and ``z``
-    must be rational (int/Fraction); the sum is carried out in exact
-    ``Fraction`` arithmetic, which avoids the cancellation the
-    alternating terms suffer in floating point.  Termination is detected
-    with half-integer bookkeeping on the parameters (stored as doubled
-    integers).
+    must be rational (int/Fraction).  The sum runs on integer numerators
+    over one unreduced integer denominator (``_pfq_sum``) and is reduced
+    once, into the returned Fraction; exact arithmetic avoids the
+    cancellation the alternating terms suffer in floating point.
 
     Raises ValueError for a non-rational argument, if no upper parameter
     can terminate the series, or if a lower-parameter pole is reached
     before termination.
     """
-    ups = [_rational(a) for a in upper]
-    los = [_rational(b) for b in lower]
-    zv = _rational(z)
-    up2 = [_doubled_integer(a) for a in ups]
-    lo2 = [_doubled_integer(b) for b in los]
-    # a nonpositive *integer* upper parameter (possibly reached from a
-    # half-integer is impossible: a + s keeps parity of 2a) must exist
-    if not any(a2 is not None and a2 <= 0 and a2 % 2 == 0 for a2 in up2):
-        raise ValueError("series does not terminate: no nonpositive integer upper parameter")
+    total, den = _pfq_sum([_rational(a) for a in upper], [_rational(b) for b in lower], _rational(z))
+    return Fraction(total, den)
 
-    total = Fraction(1)
-    term = Fraction(1)
+
+def _pfq_sum(upper, lower, z) -> tuple[int, int]:
+    """The terminating series of ``hypergeometric_pfq`` as an unreduced
+    (numerator, denominator) pair of ints, for int or Fraction parameters.
+
+    A parameter a = p/q turns a + s into (p + s q)/q, so the ratio of
+    term s+1 to term s is r_num/r_den with int factors; then
+    term_{s+1} = term_s r_num and total_{s+1} = total_s r_den + term_{s+1},
+    both over den_{s+1} = den_s r_den.  The series stops where some
+    p + s q of an upper parameter is zero, and a lower one reaching zero
+    first is a pole.  (``den`` may be negative.)
+    """
+    ups = [(a.numerator, a.denominator) for a in upper]
+    los = [(b.numerator, b.denominator) for b in lower]
+    # a nonpositive integer upper parameter must exist: a + s with a
+    # non-integer a never reaches 0
+    if not any(q == 1 and p <= 0 for p, q in ups):
+        raise ValueError("series does not terminate: no nonpositive integer upper parameter")
+    # the constant parts of the term ratio: the 1/q of each a + s, and z
+    num_scale = math.prod(q for _, q in los) * z.numerator
+    den_scale = math.prod(q for _, q in ups) * z.denominator
+    total = term = den = 1
     for s in range(_MAX_PFQ_TERMS):
-        # factor taking term s to term s+1 involves (a + s) and (b + s)
-        if any(a2 is not None and a2 == -2 * s for a2 in up2):
-            return total
-        if any(b2 is not None and b2 == -2 * s for b2 in lo2):
+        if any(p + s * q == 0 for p, q in ups):
+            return total, den
+        if any(p + s * q == 0 for p, q in los):
             raise ValueError("lower-parameter pole reached before termination")
-        for a in ups:
-            term *= a + s
-        for b in los:
-            term /= b + s
-        term *= zv / (s + 1)
-        total += term
+        r_num = math.prod(p + s * q for p, q in ups) * num_scale
+        r_den = math.prod(p + s * q for p, q in los) * (s + 1) * den_scale
+        term *= r_num
+        total = total * r_den + term
+        den *= r_den
     raise ValueError("series failed to terminate within the iteration cap")

@@ -1,5 +1,7 @@
 import ast
+import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -52,6 +54,22 @@ def test_exact_pmf_methods_agree(capsys):
     for d in results[0]:
         assert results[0][d] == pytest.approx(results[1][d], abs=1e-10)
         assert results[2][d] == pytest.approx(results[1][d], abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        ("--n 60 --j 2 --rational", "0d396a01e1606f95ac48a99bc4343a2f6d7f36446d5fda0cae3bfc6cb6e68870"),
+        ("--n 60 --j 1 --rational", "1e0175d67c012bbe613ff131750ca73e138e9a8ea85ab25f0e69ea2622ba0564"),
+        ("--n 80 --j 3 --method hypergeom", "11dc48973d9d6917c2905705fa868117d8e5038f86d300b01731155aa58fb951"),
+        ("--n 80 --j 3 --method closed", "11dc48973d9d6917c2905705fa868117d8e5038f86d300b01731155aa58fb951"),
+    ],
+)
+def test_exact_pmf_bytes_are_pinned(capsys, tmp_path, argv, digest):
+    # SHA-256 of pmf.csv: the exact routes must keep every printed digit
+    code, _, _ = run(capsys, "exact-pmf", *argv.split(), "--out", str(tmp_path))
+    assert code == 0
+    assert hashlib.sha256((tmp_path / "pmf.csv").read_bytes()).hexdigest() == digest
 
 
 def test_exact_pmf_json_round_trip(capsys):
@@ -268,6 +286,21 @@ def test_verify_suite_passes(capsys):
     assert code == 0
     assert "checks passed" in out
     assert "FAIL" not in out
+
+
+def test_verify_routes_checks_every_node_exactly(capsys, monkeypatch):
+    # one check per (n, j), 2 <= j <= n <= 12; each compares with ==, so a route
+    # one ulp off the exact law's float fails it
+    code, out, _ = run(capsys, "verify", "--suite", "routes", "--n-max", "5")
+    assert code == 0
+    lines = out.strip().split("\n")
+    assert lines[0] == "PASS route-equivalence n=2 j=2"
+    assert lines[-2:] == ["PASS route-equivalence n=12 j=12", "verify: 66/66 checks passed"]
+    closed = cli.degree_pmf_closed
+    monkeypatch.setattr(cli, "degree_pmf_closed", lambda n, j, d: math.nextafter(closed(n, j, d), 2.0))
+    code, out, _ = run(capsys, "verify", "--suite", "routes", "--n-max", "5")
+    assert code == 2
+    assert "verify: 0/66 checks passed" in out
 
 
 @pytest.mark.parametrize(

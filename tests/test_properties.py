@@ -1,9 +1,20 @@
 """Property tests that tie the exact routes to each other at random sizes."""
 
-from hypothesis import HealthCheck, given, settings
+import math
+from fractions import Fraction
+
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from port_trees.degree import degree_pmf_closed, degree_pmf_hypergeom, degree_pmf_recurrence, root_pmf
+from port_trees.degree import (
+    degree_mean,
+    degree_pmf_closed,
+    degree_pmf_hypergeom,
+    degree_pmf_recurrence,
+    degree_variance,
+    root_pmf,
+)
+from port_trees.special import hypergeometric_pfq
 
 # a fixed seed and no example database: the same draws on every run
 _SETTINGS = settings(derandomize=True, database=None, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -35,3 +46,56 @@ def test_root_pmf_tracks_the_exact_root_law(n):
     assert set(law) == set(range(1, n))
     for d, p in law.items():
         assert abs(root_pmf(n, d) - float(p)) <= 1e-10 * float(p)
+
+
+def _rising(x, m):
+    return math.prod((x + k for k in range(m)), start=Fraction(1))
+
+
+def _hits_pole(c, m):
+    # (c)_m = 0, and the series meets the lower pole c + s = 0 at some s < m
+    return c.denominator == 1 and -m < c <= 0
+
+
+_RATIONALS = st.fractions(min_value=-12, max_value=12, max_denominator=10)
+
+
+@settings(_SETTINGS, max_examples=80)
+@given(st.integers(0, 30), _RATIONALS, _RATIONALS)
+def test_hypergeometric_chu_vandermonde(m, b, c):
+    # 2F1(-m, b; c; 1) = (c-b)_m / (c)_m
+    assume(not _hits_pole(c, m))
+    value = hypergeometric_pfq([-m, b], [c], 1)
+    assert isinstance(value, Fraction)
+    assert value == _rising(c - b, m) / _rising(c, m)
+
+
+@settings(_SETTINGS, max_examples=80)
+@given(st.integers(0, 30), _RATIONALS, _RATIONALS, _RATIONALS)
+def test_hypergeometric_pfaff_saalschutz(m, a, b, c):
+    # balanced 3F2(-m, a, b; c, 1+a+b-c-m; 1) = (c-a)_m (c-b)_m / ((c)_m (c-a-b)_m)
+    e = 1 + a + b - c - m
+    assume(not _hits_pole(c, m) and not _hits_pole(e, m))
+    value = hypergeometric_pfq([-m, a, b], [c, e], 1)
+    assert isinstance(value, Fraction)
+    assert value == _rising(c - a, m) * _rising(c - b, m) / (_rising(c, m) * _rising(c - a - b, m))
+
+
+@st.composite
+def _node(draw):
+    n = draw(st.integers(2, 300))
+    return n, draw(st.integers(1, n))
+
+
+@settings(_SETTINGS, max_examples=40)
+@given(_node())
+def test_degree_moments_match_the_exact_law(case):
+    # the lgamma-based moments against the exact DP's mean and variance
+    n, j = case
+    law = degree_pmf_recurrence(n, j, exact=True)
+    mean, variance = float(law.mean()), float(law.variance())
+    assert abs(degree_mean(n, j) - mean) <= 1e-11 * mean
+    if variance == 0:  # j = n: the degree is 1
+        assert abs(degree_variance(n, j)) <= 1e-12
+    else:
+        assert abs(degree_variance(n, j) - variance) <= 1e-9 * variance
