@@ -11,15 +11,15 @@ from port_trees import (
     grow_forest,
     jarque_bera,
     kde,
-    moment_series,
+    moment_rows,
     zagreb_mean,
     zagreb_second_moment,
 )
 
 print("Exact Zagreb moments (degree kernel), small n:")
-series = moment_series(8, exact=True)
-for n in range(2, 9):
-    print(f"  n={n}  E[Z]={series.mean_z[n - 1]}  E[Z^2]={series.second_z[n - 1]}  Var={series.var_z(n)}")
+for n, (zp, zq), _, (sp, sq), (vp, vq) in moment_rows(8, exact=True):
+    if n >= 2:
+        print(f"  n={n}  E[Z]={zp}/{zq}  E[Z^2]={sp}/{sq}  Var={vp}/{vq}")
 
 print("\nVar[Z_n]/n^2 drifting toward 16 - 2*pi^2/3 =", f"{VAR_Z_COEFFICIENT:.4f}:")
 for n in (100, 1000, 10_000):

@@ -23,11 +23,9 @@ from .zagreb import (
     VAR_Z_COEFFICIENT,
     Y_WEAK_LIMIT,
     Z_WEAK_LIMIT,
-    ZagrebMomentSeries,
     cubic_mean,
     martingale_diff_bound,
     moment_rows,
-    moment_series,
     zagreb_mean,
     zagreb_second_moment,
     zagreb_variance_asymptotic,

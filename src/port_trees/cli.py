@@ -34,6 +34,7 @@ from .degree import (
     degree_pmf_closed,
     degree_pmf_hypergeom,
     degree_pmf_recurrence,
+    degree_support,
     degree_variance,
     root_pmf,
 )
@@ -97,8 +98,6 @@ def _num(x):
         return f"{x.numerator}/{x.denominator}"
     if isinstance(x, tuple):
         return f"{x[0]}/{x[1]}"
-    if isinstance(x, float):
-        return repr(x)
     return str(x)
 
 
@@ -186,10 +185,10 @@ def _cmd_exact_pmf(args) -> int:
         law = degree_pmf_recurrence(n, j, exact=args.rational)
         rows = [(d, _num(p)) for d, p in sorted(law.probs.items())]
     elif j == 1:
-        rows = [(d, _num(root_pmf(n, d))) for d in range(1, n)]
+        rows = [(d, _num(root_pmf(n, d))) for d in degree_support(n, 1)]
     else:
         fn = degree_pmf_closed if method == "closed" else degree_pmf_hypergeom
-        rows = [(d, _num(fn(n, j, d))) for d in range(1, n - j + 2)]
+        rows = [(d, _num(fn(n, j, d))) for d in degree_support(n, j)]
     _emit_rows(("d", "probability"), rows, args.format, args.out, "pmf")
     return 0
 

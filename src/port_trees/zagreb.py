@@ -54,7 +54,6 @@ from __future__ import annotations
 import decimal
 import math
 from collections import deque
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 
@@ -68,9 +67,7 @@ __all__ = [
     "Z_WEAK_LIMIT",
     "Y_WEAK_LIMIT",
     "RATIONAL_CAP",
-    "ZagrebMomentSeries",
     "moment_rows",
-    "moment_series",
     "zagreb_mean",
     "cubic_mean",
     "zagreb_second_moment",
@@ -111,19 +108,6 @@ def _second_z(m, h, h2, b):
 def _b(n: int) -> Fraction:
     """B_n = Gamma(n+1/2)/(sqrt(pi) Gamma(n-1)) = n(n-1) C(2n, n)/4^n, exact."""
     return Fraction(n * (n - 1) * math.comb(2 * n, n), 4**n)
-
-
-@dataclass(frozen=True)
-class ZagrebMomentSeries:
-    """Per-n moments for n = 1 .. n_max (index n-1 in each list)."""
-
-    n_max: int
-    mean_z: list
-    mean_y: list
-    second_z: list
-
-    def var_z(self, n: int):
-        return self.second_z[n - 1] - self.mean_z[n - 1] ** 2
 
 
 def _reduce(num: Decimal, den: Decimal, g: int) -> tuple[Decimal, Decimal]:
@@ -206,10 +190,6 @@ def _float_rows(n_max: int):
         h2 += 1.0 / (n * n)
 
 
-def _wants_exact(n_max: int, exact: bool | None) -> bool:
-    return n_max <= RATIONAL_CAP if exact is None else exact
-
-
 def moment_rows(n_max: int, exact: bool | None = None):
     """Rows (n, E[Z_n], E[Y_n], E[Z_n^2], Var[Z_n]) for n = 1 .. n_max,
     one at a time.
@@ -221,22 +201,10 @@ def moment_rows(n_max: int, exact: bool | None = None):
     ``exact=None`` picks exact rows up to RATIONAL_CAP and floats beyond.
     """
     if n_max < 1:
-        raise ValueError(f"moment_series requires n_max >= 1, got {n_max}")
-    return _exact_rows(n_max) if _wants_exact(n_max, exact) else _float_rows(n_max)
-
-
-def moment_series(n_max: int, exact: bool | None = None) -> ZagrebMomentSeries:
-    """E[Z_n], E[Y_n], E[Z_n^2] for n = 1 .. n_max, as Fractions or floats
-    (``exact`` as in ``moment_rows``)."""
-    exact = _wants_exact(n_max, exact)
-    mean_z, mean_y, second_z = [], [], []
-    for _, mz, my, sz, _ in moment_rows(n_max, exact):
-        mean_z.append(mz)
-        mean_y.append(my)
-        second_z.append(sz)
-    if exact:
-        mean_z, mean_y, second_z = ([Fraction(int(p), int(q)) for p, q in column] for column in (mean_z, mean_y, second_z))
-    return ZagrebMomentSeries(n_max, mean_z, mean_y, second_z)
+        raise ValueError(f"moment_rows requires n_max >= 1, got {n_max}")
+    if exact is None:
+        exact = n_max <= RATIONAL_CAP
+    return _exact_rows(n_max) if exact else _float_rows(n_max)
 
 
 def zagreb_mean(n: int) -> Fraction:

@@ -1,15 +1,19 @@
 import ast
 import hashlib
+import importlib
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import port_trees
 from port_trees import cli, montecarlo
 from port_trees.cli import main
 from port_trees.poisson import simulate_yule
@@ -36,6 +40,8 @@ def test_exact_pmf_root(capsys):
     lines = out.strip().split("\n")
     assert lines[0] == "d,probability"
     assert lines[1:] == ["1,0.2", "2,0.4", "3,0.4"]
+    # a float subclass prints as its value, not as repr's np.float64(0.1)
+    assert cli._num(np.float64(0.1)) == "0.1"
 
 
 def test_exact_pmf_rational(capsys):
@@ -209,6 +215,20 @@ def test_only_cli_output_writes_files():
         f"{path.stem}.{owner}" for path in sorted(package.glob("*.py")) for owner in _file_writers(path.read_text())
     }
     assert writers == {"cli._output"}
+
+
+def test_every_exported_name_resolves():
+    # a module's __all__, or its public names where it has none, is its API;
+    # a stale entry would raise AttributeError in any tool that walks it
+    modules = [importlib.import_module(f"port_trees.{info.name}") for info in pkgutil.iter_modules(port_trees.__path__)]
+    exported = {}
+    for module in modules:
+        for name in getattr(module, "__all__", None) or [n for n in vars(module) if not n.startswith("_")]:
+            exported.setdefault(name, getattr(module, name))
+    # and every name the package itself exports is one of those
+    for name, obj in vars(port_trees).items():
+        if not name.startswith("_") and not isinstance(obj, types.ModuleType):
+            assert exported.get(name) is obj, name
 
 
 def test_simulate_byte_reproducible(capsys, tmp_path):

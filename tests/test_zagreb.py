@@ -1,5 +1,6 @@
 import decimal
 import math
+from collections import deque
 from decimal import Decimal
 from fractions import Fraction
 
@@ -10,13 +11,13 @@ from port_trees.special import harmonic
 from port_trees.tree import Kernel
 from port_trees.zagreb import (
     M_SECOND_MOMENT_LIMIT,
+    RATIONAL_CAP,
     VAR_Z_COEFFICIENT,
     Y_WEAK_LIMIT,
     Z_WEAK_LIMIT,
     cubic_mean,
     martingale_diff_bound,
     moment_rows,
-    moment_series,
     zagreb_mean,
     zagreb_second_moment,
     zagreb_variance_asymptotic,
@@ -27,10 +28,12 @@ def _pair(x: Fraction) -> tuple:
     return x.numerator, x.denominator
 
 
+def _fraction(pair) -> Fraction:
+    return Fraction(int(pair[0]), int(pair[1]))
+
+
 def test_closed_forms_equal_the_recurrence(zagreb_recurrence):
     reference = zagreb_recurrence
-    series = moment_series(400, exact=True)
-    assert list(zip(series.mean_z, series.mean_y, series.second_z)) == reference
     # the integer rows, pair by pair: equal values in lowest terms
     assert list(moment_rows(400, exact=True)) == [
         (n, _pair(ez), _pair(ey), _pair(ez2), _pair(ez2 - ez * ez))
@@ -87,9 +90,9 @@ def test_cubic_mean_small():
 
 
 def test_cubic_closed_vs_recurrence():
-    approx = moment_series(150, exact=False)
+    approx = list(moment_rows(150, exact=False))
     for n in (2, 3, 10, 80, 150):
-        assert approx.mean_y[n - 1] == pytest.approx(float(cubic_mean(n)), rel=1e-9)
+        assert approx[n - 1][2] == pytest.approx(float(cubic_mean(n)), rel=1e-9)
 
 
 def test_second_moment_small():
@@ -99,33 +102,34 @@ def test_second_moment_small():
 
 
 def test_variance_small():
-    series = moment_series(4, exact=True)
-    assert series.var_z(4) == 1
-    assert series.var_z(3) == 0
-    assert series.var_z(2) == 0
+    var_z = [row[4] for row in moment_rows(4, exact=True)]
+    assert var_z[1:] == [(0, 1), (0, 1), (1, 1)]
 
 
 def test_series_invariants():
-    series = moment_series(60, exact=True)
-    for n in range(1, 61):
-        assert series.mean_z[n - 1] == 2 * (n - 1) * harmonic(n - 1)
-        assert series.second_z[n - 1] >= series.mean_z[n - 1] ** 2
+    for n, mean_z, mean_y, second_z, var_z in moment_rows(60, exact=True):
+        ez, ey, ez2 = _fraction(mean_z), _fraction(mean_y), _fraction(second_z)
+        assert ez == 2 * (n - 1) * harmonic(n - 1)
+        assert ez2 >= ez**2
+        assert _fraction(var_z) == ez2 - ez**2
         if n >= 2:
-            assert series.mean_y[n - 1] >= series.mean_z[n - 1]
+            assert ey >= ez
 
 
 def test_series_resolves_exact_and_rejects_an_empty_table():
-    assert isinstance(moment_series(3).var_z(3), Fraction)  # exact=None: exact up to RATIONAL_CAP
-    for build in (moment_rows, moment_series):
-        with pytest.raises(ValueError, match="moment_series requires n_max >= 1, got 0"):
-            build(0)
+    # exact=None: exact rows up to RATIONAL_CAP, float rows beyond
+    assert type(next(moment_rows(3))[1]) is tuple
+    assert type(next(moment_rows(RATIONAL_CAP))[1]) is tuple
+    assert type(next(moment_rows(RATIONAL_CAP + 1))[1]) is float
+    with pytest.raises(ValueError, match="moment_rows requires n_max >= 1, got 0"):
+        moment_rows(0)
 
 
 def test_float_series_tracks_exact():
-    exact = moment_series(200, exact=True)
-    approx = moment_series(200, exact=False)
+    exact = list(moment_rows(200, exact=True))
+    approx = list(moment_rows(200, exact=False))
     for n in (50, 125, 200):
-        assert approx.second_z[n - 1] == pytest.approx(float(exact.second_z[n - 1]), rel=1e-12)
+        assert approx[n - 1][3] == pytest.approx(float(_fraction(exact[n - 1][3])), rel=1e-12)
 
 
 def test_variance_asymptotic_report():
@@ -136,7 +140,9 @@ def test_variance_asymptotic_report():
 
 def test_variance_asymptotic_beyond_the_rational_cap_reads_the_float_row():
     n = 10_001
-    assert zagreb_variance_asymptotic(n)["variance_exact"] == moment_series(n, exact=False).var_z(n)
+    last, mean_z, _, second_z, var_z = deque(moment_rows(n, exact=False), maxlen=1)[0]
+    assert last == n
+    assert zagreb_variance_asymptotic(n)["variance_exact"] == var_z == second_z - mean_z**2
 
 
 def test_weak_law_constants():
