@@ -1,17 +1,21 @@
 """Replicated tree simulation at scale, with reproducible seeding.
 
-Replicates are grown in parallel as numpy arrays (one row per tree),
-in chunks of at most ``_CHUNK_ELEMENT_BUDGET`` node slots.  A chunk has
-no loop over insertion steps: the bag sampler of Batagelj & Brandes
-draws every attachment slot at once and resolves the parents by pointer
-jumping, and one parent array then gives the degrees, Z, Y, the degree
-of node j, the root degree and the whole martingale path M_m.  Each
-chunk draws from its own stream spawned deterministically from the
-master seed, so results are byte-reproducible given (seed, config)
-regardless of chunking being an implementation detail -- the chunk
-size is part of the resolved configuration recorded in the run
-manifest.  The module computes and returns; it writes no file (the
-``port`` command line writes every output).
+Replicates are grown as numpy arrays (one row per tree), in chunks of
+at most ``_CHUNK_ELEMENT_BUDGET`` node slots.  A chunk has no loop over
+insertion steps: the bag sampler of Batagelj & Brandes draws every
+attachment slot at once and resolves the parents by pointer jumping,
+and one parent array then gives the degrees, Z, Y, the degree of node
+j, the root degree and the whole martingale path M_m.  Each chunk draws
+from its own stream spawned deterministically from the master seed, so
+the chunk size sets the stream: it is part of the resolved
+configuration recorded in the run manifest, and results are
+byte-reproducible given (seed, config).  Chunks are grown concurrently,
+one thread per usable core up to ``_MAX_WORKERS`` (numpy releases the
+GIL in the draw, the gathers, the sort and the reductions), and merged
+in chunk order, so the worker count never changes a byte.  At most
+``_MAX_WORKERS`` chunks, 500,000 node slots, are in flight at once,
+whatever the core count.  The module computes and returns; it writes
+no file (the ``port`` command line writes every output).
 
 Normality is assessed with the Jarque-Bera moment test (exactly
 specified, decisive at the observed skewness) rather than Shapiro-Wilk,
@@ -22,6 +26,7 @@ sample sizes; reports note the substitution.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,8 +50,11 @@ __all__ = [
 # bound-check tolerance: the bound is exact, the trace is float
 _BOUND_EPS = 1e-9
 # per-chunk budget of node slots, replicates x n; the martingale path
-# keeps about 45 bytes per slot alive at its peak
-_CHUNK_ELEMENT_BUDGET = 500_000
+# keeps about 45 bytes per slot alive at its peak, so a chunk holds
+# about 6 MB and the most that grow in parallel about 23 MB
+_CHUNK_ELEMENT_BUDGET = 125_000
+# most chunks grown at once, whatever the core count
+_MAX_WORKERS = 4
 # largest Z whose square fits in int64
 _ZAGREB2_MAX_Z = math.isqrt(np.iinfo(np.int64).max)
 
@@ -157,30 +165,42 @@ def _earlier_siblings(parents):
     return earlier.reshape(parents.shape)
 
 
-def _martingale_path(parents, n):
+def _martingale_constants(n):
+    """The martingale path's per-call constants, for m = 2..n: the
+    scale 2/(m - 1), the offset 4 H_{m-1}, and each increment's bound
+    plus the check's tolerance (m = 3..n)."""
+    m = np.arange(2, n + 1)
+    h = np.cumsum(1.0 / (m - 1))  # H_{m-1}
+    return 2.0 / (m - 1), 4.0 * h, martingale_diff_bound(m[1:]) + _BOUND_EPS
+
+
+def _martingale_path(parents, constants):
     """Final M_n, largest |M_m - M_{m-1}| and the increment-bound flag
-    of each row, from the parents of ``_draw_parents`` (degree kernel).
+    of each row, from the parents of ``_draw_parents`` (degree kernel)
+    and the ``_martingale_constants`` of the tree size.
 
     Node m raises Z by 2d + 2, where d is its parent's degree just
     before m arrives: the parent's earlier children, plus one for the
     edge to its own parent unless it is the root.
     """
+    scale, offset, limit = constants
     z_path = _earlier_siblings(parents)
     z_path += parents != parents[:, :1]  # node 2's parent is the root
     z_path *= 2
     z_path += 2
     np.cumsum(z_path, axis=1, out=z_path)  # Z_m for m = 2..n
-    m = np.arange(2, n + 1)
-    h = np.cumsum(1.0 / (m - 1))  # H_{m-1}
-    m_path = (2.0 / (m - 1)) * z_path
-    m_path -= 4.0 * h
+    m_path = scale * z_path
+    m_path -= offset
     diff = np.diff(m_path, axis=1)  # m = 3..n
     np.abs(diff, out=diff)
-    bound_ok = (diff <= martingale_diff_bound(m[1:]) + _BOUND_EPS).all(axis=1)
+    bound_ok = (diff <= limit).all(axis=1)
     return m_path[:, -1].copy(), diff.max(axis=1, initial=0.0), bound_ok
 
 
-def _grow_chunk(n, reps, kernel, rng, labels=(), want_root=False, want_martingale=False):
+def _grow_chunk(n, reps, kernel, rng, labels=(), want_root=False, martingale=None):
+    """One chunk's ForestResult; ``martingale`` holds the
+    ``_martingale_constants`` of n when the path is wanted.  It runs on
+    a worker thread, so it calls no public function of the package."""
     parents = _draw_parents(n, reps, kernel, rng)
     deg = np.bincount(parents.reshape(-1), minlength=reps * n).reshape(reps, n)
     deg[:, 1:] += 1  # the edge to the parent; the root has none
@@ -192,12 +212,21 @@ def _grow_chunk(n, reps, kernel, rng, labels=(), want_root=False, want_martingal
         result.extra[f"degree:{j}"] = deg[:, j - 1].copy()
     if want_root:
         result.extra["root-degree"] = deg[:, 0].copy()
-    if want_martingale:
-        m_final, max_diff, bound_ok = _martingale_path(parents, n)
+    if martingale is not None:
+        del deg  # not needed by the path; free it before the sort
+        m_final, max_diff, bound_ok = _martingale_path(parents, martingale)
         result.extra["martingale"] = m_final
         result.extra["martingale_max_diff"] = max_diff
         result.extra["martingale_bound_ok"] = bound_ok
     return result
+
+
+def _cpu_count() -> int:
+    """Cores this process may run on (``taskset`` limits them)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def grow_forest(
@@ -215,17 +244,25 @@ def grow_forest(
 
     Chunk streams are spawned from SeedSequence(seed), so the output is
     deterministic for fixed (n, replicates, kernel, seed, chunk_size).
+    Chunks grow on up to ``_MAX_WORKERS`` threads and are merged in
+    chunk order, so the number of cores never changes the output.
     """
     chunk_size = SimulationConfig(n=n, replicates=replicates, chunk_size=chunk_size).resolved_chunk()
     if want_martingale and kernel is not Kernel.DEGREE:
         raise ValueError("the martingale transform is defined for the degree-proportional kernel")
+    martingale = _martingale_constants(n) if want_martingale else None
     n_chunks = (replicates + chunk_size - 1) // chunk_size
     streams = np.random.SeedSequence(seed).spawn(n_chunks)
-    parts = []
-    for i in range(n_chunks):
+
+    def grow(i):
         reps = min(chunk_size, replicates - i * chunk_size)
         rng = np.random.Generator(np.random.PCG64(streams[i]))
-        parts.append(_grow_chunk(n, reps, kernel, rng, labels, want_root, want_martingale))
+        return _grow_chunk(n, reps, kernel, rng, labels, want_root, martingale)
+
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(min(n_chunks, _cpu_count(), _MAX_WORKERS)) as pool:
+        parts = list(pool.map(grow, range(n_chunks)))  # in chunk order
     merged = ForestResult(
         zagreb=np.concatenate([p.zagreb for p in parts]),
         cubic=np.concatenate([p.cubic for p in parts]),

@@ -81,7 +81,8 @@ def simulate_gap_tree(j: int, dt: float, rng: np.random.Generator, size: int) ->
     ringing gaps form the gap-kernel tree, so W is the degree of node j
     at n = j + K: one plus its children among nodes j+1 ... j+K.  The
     replicates are sorted by K, so each chunk of trees grows only as far
-    as its own largest K.  The geometric law of W is never assumed.
+    as its own largest K.  The chunks draw from ``rng`` in turn, so they
+    grow one after another.  The geometric law of W is never assumed.
     """
     if j < 2:
         raise ValueError(f"simulate_gap_tree requires j >= 2, got {j}")

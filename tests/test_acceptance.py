@@ -18,7 +18,7 @@ match what the exact mathematics gives:
   the limit: within 5% at n = 10^5 and closer than at n = 10^4 (4.1%).
 * criterion 8: Z_n is not asymptotically normal.  Its law is
   *right*-skewed: exhaustive enumeration gives skew(Z_9) = +1.30 exactly
-  under the degree kernel, and Monte Carlo gives +1.7 at n = 2*10^4.
+  under the degree kernel, and Monte Carlo gives +2.1 at n = 2*10^4.
   The test asserts the Jarque-Bera rejection, a positive exact skewness
   and a sample skewness well outside what a Gaussian sample would give.
 """

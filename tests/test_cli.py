@@ -78,6 +78,29 @@ def test_exact_pmf_bytes_are_pinned(capsys, tmp_path, argv, digest):
     assert hashlib.sha256((tmp_path / "pmf.csv").read_bytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        # 5 chunks of 62 rows, grown on up to 4 threads
+        (
+            "simulate --n 2000 --reps 300 --stat martingale --seed 3",
+            "4cf0e4d2cf5cdaaca809ce0dbd8e7f5bb7da8dc13d9762822a97db8b03c23146",
+        ),
+        # the largest tree has 400 nodes, so 2 chunks of up to 312 trees
+        (
+            "poisson --mode tree --j 2 --dt 2 --reps 500 --seed 3",
+            "ee0072e5b349bbb4f0c6c338785380c715922dd48fec5cd0aa757c35d605d6ff",
+        ),
+    ],
+)
+def test_monte_carlo_stream_is_pinned(capsys, tmp_path, argv, digest):
+    # SHA-256 of sample.csv: the chunk budget and the chunk streams set
+    # every sampled value, and a change to either must be deliberate
+    code, _, _ = run(capsys, *argv.split(), "--out", str(tmp_path))
+    assert code == 0
+    assert hashlib.sha256((tmp_path / "sample.csv").read_bytes()).hexdigest() == digest
+
+
 def test_exact_pmf_json_round_trip(capsys):
     code, out, _ = run(capsys, "exact-pmf", "--n", "5", "--j", "2", "--format", "json")
     assert code == 0

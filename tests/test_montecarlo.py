@@ -1,14 +1,20 @@
+import inspect
 import math
+import threading
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from port_trees import montecarlo
 from port_trees.montecarlo import (
     ForestResult,
     SimulationConfig,
     _draw_parents,
     _extract_statistic,
     _grow_chunk,
+    _martingale_constants,
     grow_forest,
     jarque_bera,
     kde,
@@ -112,7 +118,7 @@ def test_forest_matches_scalar_replay(kernel):
     # same stream: _grow_chunk draws exactly these parents
     res = _grow_chunk(
         n, reps, kernel, np.random.default_rng(seed),
-        labels=tuple(range(2, n + 1)), want_root=True, want_martingale=True,
+        labels=tuple(range(2, n + 1)), want_root=True, martingale=_martingale_constants(n),
     )
     labels = parents - np.arange(reps)[:, None] * n + 1  # flat grid index -> node label
     for r in range(reps):
@@ -163,11 +169,87 @@ def test_forest_martingale_is_the_zagreb_map():
     assert np.allclose(res.extra["martingale"], expected, rtol=0.0, atol=1e-9)
 
 
-def test_forest_reproducible_across_chunkings():
-    a = grow_forest(50, 1000, Kernel.DEGREE, seed=5, chunk_size=1000)
-    b = grow_forest(50, 1000, Kernel.DEGREE, seed=5, chunk_size=1000)
-    assert np.array_equal(a.zagreb, b.zagreb)
-    assert np.array_equal(a.cubic, b.cubic)
+def test_forest_reproducible_across_chunkings(monkeypatch):
+    # 7 chunks of 150 rows, grown on 1, 2 and 3 worker threads, must give
+    # the same bits; chunk 0 is held back so that it finishes last, and
+    # merging in completion order would move its rows to the end
+    first = np.random.Generator(np.random.PCG64(np.random.SeedSequence(5).spawn(7)[0])).bit_generator.state
+    grow_chunk = montecarlo._grow_chunk
+
+    def first_chunk_last(n, reps, kernel, rng, *rest):
+        if rng.bit_generator.state == first:
+            time.sleep(0.1)
+        return grow_chunk(n, reps, kernel, rng, *rest)
+
+    monkeypatch.setattr(montecarlo, "_grow_chunk", first_chunk_last)
+    for kernel in Kernel:
+        martingale = kernel is Kernel.DEGREE
+        results = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(montecarlo, "_cpu_count", lambda: workers)
+            results.append(
+                grow_forest(50, 1000, kernel, seed=5, labels=(2, 7), want_root=True,
+                            want_martingale=martingale, chunk_size=150)
+            )
+        keys = {"degree:2", "degree:7", "root-degree"}
+        if martingale:
+            keys |= {"martingale", "martingale_max_diff", "martingale_bound_ok"}
+        assert set(results[0].extra) == keys
+        for other in results[1:]:
+            pairs = [(results[0].zagreb, other.zagreb), (results[0].cubic, other.cubic)]
+            pairs += [(results[0].extra[k], other.extra[k]) for k in keys]
+            for a, b in pairs:
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_forest_caps_chunks_in_flight(monkeypatch):
+    # on 8 cores at most 4 chunks of 125,000 slots grow at once, so the
+    # traced peak stays below the 24.8 MB that one 500,000-slot chunk of
+    # the martingale path takes; each chunk waits 20 ms on entry, so an
+    # uncapped pool would hold more than 4 at once
+    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 8)
+    grow_chunk = montecarlo._grow_chunk
+    lock = threading.Lock()
+    in_flight = [0, 0]  # now, most
+
+    def counted(*args):
+        with lock:
+            in_flight[0] += 1
+            in_flight[1] = max(in_flight[1], in_flight[0])
+        time.sleep(0.02)
+        try:
+            return grow_chunk(*args)
+        finally:
+            with lock:
+                in_flight[0] -= 1
+
+    monkeypatch.setattr(montecarlo, "_grow_chunk", counted)
+    tracemalloc.start()
+    try:
+        grow_forest(10000, 200, Kernel.DEGREE, 1, want_martingale=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert in_flight == [0, 4]
+    assert peak < 24.8e6
+
+
+def test_forest_workers_call_no_public_function(monkeypatch):
+    # a tracer that wraps the package's public functions keeps one span
+    # stack, so the worker threads may call none of them; the martingale
+    # constants are computed once, on the calling thread
+    calls = []
+    for name, fn in list(vars(montecarlo).items()):
+        if inspect.isfunction(fn) and not name.startswith("_") and fn.__module__.startswith("port_trees."):
+
+            def wrapper(*args, _fn=fn, _name=name, **kwargs):
+                calls.append((_name, threading.get_ident()))
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(montecarlo, name, wrapper)
+    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 2)
+    grow_forest(1000, 700, Kernel.DEGREE, seed=3, want_martingale=True, want_root=True, labels=(5,))
+    assert calls == [("martingale_diff_bound", threading.get_ident())]
 
 
 def test_forest_validates_arguments():
