@@ -38,7 +38,7 @@ from .degree import (
     degree_variance,
     root_pmf,
 )
-from .montecarlo import SimulationConfig, StatsSummary, kde, martingale_diagnostics, run_experiment, split_statistic
+from .montecarlo import SimulationConfig, StatsSummary, kde, martingale_diagnostics, run_experiment
 from .oracle import DEFAULT_CAP, enumerate_statistic, oracle_moment
 from .poisson import moments_w, simulate_gap_tree, simulate_yule
 from .tree import Kernel
@@ -211,8 +211,7 @@ def _cmd_zagreb_moments(args) -> int:
 
 def _cmd_oracle(args) -> int:
     kernel = Kernel.parse(args.kernel)
-    name, j = split_statistic(args.stat)
-    dist = enumerate_statistic(args.n, kernel, name, j=j)
+    dist = enumerate_statistic(args.n, kernel, args.stat)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "n": args.n,
@@ -306,7 +305,7 @@ def _verify_oracle(n_max: int) -> list[tuple[str, bool]]:
     checks = []
     for n in range(2, n_max + 1):
         for j in range(1, n + 1):
-            dist = enumerate_statistic(n, Kernel.GAP, "degree", j=j)
+            dist = enumerate_statistic(n, Kernel.GAP, f"degree:{j}")
             law = degree_pmf_recurrence(n, j, exact=True)
             ok = dist.outcomes == {d: p for d, p in law.probs.items() if p}
             checks.append((f"oracle-vs-recurrence n={n} j={j}", ok))

@@ -48,7 +48,6 @@ __all__ = [
 
 
 class Regime(Enum):
-    EXACT = "exact"
     FIXED_J = "fixed-j"
     GROWING_J = "growing-j"
     LINEAR_THETA = "linear-theta"
@@ -65,7 +64,6 @@ class DegreeLaw:
     n: int
     j: int
     probs: dict
-    method: str
 
     def total(self):
         return sum(self.probs.values())
@@ -162,7 +160,7 @@ def degree_pmf_recurrence(n: int, j: int, exact: bool = False) -> DegreeLaw:
             ]
             den *= c
         table = {d: Fraction(p, den) for d, p in enumerate(nums, start=1) if p}
-        return DegreeLaw(n=n, j=j, probs=table, method="recurrence")
+        return DegreeLaw(n=n, j=j, probs=table)
     probs = np.array([1.0])  # probs[i] = P(degree = i + 1)
     for m in steps:
         denom = 1.0 * (2 * m - 3)
@@ -172,7 +170,7 @@ def degree_pmf_recurrence(n: int, j: int, exact: bool = False) -> DegreeLaw:
         probs = new
     # plain Python floats: a numpy float would change every repr
     table = {d: float(p) for d, p in enumerate(probs, start=1) if p}
-    return DegreeLaw(n=n, j=j, probs=table, method="recurrence")
+    return DegreeLaw(n=n, j=j, probs=table)
 
 
 def root_pmf(n: int, d: int) -> float:
@@ -256,8 +254,6 @@ def degree_moments_asymptotic(n: int, j: int, regime: Regime) -> DegreeMoments:
     The behavior changes with how j scales against n: fixed j, growing
     j = o(n), and the linear phase j = theta * n with 0 < theta < 1.
     """
-    if regime is Regime.EXACT:
-        return DegreeMoments(n=n, j=j, mean=degree_mean(n, j), variance=degree_variance(n, j), regime=regime)
     if regime is Regime.FIXED_J:
         ratio = math.exp(log_gamma(j - 0.5) - log_gamma(j + 0.0))
         return DegreeMoments(

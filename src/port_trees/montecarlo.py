@@ -4,8 +4,9 @@ Replicates are grown as numpy arrays (one row per tree), in chunks of
 at most ``_CHUNK_ELEMENT_BUDGET`` node slots.  A chunk has no loop over
 insertion steps: the bag sampler of Batagelj & Brandes draws every
 attachment slot at once and resolves the parents by pointer jumping,
-and one parent array then gives the degrees, Z, Y, the degree of node
-j, the root degree and the whole martingale path M_m.  Each chunk draws
+and one parent array then gives the degrees, Z, Y, the degree of any
+node (``degree:1`` is the root) and the whole martingale path M_m,
+each named by its label in ``tree.STATISTICS``.  Each chunk draws
 from its own stream spawned deterministically from the master seed, so
 the chunk size sets the stream: it is part of the resolved
 configuration recorded in the run manifest, and results are
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tree import Kernel
+from .tree import Kernel, parse_statistic
 from .zagreb import M_SECOND_MOMENT_LIMIT, martingale_diff_bound
 
 __all__ = [
@@ -40,7 +41,6 @@ __all__ = [
     "ForestResult",
     "grow_forest",
     "run_experiment",
-    "split_statistic",
     "summarize",
     "jarque_bera",
     "kde",
@@ -58,8 +58,6 @@ _MAX_WORKERS = 4
 # largest Z whose square fits in int64
 _ZAGREB2_MAX_Z = math.isqrt(np.iinfo(np.int64).max)
 
-STATISTIC_CHOICES = ("zagreb", "cubic", "zagreb2", "root-degree", "martingale")
-
 
 @dataclass(frozen=True)
 class SimulationConfig:
@@ -67,7 +65,7 @@ class SimulationConfig:
     replicates: int
     kernel: Kernel = Kernel.DEGREE
     seed: int = 0
-    statistic: str = "zagreb"  # or "degree:J"
+    statistic: str = "zagreb"  # a label of tree.parse_statistic
     chunk_size: int | None = None
 
     def __post_init__(self):
@@ -197,21 +195,19 @@ def _martingale_path(parents, constants):
     return m_path[:, -1].copy(), diff.max(axis=1, initial=0.0), bound_ok
 
 
-def _grow_chunk(n, reps, kernel, rng, labels=(), want_root=False, martingale=None):
+def _grow_chunk(n, reps, kernel, rng, labels=(), martingale=None):
     """One chunk's ForestResult; ``martingale`` holds the
     ``_martingale_constants`` of n when the path is wanted.  It runs on
     a worker thread, so it calls no public function of the package."""
     parents = _draw_parents(n, reps, kernel, rng)
     deg = np.bincount(parents.reshape(-1), minlength=reps * n).reshape(reps, n)
-    deg[:, 1:] += 1  # the edge to the parent; the root has none
+    deg[:, 1:] += 1  # the edge to the parent; the root, node 1, has none
     result = ForestResult(
         zagreb=np.einsum("ij,ij->i", deg, deg),
         cubic=np.einsum("ij,ij,ij->i", deg, deg, deg),
     )
     for j in labels:
         result.extra[f"degree:{j}"] = deg[:, j - 1].copy()
-    if want_root:
-        result.extra["root-degree"] = deg[:, 0].copy()
     if martingale is not None:
         del deg  # not needed by the path; free it before the sort
         m_final, max_diff, bound_ok = _martingale_path(parents, martingale)
@@ -236,14 +232,15 @@ def grow_forest(
     seed: int,
     *,
     labels=(),
-    want_root: bool = False,
     want_martingale: bool = False,
     chunk_size: int | None = None,
 ) -> ForestResult:
     """Grow ``replicates`` independent trees of size n, vectorized.
 
-    Chunk streams are spawned from SeedSequence(seed), so the output is
-    deterministic for fixed (n, replicates, kernel, seed, chunk_size).
+    The degree of each node J in ``labels`` lands in ``extra`` as
+    ``degree:J``; node 1 is the root.  Chunk streams are spawned from
+    SeedSequence(seed), so the output is deterministic for fixed
+    (n, replicates, kernel, seed, chunk_size).
     Chunks grow on up to ``_MAX_WORKERS`` threads and are merged in
     chunk order, so the number of cores never changes the output.
     """
@@ -257,7 +254,7 @@ def grow_forest(
     def grow(i):
         reps = min(chunk_size, replicates - i * chunk_size)
         rng = np.random.Generator(np.random.PCG64(streams[i]))
-        return _grow_chunk(n, reps, kernel, rng, labels, want_root, martingale)
+        return _grow_chunk(n, reps, kernel, rng, labels, martingale)
 
     from concurrent.futures import ThreadPoolExecutor
 
@@ -352,35 +349,25 @@ def kde(sample, grid_size: int = 256) -> tuple[np.ndarray, np.ndarray]:
     return grid, density
 
 
-def split_statistic(statistic: str) -> tuple[str, int | None]:
-    """A ``--stat`` label as (statistic, node): ``degree:J`` watches node J."""
-    if not statistic.startswith("degree:"):
-        return statistic, None
-    try:
-        return "degree", int(statistic.split(":", 1)[1])
-    except ValueError:
-        raise ValueError(f"--stat {statistic!r}: expected degree:J with an integer J") from None
-
-
 def _parse_statistic(statistic: str, n: int) -> tuple[str, dict]:
     """The statistic's key in a ForestResult and the grow_forest flags that collect it."""
-    name, j = split_statistic(statistic)
+    name, j = parse_statistic(statistic, n)
     if name == "degree":
-        if not 1 <= j <= n:
-            raise ValueError(f"degree statistic needs 1 <= j <= n, got j={j}")
-        return ("root-degree", {"want_root": True}) if j == 1 else (f"degree:{j}", {"labels": (j,)})
-    if statistic not in STATISTIC_CHOICES:
-        raise ValueError(f"unknown statistic {statistic!r}")
-    return statistic, {"want_root": statistic == "root-degree", "want_martingale": statistic == "martingale"}
+        return f"degree:{j}", {"labels": (j,)}
+    return name, {"want_martingale": name == "martingale"}
+
+
+def _grow(config: SimulationConfig) -> tuple[ForestResult, str]:
+    """The configured forest and its statistic's key in it."""
+    key, flags = _parse_statistic(config.statistic, config.n)
+    chunk = config.resolved_chunk()
+    return grow_forest(config.n, config.replicates, config.kernel, config.seed, chunk_size=chunk, **flags), key
 
 
 def run_experiment(config: SimulationConfig) -> tuple[np.ndarray, StatsSummary]:
     """Grow the configured forest; return the statistic's sample, one
     value per replicate, and its summary."""
-    key, flags = _parse_statistic(config.statistic, config.n)
-    chunk_size = config.resolved_chunk()
-    result = grow_forest(config.n, config.replicates, config.kernel, config.seed, chunk_size=chunk_size, **flags)
-    values = _extract_statistic(result, key)
+    values = _extract_statistic(*_grow(config))
     return values, summarize(values)
 
 
@@ -389,14 +376,7 @@ def martingale_diagnostics(config: SimulationConfig) -> dict:
     64 - 8 pi^2/3 target and the per-step increment bound check."""
     if config.statistic != "martingale":
         raise ValueError("martingale_diagnostics requires statistic='martingale'")
-    result = grow_forest(
-        config.n,
-        config.replicates,
-        Kernel.DEGREE,
-        config.seed,
-        want_martingale=True,
-        chunk_size=config.resolved_chunk(),
-    )
+    result, _ = _grow(config)
     m_final = result.extra["martingale"]
     max_diff = result.extra["martingale_max_diff"]
     bound_ok = result.extra["martingale_bound_ok"]

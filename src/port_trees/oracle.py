@@ -14,13 +14,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .special import harmonic
-from .tree import Kernel
+from .tree import Kernel, parse_statistic
 
-__all__ = ["ExactDist", "enumerate_statistic", "oracle_moment", "history_count", "STATISTICS"]
+__all__ = ["ExactDist", "enumerate_statistic", "oracle_moment", "history_count"]
 
 DEFAULT_CAP = 9
-
-STATISTICS = ("root-degree", "degree", "zagreb", "cubic", "zagreb2", "martingale")
 
 
 @dataclass(frozen=True)
@@ -52,24 +50,19 @@ def oracle_moment(dist: ExactDist, order: int) -> Fraction:
     return sum((Fraction(v) ** order) * p for v, p in dist.outcomes.items())
 
 
-def enumerate_statistic(n: int, kernel: Kernel, statistic: str, j: int | None = None) -> ExactDist:
+def enumerate_statistic(n: int, kernel: Kernel, statistic: str) -> ExactDist:
     """Exact law of ``statistic`` over all n-node attachment histories.
 
-    ``statistic`` is one of ``root-degree``, ``degree`` (requires j),
-    ``zagreb``, ``cubic``, ``zagreb2``, ``martingale``.  The cap
+    ``statistic`` is a label of ``tree.parse_statistic``, the one that
+    ``port simulate`` takes: ``zagreb``, ``cubic``, ``zagreb2``,
+    ``martingale`` or ``degree:J`` (the root is ``degree:1``).  The cap
     n <= DEFAULT_CAP = 9 keeps the history count near 2 million.
     """
     if n < 2:
         raise ValueError(f"enumeration requires n >= 2, got {n}")
     if n > DEFAULT_CAP:
         raise ValueError(f"n={n} exceeds the enumeration cap {DEFAULT_CAP}")
-    if statistic not in STATISTICS:
-        raise ValueError(f"unknown statistic {statistic!r}")
-    if statistic == "degree":
-        if j is None or not 1 <= j <= n:
-            raise ValueError(f"statistic 'degree' needs 1 <= j <= n, got j={j}")
-    elif j is not None:
-        raise ValueError(f"statistic {statistic!r} takes no label argument")
+    name, j = parse_statistic(statistic, n)
 
     gap = kernel is Kernel.GAP
     degree = [0] * (n + 1)
@@ -80,11 +73,9 @@ def enumerate_statistic(n: int, kernel: Kernel, statistic: str, j: int | None = 
     state = {"zagreb": 2, "cubic": 2}
 
     def record(weight: int) -> None:
-        if statistic == "root-degree":
-            value = degree[1]
-        elif statistic == "degree":
+        if name == "degree":
             value = degree[j]
-        elif statistic == "cubic":
+        elif name == "cubic":
             value = state["cubic"]
         else:  # zagreb, and zagreb2 / martingale as images of its law below
             value = state["zagreb"]
@@ -110,9 +101,9 @@ def enumerate_statistic(n: int, kernel: Kernel, statistic: str, j: int | None = 
 
     dfs(2, 1)
     # both maps of Z are injective and increasing, so the sorted law keeps its order
-    if statistic == "zagreb2":
+    if name == "zagreb2":
         accum = {z * z: weight for z, weight in accum.items()}
-    elif statistic == "martingale":  # M_n = 2/(n-1) Z_n - 4 H_{n-1}
+    elif name == "martingale":  # M_n = 2/(n-1) Z_n - 4 H_{n-1}
         h = harmonic(n - 1)
         accum = {Fraction(2 * z, n - 1) - 4 * h: weight for z, weight in accum.items()}
     total = history_count(n, kernel)

@@ -10,6 +10,11 @@ to that node's weight under one of two kernels:
   probability degree(v)/(2(m-1)) in an m-node tree (m >= 2).  The very
   first insertion (m=1 -> 2) is forced to the root, matching the unique
   two-node tree.
+
+The module also holds the one vocabulary of tree statistics that the
+exact enumeration and the forest sampler share: the label table
+``STATISTICS`` and its parser ``parse_statistic``.  The degree of node
+J is ``degree:J``, and the root is node 1.
 """
 
 from __future__ import annotations
@@ -28,3 +33,31 @@ class Kernel(enum.Enum):
         except ValueError:
             raise ValueError(f"unknown kernel {name!r}; expected 'gap' or 'degree'") from None
 
+
+# each fixed label as (statistic, node); the node is None unless the
+# statistic is a degree.  ``degree:J`` (1 <= J <= n) is parsed apart.
+STATISTICS = {
+    "zagreb": ("zagreb", None),
+    "cubic": ("cubic", None),
+    "zagreb2": ("zagreb2", None),
+    "root-degree": ("degree", 1),
+    "martingale": ("martingale", None),
+}
+
+
+def parse_statistic(label: str, n: int) -> tuple[str, int | None]:
+    """A ``--stat`` label of an n-node tree as (statistic, node):
+    ``degree:J`` is ("degree", J) for 1 <= J <= n, and each label of
+    ``STATISTICS`` is its entry there."""
+    if label in STATISTICS:
+        return STATISTICS[label]
+    name, _, node = label.partition(":")
+    if name != "degree":
+        raise ValueError(f"--stat {label!r}: unknown statistic; expected {', '.join(STATISTICS)} or degree:J")
+    try:
+        j = int(node)
+    except ValueError:
+        raise ValueError(f"--stat {label!r}: expected degree:J with an integer J") from None
+    if not 1 <= j <= n:
+        raise ValueError(f"--stat {label!r}: node J must satisfy 1 <= J <= n = {n}")
+    return "degree", j

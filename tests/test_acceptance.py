@@ -63,7 +63,7 @@ def test_criterion_01_oracle_formula_equivalence_degree():
     worst = 0.0
     for n in range(2, 9):
         for j in range(1, n + 1):
-            dist = enumerate_statistic(n, Kernel.GAP, "degree", j=j)
+            dist = enumerate_statistic(n, Kernel.GAP, f"degree:{j}")
             law = degree_pmf_recurrence(n, j, exact=True)
             ok &= dist.outcomes == {d: p for d, p in law.probs.items() if p}
             closed = root_pmf if j == 1 else (lambda nn, dd, jj=j: degree_pmf_closed(nn, jj, dd))
@@ -96,7 +96,7 @@ def test_criterion_03_degree_moment_formulas_vs_oracle():
     ok = True
     for n in range(2, 9):
         for j in range(1, n + 1):
-            dist = enumerate_statistic(n, Kernel.GAP, "degree", j=j)
+            dist = enumerate_statistic(n, Kernel.GAP, f"degree:{j}")
             mean = oracle_moment(dist, 1)
             var = oracle_moment(dist, 2) - mean * mean
             ok &= abs(float(mean) - degree_mean(n, j)) <= 1e-10

@@ -163,6 +163,19 @@ def test_oracle_degree_stat(capsys):
     assert payload["law"] == {"1": "8/15", "2": "1/3", "3": "2/15"}
 
 
+@pytest.mark.parametrize("kernel", ["gap", "degree"])
+def test_simulate_root_degree_is_degree_1(capsys, tmp_path, kernel):
+    dirs = [tmp_path / "root", tmp_path / "node1"]
+    for label, out_dir in zip(("root-degree", "degree:1"), dirs):
+        code, _, err = run(
+            capsys, "simulate", "--n", "60", "--reps", "300", "--kernel", kernel, "--stat", label,
+            "--seed", "4", "--out", str(out_dir),
+        )
+        assert code == 0, err
+    for name in ("sample.csv", "summary.json"):
+        assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
+
+
 def test_simulate_writes_manifest_and_outputs(capsys, tmp_path):
     out_dir = tmp_path / "run"
     code, _, _ = run(
@@ -565,28 +578,46 @@ def test_bad_option_value_names_the_option(capsys, tmp_path, config_text, flags,
     assert not (tmp_path / "pmf").exists()
 
 
+# each bad --stat label, and the one error line that simulate and oracle both print for it
+_BAD_STAT_LABELS = {
+    "degree": "--stat 'degree': expected degree:J with an integer J",
+    "degree:0": "--stat 'degree:0': node J must satisfy 1 <= J <= n = 5",
+    "degree:6": "--stat 'degree:6': node J must satisfy 1 <= J <= n = 5",
+    "degree:abc": "--stat 'degree:abc': expected degree:J with an integer J",
+    "bogus": "--stat 'bogus': unknown statistic; expected zagreb, cubic, zagreb2, root-degree, martingale or degree:J",
+}
+_SUBCOMMANDS_TAKING_STAT = {"simulate": ["simulate", "--n", "5", "--reps", "20"], "oracle": ["oracle", "--n", "5"]}
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv,message",
     [
-        ["--config", "{missing}", "exact-pmf", "--n", "5", "--j", "2"],
-        ["--config", "{bad}", "exact-pmf", "--n", "5", "--j", "2"],
-        ["exact-pmf", "--n", "abc", "--j", "2"],
-        ["exact-pmf", "--j", "2"],
-        ["no-such-command"],
-        ["exact-pmf", "--n", "5", "--j", "2", "--out", ""],
-        ["simulate", "--n", "30", "--reps", "50", "--out", ""],
-        ["oracle", "--n", "5", "--stat", "degree:abc"],
-        ["zagreb-moments", "--n-max", "0"],
+        (["--config", "{missing}", "exact-pmf", "--n", "5", "--j", "2"], None),
+        (["--config", "{bad}", "exact-pmf", "--n", "5", "--j", "2"], None),
+        (["exact-pmf", "--n", "abc", "--j", "2"], None),
+        (["exact-pmf", "--j", "2"], None),
+        (["no-such-command"], None),
+        (["exact-pmf", "--n", "5", "--j", "2", "--out", ""], None),
+        (["simulate", "--n", "30", "--reps", "50", "--out", ""], None),
+        (["oracle", "--n", "5", "--stat", "degree:abc"], None),
+        (["zagreb-moments", "--n-max", "0"], None),
+    ]
+    + [
+        ([*head, "--stat", label, "--out", "{out}"], f"port: error: {message}")
+        for label, message in _BAD_STAT_LABELS.items()
+        for head in _SUBCOMMANDS_TAKING_STAT.values()
     ],
     ids=[
         "missing-config", "bad-config-line", "bad-value", "missing-option", "unknown-subcommand",
         "empty-out-exact-pmf", "empty-out-simulate", "bad-stat-label", "empty-table",
-    ],
+    ]
+    + [f"stat-{label}-{sub}" for label in _BAD_STAT_LABELS for sub in _SUBCOMMANDS_TAKING_STAT],
 )
-def test_usage_errors_exit_1_without_traceback(tmp_path, argv):
+def test_usage_errors_exit_1_without_traceback(tmp_path, argv, message):
     # a subprocess sees what main() in process cannot: a traceback escaping to the interpreter
     (tmp_path / "bad.cfg").write_text("n 5\n")
-    argv = [arg.format(missing=tmp_path / "missing.cfg", bad=tmp_path / "bad.cfg") for arg in argv]
+    out_dir = tmp_path / "out"
+    argv = [arg.format(missing=tmp_path / "missing.cfg", bad=tmp_path / "bad.cfg", out=out_dir) for arg in argv]
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
     proc = subprocess.run(
         [sys.executable, "-m", "port_trees.cli", *argv], env=env, capture_output=True, text=True, timeout=60
@@ -594,3 +625,6 @@ def test_usage_errors_exit_1_without_traceback(tmp_path, argv):
     assert proc.returncode == 1
     assert "error:" in proc.stderr
     assert "Traceback" not in proc.stderr
+    if message is not None:
+        assert proc.stderr.splitlines() == [message]
+    assert not out_dir.exists()

@@ -15,6 +15,7 @@ from port_trees.montecarlo import (
     _extract_statistic,
     _grow_chunk,
     _martingale_constants,
+    _parse_statistic,
     grow_forest,
     jarque_bera,
     kde,
@@ -44,8 +45,8 @@ def test_forest_mean_zagreb_matches_oracle():
 
 
 def test_forest_root_degree_law():
-    res = grow_forest(4, 100_000, Kernel.GAP, seed=13, want_root=True)
-    root = res.extra["root-degree"]
+    res = grow_forest(4, 100_000, Kernel.GAP, seed=13, labels=(1,))
+    root = res.extra["degree:1"]
     dist = enumerate_statistic(4, Kernel.GAP, "root-degree")
     for d, p in dist.outcomes.items():
         p_hat = float(np.mean(root == d))
@@ -57,8 +58,8 @@ def test_forest_root_degree_law():
 @pytest.mark.parametrize("kernel", list(Kernel))
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_forest_law_matches_oracle(n, kernel, statistic):
-    res = grow_forest(n, 100_000, kernel, seed=n, want_root=True)
-    values = {"zagreb": res.zagreb, "cubic": res.cubic}.get(statistic, res.extra["root-degree"])
+    res = grow_forest(n, 100_000, kernel, seed=n, labels=(1,))
+    values = {"zagreb": res.zagreb, "cubic": res.cubic}.get(statistic, res.extra["degree:1"])
     dist = enumerate_statistic(n, kernel, statistic)
     assert set(np.unique(values)) <= set(dist.outcomes)
     for v, p in dist.outcomes.items():
@@ -68,16 +69,16 @@ def test_forest_law_matches_oracle(n, kernel, statistic):
 
 
 def _oracle_stats(n):
-    return ["zagreb", "cubic", "root-degree"] + [f"degree:{j}" for j in range(2, n + 1)]
+    return ["zagreb", "cubic", "root-degree"] + [f"degree:{j}" for j in range(1, n + 1)]
 
 
 @pytest.mark.parametrize("kernel", list(Kernel))
 @pytest.mark.parametrize("n,statistic", [(n, s) for n in (6, 8) for s in _oracle_stats(n)])
 def test_forest_laws_match_oracle_at_6_and_8(n, statistic, kernel):
-    res = grow_forest(n, 100_000, kernel, seed=n, labels=tuple(range(2, n + 1)), want_root=True)
-    values = {"zagreb": res.zagreb, "cubic": res.cubic, **res.extra}[statistic]
-    name, _, j = statistic.partition(":")
-    dist = enumerate_statistic(n, kernel, name, j=int(j) if j else None)
+    # the sampler and the oracle read the same label
+    key, flags = _parse_statistic(statistic, n)
+    values = _extract_statistic(grow_forest(n, 100_000, kernel, seed=n, **flags), key)
+    dist = enumerate_statistic(n, kernel, statistic)
     assert set(np.unique(values)) <= set(dist.outcomes)
     for v, p in dist.outcomes.items():
         p_hat = float(np.mean(values == v))
@@ -118,15 +119,14 @@ def test_forest_matches_scalar_replay(kernel):
     # same stream: _grow_chunk draws exactly these parents
     res = _grow_chunk(
         n, reps, kernel, np.random.default_rng(seed),
-        labels=tuple(range(2, n + 1)), want_root=True, martingale=_martingale_constants(n),
+        labels=tuple(range(1, n + 1)), martingale=_martingale_constants(n),
     )
     labels = parents - np.arange(reps)[:, None] * n + 1  # flat grid index -> node label
     for r in range(reps):
         deg, z, y, m_n, max_diff, bound_ok = _replay(labels[r].tolist(), n)
         assert res.zagreb[r] == z
         assert res.cubic[r] == y
-        assert res.extra["root-degree"][r] == deg[1]
-        assert [int(res.extra[f"degree:{j}"][r]) for j in range(2, n + 1)] == deg[2:]
+        assert [int(res.extra[f"degree:{j}"][r]) for j in range(1, n + 1)] == deg[1:]
         assert res.extra["martingale"][r] == m_n
         assert res.extra["martingale_max_diff"][r] == max_diff
         assert res.extra["martingale_bound_ok"][r] == bound_ok
@@ -137,11 +137,11 @@ def test_forest_matches_scalar_replay(kernel):
 )
 @pytest.mark.parametrize("n,z,y", [(2, 2, 2), (3, 6, 10)])
 def test_forest_smallest_trees(n, z, y, kernel, want_martingale):
-    res = grow_forest(n, 50, kernel, seed=1, labels=(2,), want_root=True, want_martingale=want_martingale)
+    res = grow_forest(n, 50, kernel, seed=1, labels=(1, 2), want_martingale=want_martingale)
     assert res.zagreb.dtype == np.int64 and res.cubic.dtype == np.int64
     assert np.all(res.zagreb == z) and np.all(res.cubic == y)
     # degrees sum to 2(n - 1) and node n is a leaf
-    assert np.all(res.extra["root-degree"] + res.extra["degree:2"] + (n - 2) == 2 * (n - 1))
+    assert np.all(res.extra["degree:1"] + res.extra["degree:2"] + (n - 2) == 2 * (n - 1))
     if want_martingale:
         # Z_2 and Z_3 are deterministic, so M_2 = M_3 = 0
         assert np.all(res.extra["martingale"] == 0.0)
@@ -188,10 +188,9 @@ def test_forest_reproducible_across_chunkings(monkeypatch):
         for workers in (1, 2, 3):
             monkeypatch.setattr(montecarlo, "_cpu_count", lambda: workers)
             results.append(
-                grow_forest(50, 1000, kernel, seed=5, labels=(2, 7), want_root=True,
-                            want_martingale=martingale, chunk_size=150)
+                grow_forest(50, 1000, kernel, seed=5, labels=(1, 2, 7), want_martingale=martingale, chunk_size=150)
             )
-        keys = {"degree:2", "degree:7", "root-degree"}
+        keys = {"degree:1", "degree:2", "degree:7"}
         if martingale:
             keys |= {"martingale", "martingale_max_diff", "martingale_bound_ok"}
         assert set(results[0].extra) == keys
@@ -248,7 +247,7 @@ def test_forest_workers_call_no_public_function(monkeypatch):
 
             monkeypatch.setattr(montecarlo, name, wrapper)
     monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 2)
-    grow_forest(1000, 700, Kernel.DEGREE, seed=3, want_martingale=True, want_root=True, labels=(5,))
+    grow_forest(1000, 700, Kernel.DEGREE, seed=3, want_martingale=True, labels=(1, 5))
     assert calls == [("martingale_diff_bound", threading.get_ident())]
 
 
@@ -379,6 +378,15 @@ def test_martingale_diagnostics_moderate_scale():
     assert abs(report["mean_M"]) < 5 * report["mean_M_stderr"]
     # variance approaches 64 - 8 pi^2/3 slowly; just sanity-band it here
     assert 0.5 * M_SECOND_MOMENT_LIMIT < report["var_M"] < 1.5 * M_SECOND_MOMENT_LIMIT
+
+
+def test_martingale_diagnostics_refuses_the_gap_kernel():
+    config = SimulationConfig(n=50, replicates=20, kernel=Kernel.GAP, statistic="martingale")
+    message = "the martingale transform is defined for the degree-proportional kernel"
+    with pytest.raises(ValueError, match=message):
+        run_experiment(config)
+    with pytest.raises(ValueError, match=message):
+        martingale_diagnostics(config)
 
 
 def test_sample_mean_tracks_exact_zagreb_mean():

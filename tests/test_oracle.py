@@ -36,8 +36,15 @@ def test_zagreb_n4_degree_kernel():
 
 
 def test_degree_moment_n3_gap():
-    dist = enumerate_statistic(3, Kernel.GAP, "degree", j=1)
+    dist = enumerate_statistic(3, Kernel.GAP, "degree:1")
     assert oracle_moment(dist, 1) == Fraction(5, 3)
+
+
+@pytest.mark.parametrize("kernel", list(Kernel))
+def test_root_degree_is_degree_1(kernel):
+    for n in (2, 5, 7):
+        root = enumerate_statistic(n, kernel, "root-degree")
+        assert list(root.outcomes.items()) == list(enumerate_statistic(n, kernel, "degree:1").outcomes.items())
 
 
 @pytest.mark.parametrize("kernel", list(Kernel))
@@ -51,7 +58,7 @@ def test_probabilities_sum_to_one(kernel):
 def test_oracle_matches_degree_recurrence():
     for n in range(2, 8):
         for j in range(1, n + 1):
-            dist = enumerate_statistic(n, Kernel.GAP, "degree", j=j)
+            dist = enumerate_statistic(n, Kernel.GAP, f"degree:{j}")
             law = degree_pmf_recurrence(n, j, exact=True)
             assert dist.outcomes == {d: p for d, p in law.probs.items() if p}
 
@@ -59,7 +66,7 @@ def test_oracle_matches_degree_recurrence():
 def test_oracle_matches_degree_moment_formulas():
     for n in range(2, 8):
         for j in range(1, n + 1):
-            dist = enumerate_statistic(n, Kernel.GAP, "degree", j=j)
+            dist = enumerate_statistic(n, Kernel.GAP, f"degree:{j}")
             mean = oracle_moment(dist, 1)
             var = oracle_moment(dist, 2) - mean * mean
             assert abs(float(mean) - degree_mean(n, j)) < 1e-10
@@ -102,9 +109,10 @@ def test_martingale_statistic_is_centered():
 def test_cap_and_argument_validation():
     with pytest.raises(ValueError):
         enumerate_statistic(10, Kernel.GAP, "zagreb")
-    with pytest.raises(ValueError):
-        enumerate_statistic(5, Kernel.GAP, "degree")  # missing j
-    with pytest.raises(ValueError):
-        enumerate_statistic(5, Kernel.GAP, "zagreb", j=2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="expected degree:J with an integer J"):
+        enumerate_statistic(5, Kernel.GAP, "degree")  # no node
+    for label in ("degree:0", "degree:6"):
+        with pytest.raises(ValueError, match="node J must satisfy 1 <= J <= n = 5"):
+            enumerate_statistic(5, Kernel.GAP, label)
+    with pytest.raises(ValueError, match="unknown statistic"):
         enumerate_statistic(5, Kernel.GAP, "wiener")

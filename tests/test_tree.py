@@ -7,7 +7,7 @@ import pytest
 
 from port_trees.montecarlo import grow_forest
 from port_trees.oracle import enumerate_statistic
-from port_trees.tree import Kernel
+from port_trees.tree import STATISTICS, Kernel, parse_statistic
 
 
 def _within_4se(hits, p):
@@ -16,28 +16,28 @@ def _within_4se(hits, p):
 
 def test_first_insertion_deterministic():
     for kernel in Kernel:
-        res = grow_forest(2, 50, kernel, seed=0, want_root=True)
+        res = grow_forest(2, 50, kernel, seed=0, labels=(1,))
         assert (res.zagreb == 2).all() and (res.cubic == 2).all()
-        assert (res.extra["root-degree"] == 1).all()
+        assert (res.extra["degree:1"] == 1).all()
 
 
 def test_second_insertion_probabilities_gap():
     # gap weights at n=2 are 2 (root) and 1 (node 2) out of 3
-    res = grow_forest(3, 200_000, Kernel.GAP, seed=123, want_root=True)
-    assert _within_4se(res.extra["root-degree"] == 2, 2 / 3)
+    res = grow_forest(3, 200_000, Kernel.GAP, seed=123, labels=(1,))
+    assert _within_4se(res.extra["degree:1"] == 2, 2 / 3)
 
 
 def test_second_insertion_probabilities_degree():
     # degree weights at n=2 are 1 and 1 out of 2
-    res = grow_forest(3, 200_000, Kernel.DEGREE, seed=321, want_root=True)
-    assert _within_4se(res.extra["root-degree"] == 2, 1 / 2)
+    res = grow_forest(3, 200_000, Kernel.DEGREE, seed=321, labels=(1,))
+    assert _within_4se(res.extra["degree:1"] == 2, 1 / 2)
 
 
 @pytest.mark.parametrize("kernel", list(Kernel))
 @pytest.mark.parametrize("n", [2, 17, 500])
 def test_growth_invariants(kernel, n):
-    res = grow_forest(n, 64, kernel, seed=n, labels=(n,), want_root=True)
-    z, y, root = res.zagreb, res.cubic, res.extra["root-degree"]
+    res = grow_forest(n, 64, kernel, seed=n, labels=(1, n))
+    z, y, root = res.zagreb, res.cubic, res.extra["degree:1"]
     assert (res.extra[f"degree:{n}"] == 1).all()  # the newest node is a leaf
     assert ((root >= 1) & (root <= n - 1)).all()
     # the degrees sum to 2(n-1) and d^3 = d (mod 6), d^2 = d (mod 2)
@@ -52,21 +52,21 @@ def test_gap_insertion_frequencies_at_n5():
     # the per-node degree laws at n = 6 carry the pick frequencies of every
     # step up to 5 -> 6, which must match (outdeg+1)/(2m-1)
     n, reps = 6, 200_000
-    res = grow_forest(n, reps, Kernel.GAP, seed=7, labels=tuple(range(2, n + 1)), want_root=True)
+    res = grow_forest(n, reps, Kernel.GAP, seed=7, labels=tuple(range(1, n + 1)))
     for v in range(1, n + 1):
-        degrees = res.extra["root-degree" if v == 1 else f"degree:{v}"]
-        law = enumerate_statistic(n, Kernel.GAP, "degree", j=v).outcomes
+        degrees = res.extra[f"degree:{v}"]
+        law = enumerate_statistic(n, Kernel.GAP, f"degree:{v}").outcomes
         for d, p in law.items():
             assert _within_4se(degrees == d, float(p))
 
 
 def test_identical_seed_identical_tree():
     grown = [
-        grow_forest(300, 20, Kernel.GAP, seed=99, labels=(2, 10, 150), want_root=True) for _ in range(2)
+        grow_forest(300, 20, Kernel.GAP, seed=99, labels=(1, 2, 10, 150)) for _ in range(2)
     ]
     assert np.array_equal(grown[0].zagreb, grown[1].zagreb)
     assert np.array_equal(grown[0].cubic, grown[1].cubic)
-    for key in ("root-degree", "degree:2", "degree:10", "degree:150"):
+    for key in ("degree:1", "degree:2", "degree:10", "degree:150"):
         assert np.array_equal(grown[0].extra[key], grown[1].extra[key])
 
 
@@ -75,3 +75,12 @@ def test_kernel_parse():
     assert Kernel.parse("degree") is Kernel.DEGREE
     with pytest.raises(ValueError):
         Kernel.parse("uniform")
+
+
+def test_parse_statistic():
+    assert parse_statistic("root-degree", 5) == parse_statistic("degree:1", 5) == ("degree", 1)
+    assert parse_statistic("degree:5", 5) == ("degree", 5)
+    for label in ("zagreb", "cubic", "zagreb2", "martingale"):
+        assert parse_statistic(label, 5) == (label, None)
+    assert set(STATISTICS) == {"zagreb", "cubic", "zagreb2", "root-degree", "martingale"}
+
