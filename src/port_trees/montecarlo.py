@@ -55,6 +55,8 @@ _BOUND_EPS = 1e-9
 _CHUNK_ELEMENT_BUDGET = 125_000
 # most chunks grown at once, whatever the core count
 _MAX_WORKERS = 4
+# fewest observations the Jarque-Bera summary takes
+_JB_MIN_COUNT = 8
 # largest Z whose square fits in int64
 _ZAGREB2_MAX_Z = math.isqrt(np.iinfo(np.int64).max)
 
@@ -294,8 +296,8 @@ def jarque_bera(sample) -> tuple[float, float]:
 def _skew_kurtosis(x: np.ndarray) -> tuple[float, float]:
     """Skewness and excess kurtosis of x, centred once, where the
     Jarque-Bera test is defined."""
-    if x.size < 8:
-        raise ValueError(f"jarque_bera needs at least 8 observations, got {x.size}")
+    if x.size < _JB_MIN_COUNT:
+        raise ValueError(f"jarque_bera needs at least {_JB_MIN_COUNT} observations, got {x.size}")
     centered = x - x.mean()
     m2 = float(np.mean(centered**2))
     if m2 == 0.0:
@@ -368,6 +370,11 @@ def run_experiment(config: SimulationConfig) -> tuple[np.ndarray, StatsSummary]:
     """Grow the configured forest; return the statistic's sample, one
     value per replicate, and its summary."""
     values = _extract_statistic(*_grow(config))
+    if values.size >= _JB_MIN_COUNT and values.min() == values.max():  # e.g. the newest node is always a leaf
+        raise ValueError(
+            f"the statistic {config.statistic!r} is {values[0]} in all {values.size} replicates at n = {config.n}: "
+            "a constant sample has no skewness, kurtosis or Jarque-Bera test"
+        )
     return values, summarize(values)
 
 

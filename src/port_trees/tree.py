@@ -47,17 +47,20 @@ STATISTICS = {
 
 def parse_statistic(label: str, n: int) -> tuple[str, int | None]:
     """A ``--stat`` label of an n-node tree as (statistic, node):
-    ``degree:J`` is ("degree", J) for 1 <= J <= n, and each label of
-    ``STATISTICS`` is its entry there."""
+    ``degree:J`` is ("degree", J) for 1 <= J <= n, with J in canonical
+    ASCII digits, and each label of ``STATISTICS`` is its entry there."""
     if label in STATISTICS:
         return STATISTICS[label]
     name, _, node = label.partition(":")
     if name != "degree":
         raise ValueError(f"--stat {label!r}: unknown statistic; expected {', '.join(STATISTICS)} or degree:J")
-    try:
-        j = int(node)
-    except ValueError:
-        raise ValueError(f"--stat {label!r}: expected degree:J with an integer J") from None
+    # one spelling per node, so one statistic is recorded under one label
+    if not (node.isascii() and node.isdigit()) or (node[0] == "0" and node != "0"):
+        raise ValueError(
+            f"--stat {label!r}: expected degree:J with an integer J written in ASCII digits, "
+            "with no sign, space or leading zero"
+        )
+    j = int(node)
     if not 1 <= j <= n:
         raise ValueError(f"--stat {label!r}: node J must satisfy 1 <= J <= n = {n}")
     return "degree", j

@@ -21,6 +21,21 @@ numerator and its denominator comes from cancelling the power of two by
 its trailing-zero count and running one gcd against L_odd (or L_odd^2)
 only.
 
+The exact loop is split three ways.  ``_binary_states`` steps L, L_odd,
+v, A, C and K; ``_square_divisors`` turns each state into the gcds of
+the E[Z^2] and Var[Z] numerators with L^2 4^n, most of the table's gcd
+time; and ``_exact_rows`` finds the E[Z] and E[Y] gcds, reduces the
+base-10 pairs below, and pairs each state with its divisors by
+``zip(..., strict=True)``.  Where the ``fork`` start method exists and
+a second core is usable (``montecarlo._cpu_count``), ``_square_divisors``
+runs in a forked worker that sends its rows in blocks of ``_BLOCK``
+through a one-way pipe, so the two halves run on two cores; otherwise
+it runs in this process.  Either way the rows are the same, and every
+``_reduce`` remainder check runs here.  The worker is forked, not
+spawned: a spawned one would import numpy again, which costs more than
+a 2000-row table saves, and the worker touches nothing but Python ints
+and its pipe.  It starts on the first row and ends when the rows do.
+
 That binary state only finds the gcds.  The pairs themselves are built
 in base 10, as integer ``Decimal``s, because CPython's int -> str is
 quadratic in the digit count and the values run to thousands of digits.
@@ -51,7 +66,9 @@ them.  The float rows keep the closed forms' own expression order.
 
 from __future__ import annotations
 
+import contextlib
 import decimal
+import itertools
 import math
 from collections import deque
 from decimal import Decimal
@@ -84,6 +101,9 @@ Z_WEAK_LIMIT = 2.0
 Y_WEAK_LIMIT = 32.0 / math.sqrt(math.pi)
 
 RATIONAL_CAP = 10_000
+# rows per message from the square-divisor worker: a message per row
+# costs more in pickling and wake-ups than the worker saves
+_BLOCK = 64
 
 # unrounded integer arithmetic: a rounded result traps, and an inexact
 # division cannot finish at this precision (MemoryError)
@@ -130,51 +150,117 @@ def _divisor(num: int, odd: int, v: int) -> int:
     return math.gcd(num >> t, odd) << t
 
 
-def _exact_rows(n_max: int):
-    lcm, odd, v = 1, 1, 0  # L = lcm(1..m) = odd 2^v
-    a = c = 0  # A = H L and C = H2 L^2
-    k = 1  # C(2n, n), so that B_n = n m k / 4^n
-    # base 10, with S = L^2: L, L 4^n, S 4^n, K L, K S, A, A 4^n, C 4^n,
-    # P = A L 4^n and Q = A^2 4^n
-    dl = dl4 = ds4 = dkl = dks = Decimal(1)
-    da = da4 = dc4 = dp = dq = Decimal(0)
+def _binary_states(n_max: int):
+    """(n, L, L_odd, v, A, C, K, f) for n = 1 .. n_max, with m = n - 1:
+    L = lcm(1..m) = L_odd 2^v, A = H L, C = H2 L^2, K = C(2n, n), and
+    f = n / gcd(L, n), the factor L gains when m grows to n."""
+    lcm, odd, v = 1, 1, 0
+    a = c = 0
+    k = 1
     for n in range(1, n_max + 1):
-        m = n - 1
         k = k * 2 * (2 * n - 1) // n
-        lsq, aa = lcm * lcm, a * a
-        b128 = 128 * n * m * k * lsq  # 128 B_n over L^2 4^n
-        rest = 20 * m * a * lcm + (16 * m * m + 64 * m) * lsq
-        second = ((4 * m * (m + 1) * (aa - c) + rest) << 2 * n) - b128
-        var = second - (4 * m * m * aa << 2 * n)
-        gz = _divisor(2 * m * a, odd, v)
-        gy = _divisor(32 * n * m * k * lcm - ((6 * m * a + 16 * m * lcm) << 2 * n), odd, v + 2 * n)
-        g2 = _divisor(second, odd * odd, 2 * v + 2 * n)
-        gv = _divisor(var, odd * odd, 2 * v + 2 * n)
-        with decimal.localcontext(_EXACT):
-            dl4, ds4, da4, dc4, dp, dq = dl4 * 4, ds4 * 4, da4 * 4, dc4 * 4, dp * 4, dq * 4
-            dkl, dks = dkl * (4 * n - 2) / n, dks * (4 * n - 2) / n
-            dsecond = 4 * m * (m + 1) * (dq - dc4) + 20 * m * dp + (16 * m * m + 64 * m) * ds4 - 128 * n * m * dks
-            row = (
-                n,
-                _reduce(2 * m * da, dl, gz),
-                _reduce(32 * n * m * dkl - 6 * m * da4 - 16 * m * dl4, dl4, gy),
-                _reduce(dsecond, ds4, g2),
-                _reduce(dsecond - 4 * m * m * dq, ds4, gv),
-            )
-        yield row
-        f = n // math.gcd(lcm, n)  # m grows to n: f = p if n = p^k, else 1
+        f = n // math.gcd(lcm, n)  # f = p if n = p^k, else 1
+        yield n, lcm, odd, v, a, c, k, f
         t = (f & -f).bit_length() - 1
         lcm, odd, v = lcm * f, odd * (f >> t), v + t
         q = lcm // n
         a = a * f + q
         c = c * f * f + q * q
-        with decimal.localcontext(_EXACT):
-            f2 = f * f
-            dl, dl4, ds4, dkl, dks = dl * f, dl4 * f, ds4 * f2, dkl * f, dks * f2
-            da, da4, dc4, dp, dq = da * f, da4 * f, dc4 * f2, dp * f2, dq * f2
-            da, da4 = da + dl / n, da4 + dl4 / n
-            dc4, dq = dc4 + ds4 / (n * n), dq + 2 * dp / n + ds4 / (n * n)
-            dp += ds4 / n
+
+
+def _square_divisors(n_max: int):
+    """(g2, gv) for n = 1 .. n_max: the gcds of the E[Z^2] and Var[Z]
+    numerators with their denominator L^2 4^n."""
+    for n, lcm, odd, v, a, c, k, _ in _binary_states(n_max):
+        m = n - 1
+        lsq, aa, square = lcm * lcm, a * a, odd * odd
+        b128 = 128 * n * m * k * lsq  # 128 B_n over L^2 4^n
+        rest = 20 * m * a * lcm + (16 * m * m + 64 * m) * lsq
+        second = ((4 * m * (m + 1) * (aa - c) + rest) << 2 * n) - b128
+        var = second - (4 * m * m * aa << 2 * n)
+        yield _divisor(second, square, 2 * v + 2 * n), _divisor(var, square, 2 * v + 2 * n)
+
+
+def _send_square_divisors(n_max: int, reader, writer) -> None:
+    """The worker: ``_square_divisors`` sent through ``writer`` in blocks."""
+    reader.close()  # else, should the parent die, a full pipe would block this worker for ever
+    rows = _square_divisors(n_max)
+    while block := list(itertools.islice(rows, _BLOCK)):
+        writer.send(block)
+    writer.close()
+
+
+def _piped_square_divisors(n_max: int, context):
+    """``_square_divisors`` computed in a forked worker, received in blocks.
+
+    The worker starts on the first ``next()``.  The ``finally`` ends it
+    whatever way the generator ends, so it never outlives the generator,
+    and a worker that exits before the last row raises ``RuntimeError``
+    here instead of truncating the table."""
+    reader, writer = context.Pipe(duplex=False)
+    worker = context.Process(target=_send_square_divisors, args=(n_max, reader, writer), daemon=True)
+    worker.start()
+    writer.close()  # the worker's copy is then the only one, so its exit ends the pipe
+    try:
+        received = 0
+        while received < n_max:
+            try:
+                block = reader.recv()
+            except EOFError:
+                worker.join()
+                raise RuntimeError(
+                    f"the square-divisor worker exited with code {worker.exitcode} after {received} of {n_max} rows"
+                ) from None
+            received += len(block)
+            yield from block
+    finally:
+        if worker.is_alive():  # closed early: stop it before its pipe closes, so it never meets a broken pipe
+            worker.terminate()
+        worker.join()
+        reader.close()
+
+
+def _square_divisor_rows(n_max: int):
+    """``_square_divisors`` from a forked worker where ``fork`` exists and
+    a second core is usable, else in this process."""
+    import multiprocessing
+
+    from .montecarlo import _cpu_count
+
+    if "fork" in multiprocessing.get_all_start_methods() and _cpu_count() > 1:
+        return _piped_square_divisors(n_max, multiprocessing.get_context("fork"))
+    return _square_divisors(n_max)
+
+
+def _exact_rows(n_max: int):
+    # base 10, with S = L^2: L, L 4^n, S 4^n, K L, K S, A, A 4^n, C 4^n,
+    # P = A L 4^n and Q = A^2 4^n
+    dl = dl4 = ds4 = dkl = dks = Decimal(1)
+    da = da4 = dc4 = dp = dq = Decimal(0)
+    with contextlib.closing(_square_divisor_rows(n_max)) as divisors:
+        for (n, lcm, odd, v, a, _, k, f), (g2, gv) in zip(_binary_states(n_max), divisors, strict=True):
+            m = n - 1
+            gz = _divisor(2 * m * a, odd, v)
+            gy = _divisor(32 * n * m * k * lcm - ((6 * m * a + 16 * m * lcm) << 2 * n), odd, v + 2 * n)
+            with decimal.localcontext(_EXACT):
+                dl4, ds4, da4, dc4, dp, dq = dl4 * 4, ds4 * 4, da4 * 4, dc4 * 4, dp * 4, dq * 4
+                dkl, dks = dkl * (4 * n - 2) / n, dks * (4 * n - 2) / n
+                dsecond = 4 * m * (m + 1) * (dq - dc4) + 20 * m * dp + (16 * m * m + 64 * m) * ds4 - 128 * n * m * dks
+                row = (
+                    n,
+                    _reduce(2 * m * da, dl, gz),
+                    _reduce(32 * n * m * dkl - 6 * m * da4 - 16 * m * dl4, dl4, gy),
+                    _reduce(dsecond, ds4, g2),
+                    _reduce(dsecond - 4 * m * m * dq, ds4, gv),
+                )
+            yield row
+            with decimal.localcontext(_EXACT):  # m grows to n
+                f2 = f * f
+                dl, dl4, ds4, dkl, dks = dl * f, dl4 * f, ds4 * f2, dkl * f, dks * f2
+                da, da4, dc4, dp, dq = da * f, da4 * f, dc4 * f2, dp * f2, dq * f2
+                da, da4 = da + dl / n, da4 + dl4 / n
+                dc4, dq = dc4 + ds4 / (n * n), dq + 2 * dp / n + ds4 / (n * n)
+                dp += ds4 / n
 
 
 def _float_rows(n_max: int):

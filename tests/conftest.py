@@ -1,6 +1,52 @@
+import glob
+import multiprocessing
+import os
+import signal
 from fractions import Fraction
 
 import pytest
+
+
+def _live_children() -> list[int]:
+    """Pids of this process's children that have not exited: every child
+    where procfs lists them, else the ``multiprocessing`` workers."""
+    workers = multiprocessing.active_children()  # also reaps the workers that have exited
+    if not os.path.isdir("/proc/self/task"):
+        return [worker.pid for worker in workers]
+    pids = set()
+    for path in glob.glob("/proc/self/task/*/children"):
+        try:
+            with open(path) as fh:
+                pids.update(int(pid) for pid in fh.read().split())
+        except FileNotFoundError:  # the thread ended
+            pass
+    return sorted(pid for pid in pids if _running(pid))
+
+
+def _running(pid: int) -> bool:
+    """Whether the child ``pid`` is alive: not reaped and not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail any test that leaves a live child process, after killing it so
+    that the tests after it start clean."""
+    yield
+    left = _live_children()
+    if not left:
+        return
+    for worker in multiprocessing.active_children():
+        worker.kill()
+        worker.join()
+    for pid in _live_children():
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    pytest.fail(f"the test left {len(left)} live child process(es): pids {left}")
 
 
 @pytest.fixture(scope="session")

@@ -3,6 +3,7 @@ import hashlib
 import importlib
 import json
 import math
+import multiprocessing
 import os
 import pkgutil
 import subprocess
@@ -387,6 +388,23 @@ def test_usage_errors_exit_1(capsys):
     assert main([]) == 1
 
 
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="the worker is forked")
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_zagreb_moments_bytes_do_not_depend_on_the_worker(capsys, tmp_path, monkeypatch, fmt):
+    # two usable cores fork the square-divisor worker, one keeps it in process
+    outputs = []
+    for cores in (1, 2):
+        monkeypatch.setattr(montecarlo, "_cpu_count", lambda: cores)
+        out_dir = tmp_path / str(cores)
+        argv = ["zagreb-moments", "--n-max", "600", "--format", fmt]
+        stdout = run(capsys, *argv)
+        written = run(capsys, *argv, "--out", str(out_dir))
+        files = {name: (out_dir / name).read_bytes() for name in sorted(os.listdir(out_dir))}
+        outputs.append((stdout, written, files))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0][0] == 0 and outputs[0][2][f"series.{fmt}"] == outputs[0][0][1].encode()
+
+
 def test_zagreb_moments_beyond_the_digit_limit(capsys, tmp_path):
     # exact E[Z^2] at n = 1500 has thousands of digits
     limit = sys.get_int_max_str_digits()
@@ -411,8 +429,15 @@ def test_zagreb_moments_beyond_the_digit_limit(capsys, tmp_path):
         ({"--reps": "0"}, "port: error: replicates must be >= 1"),
         ({"--n": "1"}, "port: error: n must be >= 2"),
         ({"--stat": "degree:abc"}, "port: error: --stat 'degree:abc': expected degree:J with an integer J"),
+        # point masses: the newest node is always a leaf, and every tree of 2 or 3 nodes is a path
+        (
+            {"--n": "6", "--stat": "degree:6"},
+            "port: error: the statistic 'degree:6' is 1 in all 50 replicates at n = 6: a constant sample has no",
+        ),
+        ({"--n": "2"}, "port: error: the statistic 'zagreb' is 2 in all 50 replicates at n = 2"),
+        ({"--n": "3", "--stat": "zagreb"}, "port: error: the statistic 'zagreb' is 6 in all 50 replicates at n = 3"),
     ],
-    ids=[f"bad{i}" for i in range(4)],
+    ids=[f"bad{i}" for i in range(7)],
 )
 def test_simulate_rejects_bad_config_before_writing(capsys, tmp_path, bad, message):
     out_dir = tmp_path / "run"
@@ -578,12 +603,17 @@ def test_bad_option_value_names_the_option(capsys, tmp_path, config_text, flags,
     assert not (tmp_path / "pmf").exists()
 
 
+_NOT_CANONICAL = "expected degree:J with an integer J written in ASCII digits, with no sign, space or leading zero"
 # each bad --stat label, and the one error line that simulate and oracle both print for it
 _BAD_STAT_LABELS = {
-    "degree": "--stat 'degree': expected degree:J with an integer J",
+    "degree": f"--stat 'degree': {_NOT_CANONICAL}",
     "degree:0": "--stat 'degree:0': node J must satisfy 1 <= J <= n = 5",
     "degree:6": "--stat 'degree:6': node J must satisfy 1 <= J <= n = 5",
-    "degree:abc": "--stat 'degree:abc': expected degree:J with an integer J",
+    "degree:abc": f"--stat 'degree:abc': {_NOT_CANONICAL}",
+    # int() reads each of these as 3; only the canonical spelling names node 3
+    "degree: +3": f"--stat 'degree: +3': {_NOT_CANONICAL}",
+    "degree:03": f"--stat 'degree:03': {_NOT_CANONICAL}",
+    "degree:\u0663": f"--stat 'degree:\u0663': {_NOT_CANONICAL}",
     "bogus": "--stat 'bogus': unknown statistic; expected zagreb, cubic, zagreb2, root-degree, martingale or degree:J",
 }
 _SUBCOMMANDS_TAKING_STAT = {"simulate": ["simulate", "--n", "5", "--reps", "20"], "oracle": ["oracle", "--n", "5"]}

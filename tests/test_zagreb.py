@@ -1,11 +1,17 @@
+import contextlib
 import decimal
+import itertools
 import math
+import multiprocessing
+import os
+import signal
 from collections import deque
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
+from port_trees import montecarlo, zagreb
 from port_trees.oracle import enumerate_statistic
 from port_trees.special import harmonic
 from port_trees.tree import Kernel
@@ -68,6 +74,77 @@ def test_exact_rows_where_the_lcm_grows():
             ez, ez2 = zagreb_mean(n), zagreb_second_moment(n)
             assert (mean_z, mean_y) == (_pair(ez), _pair(cubic_mean(n)))
             assert (second_z, var_z) == (_pair(ez2), _pair(ez2 - ez * ez))
+
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="the square-divisor worker is forked"
+)
+
+
+@contextlib.contextmanager
+def _deadline(seconds: int):
+    """Raise TimeoutError where the body would hang, as a deadlocked worker would make it."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"not done within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _cores(monkeypatch, cores: int) -> None:
+    """Make the table see ``cores`` usable cores: more than one forks the worker."""
+    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: cores)
+
+
+@needs_fork
+@pytest.mark.parametrize("n_max", [1, 2, 3, 64, 65, 600])
+def test_piped_and_in_process_divisors_give_equal_rows(monkeypatch, n_max):
+    # 64 rows are one block from the worker, 65 two
+    _cores(monkeypatch, 1)
+    in_process = list(moment_rows(n_max, exact=True))
+    piped = []
+    spy = zagreb._piped_square_divisors
+    monkeypatch.setattr(zagreb, "_piped_square_divisors", lambda *args: piped.append(args) or spy(*args))
+    _cores(monkeypatch, 2)
+    assert list(moment_rows(n_max, exact=True)) == in_process
+    assert len(piped) == 1
+    assert len(in_process) == n_max
+
+
+@needs_fork
+def test_the_worker_lives_from_the_first_row_to_the_close(monkeypatch):
+    _cores(monkeypatch, 2)
+    rows = moment_rows(RATIONAL_CAP)
+    assert multiprocessing.active_children() == []  # nothing starts before the first next()
+    with _deadline(30):
+        assert next(rows)[0] == 1
+        assert len(multiprocessing.active_children()) == 1
+        rows.close()  # the worker is still far from row 10^4
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+@pytest.mark.parametrize("death,code", [("raise", 1), ("kill", -signal.SIGKILL)])
+def test_a_worker_that_dies_fails_the_table(monkeypatch, death, code):
+    square_divisors = zagreb._square_divisors
+
+    def dying(n_max):  # patched before the fork, so the worker runs it
+        yield from itertools.islice(square_divisors(n_max), 100)
+        if death == "raise":
+            raise ArithmeticError("injected")
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(zagreb, "_square_divisors", dying)
+    _cores(monkeypatch, 2)
+    with _deadline(30), pytest.raises(RuntimeError, match=rf"worker exited with code {code} after 64 of 300 rows"):
+        list(moment_rows(300, exact=True))
+    assert multiprocessing.active_children() == []
 
 
 def test_zagreb_mean_small():
