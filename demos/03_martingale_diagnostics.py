@@ -15,8 +15,8 @@ from port_trees import (
 
 print("Exhaustive check that E[M_n] = 0 (degree kernel):")
 for n in (3, 5, 7):
-    dist = enumerate_statistic(n, Kernel.DEGREE, "martingale")
-    print(f"  n={n}  E[M] = {oracle_moment(dist, 1)}  E[M^2] = {float(oracle_moment(dist, 2)):.4f}")
+    law = enumerate_statistic(n, Kernel.DEGREE, "martingale")
+    print(f"  n={n}  E[M] = {oracle_moment(law, 1)}  E[M^2] = {float(oracle_moment(law, 2)):.4f}")
 
 print("\nDeterministic increment bound |M_j - M_(j-1)| <= (6j^2-8j-2)/((j-1)(j-2)):")
 for j in (3, 4, 10, 100, 10**6):

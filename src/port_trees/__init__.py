@@ -6,8 +6,6 @@ __version__ = "0.1.0"
 
 from .tree import Kernel
 from .degree import (
-    DegreeLaw,
-    DegreeMoments,
     Regime,
     degree_mean,
     degree_moments_asymptotic,
@@ -30,7 +28,7 @@ from .zagreb import (
     zagreb_second_moment,
     zagreb_variance_asymptotic,
 )
-from .oracle import ExactDist, enumerate_statistic, history_count, oracle_moment
+from .oracle import enumerate_statistic, history_count, oracle_moment
 from .montecarlo import (
     SimulationConfig,
     StatsSummary,

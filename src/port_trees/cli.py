@@ -39,7 +39,7 @@ from .degree import (
     root_pmf,
 )
 from .montecarlo import SimulationConfig, StatsSummary, kde, martingale_diagnostics, run_experiment
-from .oracle import DEFAULT_CAP, enumerate_statistic, oracle_moment
+from .oracle import DEFAULT_CAP, enumerate_statistic, history_count, oracle_moment
 from .poisson import moments_w, simulate_gap_tree, simulate_yule
 from .tree import Kernel
 from .zagreb import martingale_diff_bound, moment_rows, zagreb_mean, zagreb_second_moment
@@ -61,26 +61,39 @@ class _Config(argparse.Action):
 
     def __init__(self, commands, **kwargs):
         super().__init__(**kwargs)
-        self.commands = commands  # [(subparser, {dest: its flag's action})]
+        self.commands = commands  # [(subparser, its flags' dests)]
 
     def __call__(self, parser, namespace, path, option_string=None):
         try:
             config = _load_config(path)
         except (OSError, ValueError) as exc:
             raise argparse.ArgumentError(self, str(exc)) from None
-        for sub, flags in self.commands:
-            sub.set_defaults(**{
-                dest: value == "true" if flags[dest].nargs == 0 else value  # a switch takes no value
-                for dest, value in config.items()
-                if dest in flags
-            })
+        for sub, dests in self.commands:
+            sub.set_defaults(**{dest: value for dest, value in config.items() if dest in dests})
         setattr(namespace, self.dest, path)
+
+
+class _Switch(argparse.Action):
+    """A flag that takes no value; a config file sets it with ``true`` or
+    ``false``, which argparse parses by ``type`` as any other flag's value."""
+
+    def __init__(self, **kwargs):
+        super().__init__(nargs=0, default=False, type=_true_or_false, **kwargs)
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, True)
 
 
 def _directory(path: str) -> str:
     if not path:
         raise argparse.ArgumentTypeError("expected a directory name, got ''")
     return path
+
+
+def _true_or_false(value: str) -> bool:
+    if value not in ("true", "false"):
+        raise argparse.ArgumentTypeError(f"expected true or false, got {value!r}")
+    return value == "true"
 
 
 def _format(value: str) -> str:  # not ``choices``, which argparse skips for config values
@@ -182,8 +195,7 @@ def _cmd_exact_pmf(args) -> int:
         raise SystemExit("--rational is only available with the recurrence method")
     _check_nj(n, j, j_min=1)  # the recurrence's range holds for every method
     if method == "recurrence":
-        law = degree_pmf_recurrence(n, j, exact=args.rational)
-        rows = [(d, _num(p)) for d, p in sorted(law.probs.items())]
+        rows = [(d, _num(p)) for d, p in degree_pmf_recurrence(n, j, exact=args.rational).items()]
     elif j == 1:
         rows = [(d, _num(root_pmf(n, d))) for d in degree_support(n, 1)]
     else:
@@ -211,16 +223,16 @@ def _cmd_zagreb_moments(args) -> int:
 
 def _cmd_oracle(args) -> int:
     kernel = Kernel.parse(args.kernel)
-    dist = enumerate_statistic(args.n, kernel, args.stat)
+    law = enumerate_statistic(args.n, kernel, args.stat)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "n": args.n,
         "kernel": kernel.value,
         "statistic": args.stat,
-        "history_count": dist.history_count,
-        "law": {_num(v): _num(p) for v, p in dist.outcomes.items()},
-        "mean": _num(oracle_moment(dist, 1)),
-        "second_moment": _num(oracle_moment(dist, 2)),
+        "history_count": history_count(args.n, kernel),
+        "law": {_num(v): _num(p) for v, p in law.items()},
+        "mean": _num(oracle_moment(law, 1)),
+        "second_moment": _num(oracle_moment(law, 2)),
     }
     _emit_json(payload, args.out, "oracle.json")
     return 0
@@ -305,13 +317,11 @@ def _verify_oracle(n_max: int) -> list[tuple[str, bool]]:
     checks = []
     for n in range(2, n_max + 1):
         for j in range(1, n + 1):
-            dist = enumerate_statistic(n, Kernel.GAP, f"degree:{j}")
-            law = degree_pmf_recurrence(n, j, exact=True)
-            ok = dist.outcomes == {d: p for d, p in law.probs.items() if p}
+            ok = enumerate_statistic(n, Kernel.GAP, f"degree:{j}") == degree_pmf_recurrence(n, j, exact=True)
             checks.append((f"oracle-vs-recurrence n={n} j={j}", ok))
     for n in range(2, n_max + 1):
-        dist = enumerate_statistic(n, Kernel.DEGREE, "zagreb")
-        ok = oracle_moment(dist, 1) == zagreb_mean(n) and oracle_moment(dist, 2) == zagreb_second_moment(n)
+        law = enumerate_statistic(n, Kernel.DEGREE, "zagreb")
+        ok = oracle_moment(law, 1) == zagreb_mean(n) and oracle_moment(law, 2) == zagreb_second_moment(n)
         checks.append((f"oracle-vs-zagreb-moments n={n}", ok))
     return checks
 
@@ -319,12 +329,15 @@ def _verify_oracle(n_max: int) -> list[tuple[str, bool]]:
 def _verify_routes(n_max: int) -> list[tuple[str, bool]]:
     checks = []
     for n in range(2, n_max + 1):
-        for j in range(2, n + 1):
-            # both routes divide once, so they must equal the exact law rounded to float
+        for j in range(1, n + 1):
+            # every closed route divides once, so it must equal the exact law rounded to float
             law = degree_pmf_recurrence(n, j, exact=True)
-            ok = all(
-                degree_pmf_closed(n, j, d) == float(p) == degree_pmf_hypergeom(n, j, d) for d, p in law.probs.items()
-            )
+            if j == 1:
+                ok = all(root_pmf(n, d) == float(p) for d, p in law.items())
+            else:
+                ok = all(
+                    degree_pmf_closed(n, j, d) == float(p) == degree_pmf_hypergeom(n, j, d) for d, p in law.items()
+                )
             checks.append((f"route-equivalence n={n} j={j}", ok))
     return checks
 
@@ -332,9 +345,9 @@ def _verify_routes(n_max: int) -> list[tuple[str, bool]]:
 def _verify_normalization(n: int) -> list[tuple[str, bool]]:
     checks = []
     for j in (2, max(2, n // 2), n):
-        total = degree_pmf_recurrence(n, j).total()
+        total = sum(degree_pmf_recurrence(n, j).values())
         checks.append((f"normalization n={n} j={j}", abs(total - 1.0) <= 1e-10))
-    total = degree_pmf_recurrence(n, 1).total()
+    total = sum(degree_pmf_recurrence(n, 1).values())
     checks.append((f"normalization n={n} root", abs(total - 1.0) <= 1e-10))
     return checks
 
@@ -381,8 +394,9 @@ def build_parser() -> _Parser:
     def add(name, fn, **flags):
         p = sub.add_parser(name)
         p.set_defaults(fn=fn)
-        actions = {dest: p.add_argument(f"--{dest.replace('_', '-')}", dest=dest, **kw) for dest, kw in flags.items()}
-        commands.append((p, actions))
+        for dest, kw in flags.items():
+            p.add_argument(f"--{dest.replace('_', '-')}", dest=dest, **kw)
+        commands.append((p, set(flags)))
 
     count = {"type": int, "default": _REQUIRED}
     required = {"default": _REQUIRED}
@@ -390,7 +404,7 @@ def build_parser() -> _Parser:
     out = {"type": _directory}
     required_out = {**out, **required}
     fmt = {"type": _format, "default": "csv", "metavar": "{csv,json}"}
-    switch = {"action": "store_true"}
+    switch = {"action": _Switch}
     add("exact-pmf", _cmd_exact_pmf, n=count, j=count, method={"default": "recurrence"}, out=out, format=fmt,
         rational=switch)
     add("exact-moments", _cmd_exact_moments, n=count, j=count, out=out, format=fmt)

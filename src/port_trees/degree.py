@@ -18,13 +18,12 @@ The exact routes build no ``Fraction`` in their loops: they divide once
 at the end, by ``p / q`` for a float (int true division rounds
 correctly, so p/q need not be in lowest terms) or by one ``Fraction``
 per probability in the DP's exact mode.  The root (j = 1) has its own
-closed form, ``root_pmf``.
+closed form, ``root_pmf``, which also divides once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -34,8 +33,6 @@ from .special import _pfq_sum, log_gamma
 
 __all__ = [
     "Regime",
-    "DegreeLaw",
-    "DegreeMoments",
     "degree_support",
     "degree_pmf_closed",
     "degree_pmf_recurrence",
@@ -51,38 +48,6 @@ class Regime(Enum):
     FIXED_J = "fixed-j"
     GROWING_J = "growing-j"
     LINEAR_THETA = "linear-theta"
-
-
-@dataclass(frozen=True)
-class DegreeLaw:
-    """Probability table for the degree of node j at time n.
-
-    ``probs[d]`` is the probability of degree d for d = 1..max degree;
-    entries may be floats or exact Fractions depending on the mode.
-    """
-
-    n: int
-    j: int
-    probs: dict
-
-    def total(self):
-        return sum(self.probs.values())
-
-    def mean(self):
-        return sum(d * p for d, p in self.probs.items())
-
-    def variance(self):
-        m = self.mean()
-        return sum(d * d * p for d, p in self.probs.items()) - m * m
-
-
-@dataclass(frozen=True)
-class DegreeMoments:
-    n: int
-    j: int
-    mean: float
-    variance: float
-    regime: Regime
 
 
 def degree_support(n: int, j: int) -> range:
@@ -134,7 +99,7 @@ def degree_pmf_closed(n: int, j: int, d: int) -> float:
     return (even[2] * odd[1] - odd[2] * even[1]) / (even[1] * odd[1])
 
 
-def degree_pmf_recurrence(n: int, j: int, exact: bool = False) -> DegreeLaw:
+def degree_pmf_recurrence(n: int, j: int, exact: bool = False) -> dict:
     """Stable DP for the full degree law of node j at time n (j = 1: root).
 
     A node of degree d owns d insertion gaps, the root d + 1, out of the
@@ -145,7 +110,8 @@ def degree_pmf_recurrence(n: int, j: int, exact: bool = False) -> DegreeLaw:
     N_m(d) = g(d-1) N_{m-1}(d-1) + (2m-3-g(d)) N_{m-1}(d) over the common
     denominator D_m = prod (2k-3), with no division in the loop, and
     builds one Fraction N(d)/D per degree at the end, so the law sums
-    to 1 exactly.
+    to 1 exactly.  The law is returned as {d: probability}, ascending in
+    d, with zero probabilities left out.
     """
     _check_nj(n, j, j_min=1)
     offset = 1 if j == 1 else 0  # the root's extra gap
@@ -159,8 +125,7 @@ def degree_pmf_recurrence(n: int, j: int, exact: bool = False) -> DegreeLaw:
                 for d, a, b in zip(range(1, len(nums) + 2), nums + [0], [0] + nums)
             ]
             den *= c
-        table = {d: Fraction(p, den) for d, p in enumerate(nums, start=1) if p}
-        return DegreeLaw(n=n, j=j, probs=table)
+        return {d: Fraction(p, den) for d, p in enumerate(nums, start=1) if p}
     probs = np.array([1.0])  # probs[i] = P(degree = i + 1)
     for m in steps:
         denom = 1.0 * (2 * m - 3)
@@ -169,30 +134,20 @@ def degree_pmf_recurrence(n: int, j: int, exact: bool = False) -> DegreeLaw:
         new[1:] += probs * gaps / denom
         probs = new
     # plain Python floats: a numpy float would change every repr
-    table = {d: float(p) for d, p in enumerate(probs, start=1) if p}
-    return DegreeLaw(n=n, j=j, probs=table)
+    return {d: float(p) for d, p in enumerate(probs, start=1) if p}
 
 
 def root_pmf(n: int, d: int) -> float:
     """Closed form for the root's degree law: P(root degree at time n = d).
 
-    Equal to d (2n-d-3)! / (2^{n-d-1} (n-d-1)! (2n-3)!!), evaluated with
-    log-factorials so it stays finite for large n.
+    Equal to d (2n-d-3)! / (2^{n-d-1} (n-d-1)! (2n-3)!!), which is
+    d 2^d perm(n-1, d) / perm(2n-2, d+1): two integers, divided once.
     """
     if n < 2:
         raise ValueError(f"root_pmf requires n >= 2, got {n}")
     if d < 1 or d > n - 1:
         return 0.0
-    # (2n-3)!! = (2n-2)! / (2^{n-1} (n-1)!)
-    log_dfact = log_gamma(2 * n - 1) - (n - 1) * math.log(2.0) - log_gamma(n)
-    log_p = (
-        math.log(d)
-        + log_gamma(2 * n - d - 2)
-        - (n - d - 1) * math.log(2.0)
-        - log_gamma(n - d)
-        - log_dfact
-    )
-    return math.exp(log_p)
+    return (d * math.perm(n - 1, d) << d) / math.perm(2 * n - 2, d + 1)
 
 
 def degree_pmf_hypergeom(n: int, j: int, d: int) -> float:
@@ -232,7 +187,10 @@ def degree_pmf_hypergeom(n: int, j: int, d: int) -> float:
 
 
 def _mean_gamma_ratio(n: int, j: int) -> float:
-    return math.exp(log_gamma(n) + log_gamma(j - 0.5) - log_gamma(n - 0.5) - log_gamma(j))
+    # Gamma(n) Gamma(j-1/2) / (Gamma(n-1/2) Gamma(j)) = prod_{k=j}^{n-1} 2k/(2k-1); the float
+    # product is exact at j = n and keeps the variance >= 0, which a difference of lgammas does not
+    k = np.arange(j, n, dtype=float)
+    return float(np.prod(2 * k / (2 * k - 1)))
 
 
 def degree_mean(n: int, j: int) -> float:
@@ -248,32 +206,20 @@ def degree_variance(n: int, j: int) -> float:
     return -a * a - a + (4 * n - 2) / (2 * j - 1)
 
 
-def degree_moments_asymptotic(n: int, j: int, regime: Regime) -> DegreeMoments:
-    """Large-n approximations for the degree mean and variance.
+def degree_moments_asymptotic(n: int, j: int, regime: Regime) -> tuple[float, float]:
+    """Large-n approximations (mean, variance) of the degree of node j.
 
     The behavior changes with how j scales against n: fixed j, growing
     j = o(n), and the linear phase j = theta * n with 0 < theta < 1.
     """
     if regime is Regime.FIXED_J:
         ratio = math.exp(log_gamma(j - 0.5) - log_gamma(j + 0.0))
-        return DegreeMoments(
-            n=n,
-            j=j,
-            mean=ratio * math.sqrt(n),
-            variance=(4.0 / (2 * j - 1) - ratio * ratio) * n,
-            regime=regime,
-        )
+        return ratio * math.sqrt(n), (4.0 / (2 * j - 1) - ratio * ratio) * n
     if regime is Regime.GROWING_J:
-        return DegreeMoments(n=n, j=j, mean=math.sqrt(n / j), variance=n / j, regime=regime)
+        return math.sqrt(n / j), n / j
     if regime is Regime.LINEAR_THETA:
         theta = j / n
         if not 0.0 < theta < 1.0:
             raise ValueError(f"linear regime requires 0 < j/n < 1, got {theta}")
-        return DegreeMoments(
-            n=n,
-            j=j,
-            mean=math.sqrt(n / j),
-            variance=1.0 / theta - 1.0 / math.sqrt(theta),
-            regime=regime,
-        )
+        return math.sqrt(n / j), 1.0 / theta - 1.0 / math.sqrt(theta)
     raise ValueError(f"unknown regime {regime!r}")

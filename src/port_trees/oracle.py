@@ -10,29 +10,14 @@ materialized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .special import harmonic
 from .tree import Kernel, parse_statistic
 
-__all__ = ["ExactDist", "enumerate_statistic", "oracle_moment", "history_count"]
+__all__ = ["enumerate_statistic", "oracle_moment", "history_count"]
 
 DEFAULT_CAP = 9
-
-
-@dataclass(frozen=True)
-class ExactDist:
-    """Exact law of a tree statistic: outcome -> rational probability."""
-
-    n: int
-    kernel: Kernel
-    statistic: str
-    outcomes: dict
-    history_count: int
-
-    def total(self) -> Fraction:
-        return sum(self.outcomes.values(), Fraction(0))
 
 
 def history_count(n: int, kernel: Kernel) -> int:
@@ -43,15 +28,17 @@ def history_count(n: int, kernel: Kernel) -> int:
     return total
 
 
-def oracle_moment(dist: ExactDist, order: int) -> Fraction:
-    """Exact moment sum(value^order * prob) of an enumerated law."""
+def oracle_moment(law: dict, order: int):
+    """Moment sum(value^order * prob) of a finite law {value: prob}: exact
+    for a law of Fractions (the oracle's, or the degree DP's exact mode)."""
     if order < 1:
         raise ValueError(f"moment order must be >= 1, got {order}")
-    return sum((Fraction(v) ** order) * p for v, p in dist.outcomes.items())
+    return sum(v**order * p for v, p in law.items())
 
 
-def enumerate_statistic(n: int, kernel: Kernel, statistic: str) -> ExactDist:
-    """Exact law of ``statistic`` over all n-node attachment histories.
+def enumerate_statistic(n: int, kernel: Kernel, statistic: str) -> dict:
+    """Exact law {value: Fraction} of ``statistic`` over all n-node
+    attachment histories, ascending in value.
 
     ``statistic`` is a label of ``tree.parse_statistic``, the one that
     ``port simulate`` takes: ``zagreb``, ``cubic``, ``zagreb2``,
@@ -107,5 +94,4 @@ def enumerate_statistic(n: int, kernel: Kernel, statistic: str) -> ExactDist:
         h = harmonic(n - 1)
         accum = {Fraction(2 * z, n - 1) - 4 * h: weight for z, weight in accum.items()}
     total = history_count(n, kernel)
-    outcomes = {value: Fraction(weight, total) for value, weight in sorted(accum.items())}
-    return ExactDist(n=n, kernel=kernel, statistic=statistic, outcomes=outcomes, history_count=total)
+    return {value: Fraction(weight, total) for value, weight in sorted(accum.items())}

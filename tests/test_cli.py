@@ -346,18 +346,19 @@ def test_verify_suite_passes(capsys):
 
 
 def test_verify_routes_checks_every_node_exactly(capsys, monkeypatch):
-    # one check per (n, j), 2 <= j <= n <= 12; each compares with ==, so a route
-    # one ulp off the exact law's float fails it
+    # one check per (n, j), 1 <= j <= n <= 12 (j = 1: root_pmf); each compares
+    # with ==, so a route one ulp off the exact law's float fails it
     code, out, _ = run(capsys, "verify", "--suite", "routes", "--n-max", "5")
     assert code == 0
     lines = out.strip().split("\n")
-    assert lines[0] == "PASS route-equivalence n=2 j=2"
-    assert lines[-2:] == ["PASS route-equivalence n=12 j=12", "verify: 66/66 checks passed"]
-    closed = cli.degree_pmf_closed
+    assert lines[0] == "PASS route-equivalence n=2 j=1"
+    assert lines[-2:] == ["PASS route-equivalence n=12 j=12", "verify: 77/77 checks passed"]
+    closed, root = cli.degree_pmf_closed, cli.root_pmf
     monkeypatch.setattr(cli, "degree_pmf_closed", lambda n, j, d: math.nextafter(closed(n, j, d), 2.0))
+    monkeypatch.setattr(cli, "root_pmf", lambda n, d: math.nextafter(root(n, d), 2.0))
     code, out, _ = run(capsys, "verify", "--suite", "routes", "--n-max", "5")
     assert code == 2
-    assert "verify: 0/66 checks passed" in out
+    assert "verify: 0/77 checks passed" in out
 
 
 @pytest.mark.parametrize(
@@ -588,8 +589,11 @@ def test_config_file_errors_exit_1(capsys, tmp_path, text, message):
         ("n = abc\n", ["--j", "2"], "argument --n: invalid int value: 'abc'"),
         # argparse checks ``choices`` only on the command line; --format's type checks config values too
         ("format = xml\n", ["--n", "5", "--j", "2"], "argument --format: invalid choice: 'xml'"),
+        # a switch's config value is true or false, nothing else
+        ("rational = True\n", ["--n", "4", "--j", "2"], "argument --rational: expected true or false, got 'True'"),
+        ("rational = yes\n", ["--n", "4", "--j", "2"], "argument --rational: expected true or false, got 'yes'"),
     ],
-    ids=["flag", "config", "config-format"],
+    ids=["flag", "config", "config-format", "config-switch-True", "config-switch-yes"],
 )
 def test_bad_option_value_names_the_option(capsys, tmp_path, config_text, flags, message):
     argv = ["exact-pmf", *flags, "--out", str(tmp_path / "pmf")]

@@ -14,25 +14,26 @@ from port_trees.degree import (
     degree_variance,
     root_pmf,
 )
+from port_trees.oracle import oracle_moment
 
 
 def test_newest_node_is_a_leaf():
     for n in (2, 5, 9):
         assert degree_pmf_closed(n, n, 1) == pytest.approx(1.0, abs=1e-12)
         assert degree_pmf_hypergeom(n, n, 1) == pytest.approx(1.0, abs=1e-12)
-        assert degree_pmf_recurrence(n, n, exact=True).probs == {1: Fraction(1)}
+        assert degree_pmf_recurrence(n, n, exact=True) == {1: Fraction(1)}
 
 
 def test_known_law_n4_j2():
     law = degree_pmf_recurrence(4, 2, exact=True)
-    assert law.probs == {1: Fraction(8, 15), 2: Fraction(1, 3), 3: Fraction(2, 15)}
+    assert law == {1: Fraction(8, 15), 2: Fraction(1, 3), 3: Fraction(2, 15)}
     assert degree_pmf_closed(4, 2, 1) == pytest.approx(8 / 15, abs=1e-12)
     assert degree_pmf_closed(4, 2, 3) == pytest.approx(2 / 15, abs=1e-12)
 
 
 def test_known_law_n3_j2():
     law = degree_pmf_recurrence(3, 2, exact=True)
-    assert law.probs == {1: Fraction(2, 3), 2: Fraction(1, 3)}
+    assert law == {1: Fraction(2, 3), 2: Fraction(1, 3)}
 
 
 def test_max_degree_closed_form():
@@ -73,15 +74,15 @@ def test_root_pmf_small_cases():
 def test_root_pmf_matches_recurrence():
     for n in (3, 6, 20, 50):
         law = degree_pmf_recurrence(n, 1, exact=True)
-        assert list(law.probs) == list(range(1, n))
-        for d, p in law.probs.items():
+        assert list(law) == list(range(1, n))
+        for d, p in law.items():
             assert root_pmf(n, d) == pytest.approx(float(p), rel=1e-10)
-        assert law.total() == 1
+        assert sum(law.values()) == 1
 
 
 def test_root_recurrence_small_laws():
-    assert degree_pmf_recurrence(2, 1, exact=True).probs == {1: Fraction(1)}
-    assert degree_pmf_recurrence(4, 1, exact=True).probs == {1: Fraction(1, 5), 2: Fraction(2, 5), 3: Fraction(2, 5)}
+    assert degree_pmf_recurrence(2, 1, exact=True) == {1: Fraction(1)}
+    assert degree_pmf_recurrence(4, 1, exact=True) == {1: Fraction(1, 5), 2: Fraction(2, 5), 3: Fraction(2, 5)}
 
 
 @pytest.mark.parametrize("j", [1, 2])
@@ -90,13 +91,13 @@ def test_recurrence_table_holds_plain_nonzero_scalars(j):
     # underflows to 0.0 at this n and must stay out of the table
     n = 1500
     law = degree_pmf_recurrence(n, j)
-    assert all(type(d) is int and type(p) is float and p > 0.0 for d, p in law.probs.items())
-    assert len(law.probs) < len(degree_support(n, j))
+    assert all(type(d) is int and type(p) is float and p > 0.0 for d, p in law.items())
+    assert len(law) < len(degree_support(n, j))
     exact = degree_pmf_recurrence(60, j, exact=True)
-    assert all(type(p) is Fraction for p in exact.probs.values())
+    assert all(type(p) is Fraction for p in exact.values())
     approx = degree_pmf_recurrence(60, j)
-    for d, p in exact.probs.items():
-        assert approx.probs[d] == pytest.approx(float(p), rel=1e-12)
+    for d, p in exact.items():
+        assert approx[d] == pytest.approx(float(p), rel=1e-12)
 
 
 def test_root_pmf_normalizes_at_n50():
@@ -107,19 +108,19 @@ def test_root_pmf_normalizes_at_n50():
 def test_route_equivalence(n):
     for j in range(2, n + 1):
         law = degree_pmf_recurrence(n, j)
-        for d, p in law.probs.items():
+        for d, p in law.items():
             assert degree_pmf_closed(n, j, d) == pytest.approx(p, rel=1e-9, abs=1e-12)
             assert degree_pmf_hypergeom(n, j, d) == pytest.approx(p, rel=1e-9, abs=1e-12)
 
 
 def test_rational_recurrence_normalizes_exactly():
     for n, j in [(8, 2), (12, 5), (25, 10)]:
-        assert degree_pmf_recurrence(n, j, exact=True).total() == 1
+        assert sum(degree_pmf_recurrence(n, j, exact=True).values()) == 1
 
 
 def test_float_recurrence_normalization_drift():
     for j in (2, 250, 500):
-        assert degree_pmf_recurrence(500, j).total() == pytest.approx(1.0, abs=1e-10)
+        assert sum(degree_pmf_recurrence(500, j).values()) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_support_bounds():
@@ -140,26 +141,36 @@ def test_degree_variance_values():
     assert degree_variance(3, 2) == pytest.approx(2 / 9, abs=1e-10)
 
 
+def test_degree_variance_is_never_negative():
+    # the mean's gamma ratio is a float product, so no rounding drives the variance below 0
+    for n in range(2, 201):
+        assert all(degree_variance(n, j) >= 0.0 for j in range(1, n + 1))
+        assert degree_variance(n, n) == 0.0
+    assert degree_mean(2, 1) == 1.0
+    assert degree_variance(2, 1) == 0.0
+
+
 @pytest.mark.parametrize("n", [10, 40, 100])
 def test_moments_match_law(n):
     for j in (2, n // 2, n):
         law = degree_pmf_recurrence(n, j)
-        assert law.mean() == pytest.approx(degree_mean(n, j), abs=1e-9)
-        assert law.variance() == pytest.approx(degree_variance(n, j), abs=1e-9)
+        mean = oracle_moment(law, 1)
+        assert mean == pytest.approx(degree_mean(n, j), abs=1e-9)
+        assert oracle_moment(law, 2) - mean * mean == pytest.approx(degree_variance(n, j), abs=1e-9)
 
 
 def test_asymptotic_regimes():
-    m = degree_moments_asymptotic(10**6, 1, Regime.FIXED_J)
-    assert m.mean == pytest.approx(math.sqrt(math.pi * 10**6), rel=1e-12)
-    m2 = degree_moments_asymptotic(10**6, 2, Regime.FIXED_J)
-    assert m2.mean / degree_mean(10**6, 2) == pytest.approx(1.0, abs=0.01)
-    theta = degree_moments_asymptotic(8, 2, Regime.LINEAR_THETA)  # theta = 1/4
-    assert theta.variance == pytest.approx(4.0 - 2.0, rel=1e-12)
+    mean, _ = degree_moments_asymptotic(10**6, 1, Regime.FIXED_J)
+    assert mean == pytest.approx(math.sqrt(math.pi * 10**6), rel=1e-12)
+    mean2, _ = degree_moments_asymptotic(10**6, 2, Regime.FIXED_J)
+    assert mean2 / degree_mean(10**6, 2) == pytest.approx(1.0, abs=0.01)
+    _, variance = degree_moments_asymptotic(8, 2, Regime.LINEAR_THETA)  # theta = 1/4
+    assert variance == pytest.approx(4.0 - 2.0, rel=1e-12)
     with pytest.raises(ValueError):
         degree_moments_asymptotic(5, 5, Regime.LINEAR_THETA)
 
 
 def test_asymptotic_growing_j():
-    m = degree_moments_asymptotic(10**6, 10**3, Regime.GROWING_J)
-    assert m.mean == pytest.approx(math.sqrt(1000.0), rel=1e-12)
-    assert m.variance == pytest.approx(1000.0, rel=1e-12)
+    mean, variance = degree_moments_asymptotic(10**6, 10**3, Regime.GROWING_J)
+    assert mean == pytest.approx(math.sqrt(1000.0), rel=1e-12)
+    assert variance == pytest.approx(1000.0, rel=1e-12)

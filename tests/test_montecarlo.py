@@ -47,8 +47,7 @@ def test_forest_mean_zagreb_matches_oracle():
 def test_forest_root_degree_law():
     res = grow_forest(4, 100_000, Kernel.GAP, seed=13, labels=(1,))
     root = res.extra["degree:1"]
-    dist = enumerate_statistic(4, Kernel.GAP, "root-degree")
-    for d, p in dist.outcomes.items():
+    for d, p in enumerate_statistic(4, Kernel.GAP, "root-degree").items():
         p_hat = float(np.mean(root == d))
         se = math.sqrt(float(p) * (1 - float(p)) / root.size)
         assert abs(p_hat - float(p)) < 4 * se
@@ -60,9 +59,9 @@ def test_forest_root_degree_law():
 def test_forest_law_matches_oracle(n, kernel, statistic):
     res = grow_forest(n, 100_000, kernel, seed=n, labels=(1,))
     values = {"zagreb": res.zagreb, "cubic": res.cubic}.get(statistic, res.extra["degree:1"])
-    dist = enumerate_statistic(n, kernel, statistic)
-    assert set(np.unique(values)) <= set(dist.outcomes)
-    for v, p in dist.outcomes.items():
+    law = enumerate_statistic(n, kernel, statistic)
+    assert set(np.unique(values)) <= set(law)
+    for v, p in law.items():
         p_hat = float(np.mean(values == v))
         se = math.sqrt(float(p) * (1 - float(p)) / values.size)
         assert abs(p_hat - float(p)) <= 4 * se  # exact for a degenerate law
@@ -78,9 +77,9 @@ def test_forest_laws_match_oracle_at_6_and_8(n, statistic, kernel):
     # the sampler and the oracle read the same label
     key, flags = _parse_statistic(statistic, n)
     values = _extract_statistic(grow_forest(n, 100_000, kernel, seed=n, **flags), key)
-    dist = enumerate_statistic(n, kernel, statistic)
-    assert set(np.unique(values)) <= set(dist.outcomes)
-    for v, p in dist.outcomes.items():
+    law = enumerate_statistic(n, kernel, statistic)
+    assert set(np.unique(values)) <= set(law)
+    for v, p in law.items():
         p_hat = float(np.mean(values == v))
         se = math.sqrt(float(p) * (1 - float(p)) / values.size)
         assert abs(p_hat - float(p)) <= 4 * se

@@ -122,7 +122,7 @@ def test_full_tree_matches_exact_mixture_law():
     law = np.zeros(11)
     for k in range(81):  # the NegBin tail beyond 80 is below 1e-18
         weight = stats.nbinom.pmf(k, j - 0.5, math.exp(-2 * dt))
-        for d, p in degree_pmf_recurrence(j + k, j).probs.items():
+        for d, p in degree_pmf_recurrence(j + k, j).items():
             if d <= 10:
                 law[d] += weight * p
     for d in range(1, 11):

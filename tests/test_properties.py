@@ -14,6 +14,7 @@ from port_trees.degree import (
     degree_variance,
     root_pmf,
 )
+from port_trees.oracle import oracle_moment
 from port_trees.special import hypergeometric_pfq
 
 # a fixed seed and no example database: the same draws on every run
@@ -33,7 +34,7 @@ def test_closed_and_hypergeometric_routes_round_the_exact_law(case):
     # both routes sum in exact rationals and round once, so they equal the
     # exact DP's value rounded to float, with no tolerance
     n, j, d = case
-    expected = float(degree_pmf_recurrence(n, j, exact=True).probs[d])
+    expected = float(degree_pmf_recurrence(n, j, exact=True)[d])
     assert degree_pmf_closed(n, j, d) == expected
     assert degree_pmf_hypergeom(n, j, d) == expected
 
@@ -41,11 +42,11 @@ def test_closed_and_hypergeometric_routes_round_the_exact_law(case):
 @settings(_SETTINGS, max_examples=10)
 @given(st.integers(2, 299))
 def test_root_pmf_tracks_the_exact_root_law(n):
-    # root_pmf runs on lgamma, so it is held to 1e-10 relative, degree by degree
-    law = degree_pmf_recurrence(n, 1, exact=True).probs
+    # root_pmf divides two integers once, so it equals the exact law rounded to float
+    law = degree_pmf_recurrence(n, 1, exact=True)
     assert set(law) == set(range(1, n))
     for d, p in law.items():
-        assert abs(root_pmf(n, d) - float(p)) <= 1e-10 * float(p)
+        assert root_pmf(n, d) == float(p)
 
 
 def _rising(x, m):
@@ -90,10 +91,11 @@ def _node(draw):
 @settings(_SETTINGS, max_examples=40)
 @given(_node())
 def test_degree_moments_match_the_exact_law(case):
-    # the lgamma-based moments against the exact DP's mean and variance
+    # the float moment formulas against the exact DP's mean and variance
     n, j = case
     law = degree_pmf_recurrence(n, j, exact=True)
-    mean, variance = float(law.mean()), float(law.variance())
+    exact_mean = oracle_moment(law, 1)
+    mean, variance = float(exact_mean), float(oracle_moment(law, 2) - exact_mean**2)
     assert abs(degree_mean(n, j) - mean) <= 1e-11 * mean
     if variance == 0:  # j = n: the degree is 1
         assert abs(degree_variance(n, j)) <= 1e-12

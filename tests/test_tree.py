@@ -55,7 +55,7 @@ def test_gap_insertion_frequencies_at_n5():
     res = grow_forest(n, reps, Kernel.GAP, seed=7, labels=tuple(range(1, n + 1)))
     for v in range(1, n + 1):
         degrees = res.extra[f"degree:{v}"]
-        law = enumerate_statistic(n, Kernel.GAP, f"degree:{v}").outcomes
+        law = enumerate_statistic(n, Kernel.GAP, f"degree:{v}")
         for d, p in law.items():
             assert _within_4se(degrees == d, float(p))
 

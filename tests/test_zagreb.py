@@ -230,16 +230,15 @@ def test_weak_law_constants():
 def test_martingale_transform_known_values():
     # the map Z -> M gives M_2 = M_3 = 0 and M_4 = +-2/3 for Z_4 = 12 or 10
     for n in (2, 3):
-        assert enumerate_statistic(n, Kernel.DEGREE, "martingale").outcomes == {0: 1}
-    dist = enumerate_statistic(4, Kernel.DEGREE, "martingale")
-    assert dist.outcomes == {Fraction(-2, 3): Fraction(1, 2), Fraction(2, 3): Fraction(1, 2)}
+        assert enumerate_statistic(n, Kernel.DEGREE, "martingale") == {0: 1}
+    assert enumerate_statistic(4, Kernel.DEGREE, "martingale") == {Fraction(-2, 3): Fraction(1, 2), Fraction(2, 3): Fraction(1, 2)}
 
 
 def test_martingale_normalized_form():
     # M_n = (Z_n - E[Z_n]) / ((n-1)/2) exactly, outcome by outcome
     for n in range(2, 9):
-        zlaw = enumerate_statistic(n, Kernel.DEGREE, "zagreb").outcomes
-        mlaw = enumerate_statistic(n, Kernel.DEGREE, "martingale").outcomes
+        zlaw = enumerate_statistic(n, Kernel.DEGREE, "zagreb")
+        mlaw = enumerate_statistic(n, Kernel.DEGREE, "martingale")
         expected = {(z - zagreb_mean(n)) / Fraction(n - 1, 2): p for z, p in zlaw.items()}
         assert list(mlaw.items()) == list(expected.items())
 
