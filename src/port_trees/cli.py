@@ -196,8 +196,11 @@ def _cmd_exact_pmf(args) -> int:
     _check_nj(n, j, j_min=1)  # the recurrence's range holds for every method
     if method == "recurrence":
         rows = [(d, _num(p)) for d, p in degree_pmf_recurrence(n, j, exact=args.rational).items()]
-    elif j == 1:
-        rows = [(d, _num(root_pmf(n, d))) for d in degree_support(n, 1)]
+    elif j == 1:  # root_pmf's two perms, each carried across d by one factor: still one division per d
+        rows, num, den = [], 1, 2 * n - 2
+        for d in degree_support(n, 1):
+            num, den = num * (n - d), den * (2 * n - 2 - d)  # perm(n-1, d), perm(2n-2, d+1)
+            rows.append((d, _num((d * num << d) / den)))
     else:
         fn = degree_pmf_closed if method == "closed" else degree_pmf_hypergeom
         rows = [(d, _num(fn(n, j, d))) for d in degree_support(n, j)]

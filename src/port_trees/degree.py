@@ -187,10 +187,13 @@ def degree_pmf_hypergeom(n: int, j: int, d: int) -> float:
 
 
 def _mean_gamma_ratio(n: int, j: int) -> float:
-    # Gamma(n) Gamma(j-1/2) / (Gamma(n-1/2) Gamma(j)) = prod_{k=j}^{n-1} 2k/(2k-1); the float
-    # product is exact at j = n and keeps the variance >= 0, which a difference of lgammas does not
-    k = np.arange(j, n, dtype=float)
-    return float(np.prod(2 * k / (2 * k - 1)))
+    # Gamma(n) Gamma(j-1/2) / (Gamma(n-1/2) Gamma(j)) = prod_{k=j}^{n-1} 2k/(2k-1): a float product
+    # (exact at j = n) for k < m, and for k >= m >= 2^16 the series log Gamma(y+1/2) - log Gamma(y)
+    # = ln(y)/2 - 1/(8y) + O(y^-3) at y = n-1/2 and y = m-1/2, whose O(y^-3) is below 2e-17
+    m = min(n, max(j, 1 << 16))
+    k = np.arange(j, m, dtype=float)
+    y, z = n - 0.5, m - 0.5
+    return float(np.prod(2 * k / (2 * k - 1))) * math.exp(0.5 * math.log1p((n - m) / z) + (n - m) / (8 * y * z))
 
 
 def degree_mean(n: int, j: int) -> float:

@@ -51,6 +51,13 @@ def test_exact_pmf_rational(capsys):
     assert out.strip().split("\n")[1:] == ["1,8/15", "2,1/3", "3,2/15"]
 
 
+def test_exact_pmf_root_closed_route_is_root_pmf(capsys):
+    # the whole-law loop carries root_pmf's two integers across d and divides them as root_pmf does
+    code, out, _ = run(capsys, "exact-pmf", "--n", "60", "--j", "1", "--method", "closed")
+    assert code == 0
+    assert out.strip().split("\n")[1:] == [f"{d},{cli._num(cli.root_pmf(60, d))}" for d in range(1, 60)]
+
+
 def test_exact_pmf_methods_agree(capsys):
     results = []
     for method in ("closed", "recurrence", "hypergeom"):
@@ -580,6 +587,17 @@ def test_config_file_errors_exit_1(capsys, tmp_path, text, message):
     assert "port: error: argument --config: " in err
     assert message in err
     assert not out_dir.exists()
+
+
+def test_config_switch_false_is_off_and_a_flag_overrides_it(capsys, tmp_path):
+    config = tmp_path / "port.cfg"
+    config.write_text("rational = false\n")
+    code, out, _ = run(capsys, "--config", str(config), "exact-pmf", "--n", "4", "--j", "2")
+    assert code == 0
+    assert out.strip().split("\n")[1:] == ["1,0.5333333333333333", "2,0.33333333333333337", "3,0.13333333333333333"]
+    code, out, _ = run(capsys, "--config", str(config), "exact-pmf", "--n", "4", "--j", "2", "--rational")
+    assert code == 0
+    assert out.strip().split("\n")[1:] == ["1,8/15", "2,1/3", "3,2/15"]
 
 
 @pytest.mark.parametrize(

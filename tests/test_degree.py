@@ -142,12 +142,28 @@ def test_degree_variance_values():
 
 
 def test_degree_variance_is_never_negative():
-    # the mean's gamma ratio is a float product, so no rounding drives the variance below 0
+    # near j = n the mean's gamma ratio is a float product, so no rounding drives the variance below 0
     for n in range(2, 201):
         assert all(degree_variance(n, j) >= 0.0 for j in range(1, n + 1))
         assert degree_variance(n, n) == 0.0
     assert degree_mean(2, 1) == 1.0
     assert degree_variance(2, 1) == 0.0
+
+
+@pytest.mark.parametrize("n,j", [(2**16 + 1000, 2**16 - 10), (2**16 + 3000, 2**16 + 5), (2**17, 2**17 - 1)])
+def test_mean_past_the_float_product_matches_the_exact_ratio(n, j):
+    # the ratio's factors from k = 2^16 on come from an asymptotic series; prod 2k / prod (2k-1) is exact
+    exact = math.prod(range(2 * j, 2 * n, 2)) / math.prod(range(2 * j - 1, 2 * n - 1, 2))
+    assert degree_mean(n, j) == pytest.approx(exact, rel=1e-14)
+
+
+def test_moments_at_huge_n_cost_no_more_than_at_2_to_the_16():
+    # the float product stops at 2^16 factors, so n = 10^9 allocates no n-sized array
+    mean, variance = degree_mean(10**9, 2), degree_variance(10**9, 2)
+    asymptotic_mean, asymptotic_variance = degree_moments_asymptotic(10**9, 2, Regime.FIXED_J)
+    assert mean == pytest.approx(asymptotic_mean, rel=1e-8)
+    assert variance == pytest.approx(asymptotic_variance - mean, rel=1e-8)  # the series drops the -mean term
+    assert 0.0 < degree_variance(10**9, 10**9 - 1) == pytest.approx(1 / (2 * 10**9 - 3), rel=1e-6)
 
 
 @pytest.mark.parametrize("n", [10, 40, 100])

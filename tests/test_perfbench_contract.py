@@ -1,10 +1,14 @@
 """The benchmark's contract with the package.
 
-``perfbench/child.py`` wraps every name in each layer's ``__all__`` with
-``spans.Recorder.install`` and then runs ``port`` commands through
-``cli.main``.  A stale name in an ``__all__`` would crash every benchmark
-command, so this test does the same, once per recorder mode, in a fresh
-interpreter, with one small command per subcommand the benchmark runs.
+``perfbench/child.py`` installs a ``spans.Recorder`` over the package and
+runs ``port`` commands through ``cli.main``.  Its observers bind each
+spanned function's arguments by name (``n``, ``replicates``,
+``chunk_size``, ``kernel``, ...) and read its return value
+(``extra["martingale_bound_ok"]``, ``times``), so renaming an argument or
+a result field breaks every benchmark command although the package's own
+tests pass.  This test installs both recorders the benchmark uses, in a
+fresh interpreter, and runs one small command per subcommand through
+them.
 """
 
 import json
@@ -24,8 +28,11 @@ sys.path.insert(0, sys.argv[1])
 import spans
 from port_trees import cli
 
-out, timed, reps = sys.argv[2], sys.argv[3] == "timed", sys.argv[4]
-recorder = spans.Recorder(timed=timed, only=("montecarlo.grow_forest",))
+out, reps = sys.argv[2], sys.argv[4]
+if sys.argv[3] == "timed":
+    recorder = spans.Recorder(timed=True)
+else:
+    recorder = spans.Recorder(timed=False, only=("montecarlo.grow_forest",))
 recorder.install()
 commands = [
     f"simulate --n 50 --reps {reps} --stat martingale --seed 1 --out {out}/simulate",
