@@ -15,12 +15,10 @@ from port_trees import (
 )
 
 n, j = 12, 3
-law = degree_pmf_recurrence(n, j)
+law, closed, hyp = degree_pmf_recurrence(n, j), degree_pmf_closed(n, j), degree_pmf_hypergeom(n, j)
 print(f"Law of the degree of node {j} in a tree of {n} nodes (DP route):")
 for d, p in law.items():
-    closed = degree_pmf_closed(n, j, d)
-    hyp = degree_pmf_hypergeom(n, j, d)
-    print(f"  d={d:2d}  p={p:.10f}   closed dev {closed - p:+.2e}   3F2 dev {hyp - p:+.2e}")
+    print(f"  d={d:2d}  p={p:.10f}   closed dev {closed[d] - p:+.2e}   3F2 dev {hyp[d] - p:+.2e}")
 mean = oracle_moment(law, 1)
 print(f"  total = {sum(law.values()):.12f}")
 print(f"  mean  = {mean:.6f}  (formula: {degree_mean(n, j):.6f})")

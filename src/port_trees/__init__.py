@@ -14,7 +14,6 @@ from .degree import (
     degree_pmf_recurrence,
     degree_support,
     degree_variance,
-    root_pmf,
 )
 from .zagreb import (
     M_SECOND_MOMENT_LIMIT,

@@ -28,16 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .degree import (
-    _check_nj,
-    degree_mean,
-    degree_pmf_closed,
-    degree_pmf_hypergeom,
-    degree_pmf_recurrence,
-    degree_support,
-    degree_variance,
-    root_pmf,
-)
+from .degree import degree_mean, degree_pmf_closed, degree_pmf_hypergeom, degree_pmf_recurrence, degree_variance
 from .montecarlo import SimulationConfig, StatsSummary, kde, martingale_diagnostics, run_experiment
 from .oracle import DEFAULT_CAP, enumerate_statistic, history_count, oracle_moment
 from .poisson import moments_w, simulate_gap_tree, simulate_yule
@@ -188,23 +179,13 @@ def _write_manifest(out_dir: str, subcommand: str, resolved: dict) -> None:
 
 
 def _cmd_exact_pmf(args) -> int:
-    n, j, method = args.n, args.j, args.method
-    if method not in ("closed", "recurrence", "hypergeom"):
-        raise SystemExit(f"unknown method {method!r}")
-    if args.rational and method != "recurrence":
+    routes = {"closed": degree_pmf_closed, "recurrence": degree_pmf_recurrence, "hypergeom": degree_pmf_hypergeom}
+    if args.method not in routes:
+        raise SystemExit(f"unknown method {args.method!r}")
+    if args.rational and args.method != "recurrence":
         raise SystemExit("--rational is only available with the recurrence method")
-    _check_nj(n, j, j_min=1)  # the recurrence's range holds for every method
-    if method == "recurrence":
-        rows = [(d, _num(p)) for d, p in degree_pmf_recurrence(n, j, exact=args.rational).items()]
-    elif j == 1:  # root_pmf's two perms, each carried across d by one factor: still one division per d
-        rows, num, den = [], 1, 2 * n - 2
-        for d in degree_support(n, 1):
-            num, den = num * (n - d), den * (2 * n - 2 - d)  # perm(n-1, d), perm(2n-2, d+1)
-            rows.append((d, _num((d * num << d) / den)))
-    else:
-        fn = degree_pmf_closed if method == "closed" else degree_pmf_hypergeom
-        rows = [(d, _num(fn(n, j, d))) for d in degree_support(n, j)]
-    _emit_rows(("d", "probability"), rows, args.format, args.out, "pmf")
+    law = degree_pmf_recurrence(args.n, args.j, exact=True) if args.rational else routes[args.method](args.n, args.j)
+    _emit_rows(("d", "probability"), [(d, _num(p)) for d, p in law.items()], args.format, args.out, "pmf")
     return 0
 
 
@@ -334,13 +315,8 @@ def _verify_routes(n_max: int) -> list[tuple[str, bool]]:
     for n in range(2, n_max + 1):
         for j in range(1, n + 1):
             # every closed route divides once, so it must equal the exact law rounded to float
-            law = degree_pmf_recurrence(n, j, exact=True)
-            if j == 1:
-                ok = all(root_pmf(n, d) == float(p) for d, p in law.items())
-            else:
-                ok = all(
-                    degree_pmf_closed(n, j, d) == float(p) == degree_pmf_hypergeom(n, j, d) for d, p in law.items()
-                )
+            rounded = {d: float(p) for d, p in degree_pmf_recurrence(n, j, exact=True).items()}
+            ok = degree_pmf_closed(n, j) == rounded == degree_pmf_hypergeom(n, j)
             checks.append((f"route-equivalence n={n} j={j}", ok))
     return checks
 

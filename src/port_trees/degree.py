@@ -1,29 +1,35 @@
 """Exact and asymptotic distribution of the degree of a fixed-label node.
 
-Three independent evaluation routes are provided for the law of the
-degree of the node labeled j in a gap-oriented tree of n nodes:
+Three independent routes give the law of the degree of the node labeled
+j in a gap-oriented tree of n nodes, 1 <= j <= n.  Each returns the
+whole law as one {d: probability} dict, ascending in d, with empty
+entries left out:
 
-* ``degree_pmf_closed`` -- the alternating gamma-ratio sum.  Each
-  summand is rational, so the sum runs on integer numerators over one
-  denominator per parity and the alternating cancellation costs no
-  precision.
+* ``degree_pmf_closed`` -- the alternating gamma-ratio sum.  Each ratio
+  is rational, so the routine puts all of them over one integer
+  denominator and gets every degree's sum from them by Pascal's rule,
+  in integer additions.  The root (j = 1) has its own closed form.
 * ``degree_pmf_recurrence`` -- a forward DP with all-nonnegative
   coefficients; numerically stable and the default route, with an
   exact mode on integer numerators over the common denominator
-  prod (2m-3).  It also covers the root (j = 1).
+  prod (2m-3).
 * ``degree_pmf_hypergeom`` -- two terminating 3F2 series, summed as
-  unreduced integer pairs.
+  unreduced integer pairs.  The root's law is one hypergeometric term,
+  the closed route's.
 
 The exact routes build no ``Fraction`` in their loops: they divide once
-at the end, by ``p / q`` for a float (int true division rounds
+per probability, by ``p / q`` for a float (int true division rounds
 correctly, so p/q need not be in lowest terms) or by one ``Fraction``
-per probability in the DP's exact mode.  The root (j = 1) has its own
-closed form, ``root_pmf``, which also divides once.
+in the DP's exact mode.  A float law leaves out every probability below
+the smallest normal float: a subnormal keeps too few bits to mean
+anything, and the DP's can even stick, as each root step multiplies the
+smallest one by more than 1/2.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from enum import Enum
 from fractions import Fraction
 
@@ -36,7 +42,6 @@ __all__ = [
     "degree_support",
     "degree_pmf_closed",
     "degree_pmf_recurrence",
-    "root_pmf",
     "degree_pmf_hypergeom",
     "degree_mean",
     "degree_variance",
@@ -57,46 +62,67 @@ def degree_support(n: int, j: int) -> range:
     return range(1, n - j + 2)
 
 
-def _check_nj(n: int, j: int, j_min: int = 2) -> None:
+def _check_nj(n: int, j: int) -> None:
     if n < 2:
         raise ValueError(f"need n >= 2, got n={n}")
-    if j < j_min or j > n:
-        raise ValueError(f"need {j_min} <= j <= n, got j={j}, n={n}")
+    if j < 1 or j > n:
+        raise ValueError(f"need 1 <= j <= n, got j={j}, n={n}")
 
 
-def degree_pmf_closed(n: int, j: int, d: int) -> float:
-    """Alternating-sum closed form for P(degree of node j at time n = d).
+def _float_law(probs) -> dict:
+    """{d: p} from (d, p) pairs, without the p below the smallest normal float."""
+    return {d: p for d, p in probs if p >= sys.float_info.min}
 
-    The i-th summand is C(d-1, i) times the gamma ratio
+
+def _root_law(n: int) -> dict:
+    """The root's law, P(d) = d 2^d perm(n-1, d) / perm(2n-2, d+1).
+
+    Equal to d (2n-d-3)! / (2^{n-d-1} (n-d-1)! (2n-3)!!).  Each perm is
+    carried across d by one factor, and each P(d) is one division.
+    """
+    probs, num, den = [], 1, 2 * n - 2
+    for d in range(1, n):
+        num, den = num * (n - d), den * (2 * n - 2 - d)  # perm(n-1, d), perm(2n-2, d+1)
+        probs.append((d, (d * num << d) / den))
+    return _float_law(probs)
+
+
+def degree_pmf_closed(n: int, j: int) -> dict:
+    """Closed form for the law of the degree of node j at time n.
+
+    For j >= 2, P(d) is the alternating sum over 0 <= i < d of
+    (-1)^i C(d-1, i) R(i), with the gamma ratio
     R(i) = Gamma(j-1/2) Gamma(n-1-i/2) / (Gamma(n-1/2) Gamma(j-1-i/2)).
     Its gamma arguments pair up into integer-difference ratios, so the
     sqrt(pi) factors cancel and R(i) is rational; consecutive ratios of
     one parity differ by one factor, R(i) = R(i-2) (2j-2-i)/(2n-2-i), and
     a pole of Gamma(j-1-i/2) (even i >= 2j-2) makes R(i) zero from then
-    on.  Each parity keeps R(i) as an integer numerator over an integer
-    denominator, and its partial sum of C(d-1, i) R(i) as an integer over
-    that same denominator, so a step is a few int multiplies.  The two
-    sums are subtracted by one cross-multiplication and divided once, at
-    the end; this keeps full relative accuracy even at tiny tail
-    probabilities where a floating evaluation would lose everything to
-    cancellation.
+    on.  Each R(i) is formed once and put over one denominator D, the
+    product of the two parities' last denominators.  From the row
+    (-1)^i R(i) D, Pascal's rule row'[i] = row[i] + row[i+1] gives the
+    row whose first entry is the next P(d) D, in integer additions only.
+    Each P(d) is one division, so it is the exact value correctly
+    rounded, even at tiny tail probabilities where a floating evaluation
+    would lose everything to cancellation.  The root (j = 1) has its own
+    closed form (``_root_law``).
     """
     _check_nj(n, j)
-    if d < 1 or d > n - j + 1:
-        return 0.0
-    # per parity [numerator of R(i), denominator of R(i), numerator of the sum]
-    # R(0) = prod_{t=j-1}^{n-2} 2t / prod_{k=j}^{n-1} (2k-1); R(1) = (2j-3)/(2n-3)
-    r0 = math.prod(range(2 * j - 2, 2 * n - 2, 2))
-    even = [r0, math.prod(range(2 * j - 1, 2 * n - 1, 2)), r0]
-    odd = [2 * j - 3, 2 * n - 3, 0]
-    for i in range(1, d):
-        part = odd if i % 2 else even
-        if i >= 2:
-            part[0] *= 2 * j - 2 - i
-            part[1] *= 2 * n - 2 - i
-            part[2] *= 2 * n - 2 - i
-        part[2] += math.comb(d - 1, i) * part[0]
-    return (even[2] * odd[1] - odd[2] * even[1]) / (even[1] * odd[1])
+    if j == 1:
+        return _root_law(n)
+    # (numerator, denominator) of R(i) for 0 <= i <= max(n - j, 1), from
+    # R(0) = prod_{t=j-1}^{n-2} 2t / prod_{k=j}^{n-1} (2k-1) and R(1) = (2j-3)/(2n-3)
+    ratios = [(math.prod(range(2 * j - 2, 2 * n - 2, 2)), math.prod(range(2 * j - 1, 2 * n - 1, 2)))]
+    ratios.append((2 * j - 3, 2 * n - 3))
+    for i in range(2, n - j + 1):
+        num, den = ratios[i - 2]
+        ratios.append((num * (2 * j - 2 - i), den * (2 * n - 2 - i)))
+    den = ratios[-1][1] * ratios[-2][1]
+    row = [(-1) ** i * num * (den // q) for i, (num, q) in enumerate(ratios)]
+    probs = []
+    for d in range(1, n - j + 2):
+        probs.append((d, row[0] / den))
+        row = [a + b for a, b in zip(row, row[1:])]
+    return _float_law(probs)
 
 
 def degree_pmf_recurrence(n: int, j: int, exact: bool = False) -> dict:
@@ -111,9 +137,9 @@ def degree_pmf_recurrence(n: int, j: int, exact: bool = False) -> dict:
     denominator D_m = prod (2k-3), with no division in the loop, and
     builds one Fraction N(d)/D per degree at the end, so the law sums
     to 1 exactly.  The law is returned as {d: probability}, ascending in
-    d, with zero probabilities left out.
+    d, with zero probabilities (and, in floats, subnormal ones) left out.
     """
-    _check_nj(n, j, j_min=1)
+    _check_nj(n, j)
     offset = 1 if j == 1 else 0  # the root's extra gap
     steps = range(max(j, 2) + 1, n + 1)
     if exact:
@@ -134,56 +160,40 @@ def degree_pmf_recurrence(n: int, j: int, exact: bool = False) -> dict:
         new[1:] += probs * gaps / denom
         probs = new
     # plain Python floats: a numpy float would change every repr
-    return {d: float(p) for d, p in enumerate(probs, start=1) if p}
+    return _float_law(enumerate(probs.tolist(), start=1))
 
 
-def root_pmf(n: int, d: int) -> float:
-    """Closed form for the root's degree law: P(root degree at time n = d).
-
-    Equal to d (2n-d-3)! / (2^{n-d-1} (n-d-1)! (2n-3)!!), which is
-    d 2^d perm(n-1, d) / perm(2n-2, d+1): two integers, divided once.
-    """
-    if n < 2:
-        raise ValueError(f"root_pmf requires n >= 2, got {n}")
-    if d < 1 or d > n - 1:
-        return 0.0
-    return (d * math.perm(n - 1, d) << d) / math.perm(2 * n - 2, d + 1)
-
-
-def degree_pmf_hypergeom(n: int, j: int, d: int) -> float:
-    """Hypergeometric route: the degree PMF as a difference of two 3F2s.
+def degree_pmf_hypergeom(n: int, j: int) -> dict:
+    """Hypergeometric route: each P(d) as a difference of two 3F2s.
 
     Both 3F2 series terminate and every gamma-ratio prefactor reduces to
     a rational number (the half-integer gammas appear in ratios whose
     sqrt(pi) factors cancel).  Each series is summed as an unreduced
     integer pair, each prefactor is a pair of integer products, and the
-    difference is one cross-multiplication divided once, at the end.
-    This sidesteps the catastrophic cancellation between the two terms
-    that a floating evaluation suffers at small tail probabilities.
+    difference is one cross-multiplication divided once.  This sidesteps
+    the catastrophic cancellation between the two terms that a floating
+    evaluation suffers at small tail probabilities.  The root's law
+    (j = 1) is a single hypergeometric term, the closed route's.
     """
     _check_nj(n, j)
-    if d < 1 or d > n - j + 1:
-        return 0.0
-    t1, s1 = _pfq_sum(
-        [Fraction(2 - d, 2), Fraction(1 - d, 2), Fraction(2 - j)],
-        [Fraction(1, 2), Fraction(2 - n)],
-        1,
-    )
+    if j == 1:
+        return _root_law(n)
     # Gamma(n-1)/Gamma(j-1) = prod_{k=j-1}^{n-2} k;
     # Gamma(j-1/2)/Gamma(n-1/2) = 1 / prod_{k=j}^{n-1} (k - 1/2) = 2^{n-j} / prod (2k-1)
     p1 = math.prod(range(j - 1, n - 1)) << (n - j)
     q1 = math.prod(range(2 * j - 1, 2 * n - 1, 2))
-    if d == 1:
-        return (p1 * t1) / (q1 * s1)  # 1/Gamma(d-1) pole kills the second term
-    t2, s2 = _pfq_sum(
-        [Fraction(3 - d, 2), Fraction(2 - d, 2), Fraction(5, 2) - j],
-        [Fraction(3, 2), Fraction(5, 2) - n],
-        1,
-    )
-    # Gamma(d)/Gamma(d-1) = d-1; Gamma(j-1/2)/Gamma(j-3/2) = j-3/2;
     # Gamma(n-3/2)/Gamma(n-1/2) = 1/(n-3/2)
-    p2, q2 = (d - 1) * (2 * j - 3), 2 * n - 3
-    return (p1 * t1 * q2 * s2 - p2 * t2 * q1 * s1) / (q1 * s1 * q2 * s2)
+    q2 = 2 * n - 3
+    lower1, lower2 = [Fraction(1, 2), Fraction(2 - n)], [Fraction(3, 2), Fraction(5, 2) - n]
+    probs = []
+    for d in range(1, n - j + 2):
+        t1, s1 = _pfq_sum([Fraction(2 - d, 2), Fraction(1 - d, 2), Fraction(2 - j)], lower1, 1)
+        # Gamma(d)/Gamma(d-1) = d-1 and Gamma(j-1/2)/Gamma(j-3/2) = j-3/2; at d = 1 the pole of
+        # 1/Gamma(d-1) makes p2 zero, and the second series would not terminate
+        p2 = (d - 1) * (2 * j - 3)
+        t2, s2 = _pfq_sum([Fraction(3 - d, 2), Fraction(2 - d, 2), Fraction(5, 2) - j], lower2, 1) if p2 else (0, 1)
+        probs.append((d, (p1 * t1 * q2 * s2 - p2 * t2 * q1 * s1) / (q1 * s1 * q2 * s2)))
+    return _float_law(probs)
 
 
 def _mean_gamma_ratio(n: int, j: int) -> float:
@@ -198,13 +208,13 @@ def _mean_gamma_ratio(n: int, j: int) -> float:
 
 def degree_mean(n: int, j: int) -> float:
     """Exact mean degree of node j at time n (root loses its phantom gap)."""
-    _check_nj(n, j, j_min=1)
+    _check_nj(n, j)
     return _mean_gamma_ratio(n, j) - (1.0 if j == 1 else 0.0)
 
 
 def degree_variance(n: int, j: int) -> float:
     """Exact variance of the degree of node j at time n."""
-    _check_nj(n, j, j_min=1)
+    _check_nj(n, j)
     a = _mean_gamma_ratio(n, j)
     return -a * a - a + (4 * n - 2) / (2 * j - 1)
 

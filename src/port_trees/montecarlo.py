@@ -369,8 +369,10 @@ def _grow(config: SimulationConfig) -> tuple[ForestResult, str]:
 def run_experiment(config: SimulationConfig) -> tuple[np.ndarray, StatsSummary]:
     """Grow the configured forest; return the statistic's sample, one
     value per replicate, and its summary."""
+    if config.replicates < _JB_MIN_COUNT:  # refused before any tree grows
+        raise ValueError(f"--reps must be >= {_JB_MIN_COUNT} for the Jarque-Bera summary, got {config.replicates}")
     values = _extract_statistic(*_grow(config))
-    if values.size >= _JB_MIN_COUNT and values.min() == values.max():  # e.g. the newest node is always a leaf
+    if values.min() == values.max():  # e.g. the newest node is always a leaf
         raise ValueError(
             f"the statistic {config.statistic!r} is {values[0]} in all {values.size} replicates at n = {config.n}: "
             "a constant sample has no skewness, kurtosis or Jarque-Bera test"

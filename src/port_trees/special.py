@@ -1,8 +1,10 @@
 """Scalar special-function kernels used by the exact-analytics modules.
 
-Everything here is pure and stateless.  Gamma ratios elsewhere in the
-package are always formed as differences of ``log_gamma`` values, never
-as quotients of raw gammas, so they stay finite far beyond n ~ 170.
+Everything here is pure and stateless.  No gamma ratio in the package
+is a quotient of raw gammas, so each stays finite far beyond n ~ 170:
+the exact degree routes form them as integer products, the exact degree
+moments as a float product plus an asymptotic series, and the
+fixed-j asymptotics as a difference of ``log_gamma`` values.
 """
 
 from __future__ import annotations

@@ -35,7 +35,6 @@ from port_trees.degree import (
     degree_pmf_hypergeom,
     degree_pmf_recurrence,
     degree_variance,
-    root_pmf,
 )
 from port_trees.montecarlo import SimulationConfig, grow_forest, jarque_bera, martingale_diagnostics
 from port_trees.oracle import enumerate_statistic, oracle_moment
@@ -65,27 +64,26 @@ def test_criterion_01_oracle_formula_equivalence_degree():
         for j in range(1, n + 1):
             law = enumerate_statistic(n, Kernel.GAP, f"degree:{j}")
             ok &= law == degree_pmf_recurrence(n, j, exact=True)
-            closed = root_pmf if j == 1 else (lambda nn, dd, jj=j: degree_pmf_closed(nn, jj, dd))
+            closed = degree_pmf_closed(n, j)
+            ok &= closed.keys() == law.keys()
             for d, p in law.items():
-                err = abs(closed(n, d) - float(p))
-                worst = max(worst, err)
+                worst = max(worst, abs(closed[d] - float(p)))
     ok &= worst <= 1e-10
     _report("criterion 1: oracle vs DP vs closed forms, n <= 8", ok, f"max closed-form error {worst:.2e}")
     assert ok
 
 
 def test_criterion_02_route_equivalence_to_n30():
+    ok = True
     worst = 0.0
     for n in range(2, 31):
-        for j in range(2, n + 1):
-            for d, p in degree_pmf_recurrence(n, j).items():
-                scale = max(p, 1e-300)
-                worst = max(
-                    worst,
-                    abs(degree_pmf_closed(n, j, d) - p) / scale,
-                    abs(degree_pmf_hypergeom(n, j, d) - p) / scale,
-                )
-    ok = worst <= 1e-9
+        for j in range(1, n + 1):
+            law = degree_pmf_recurrence(n, j)
+            for route in (degree_pmf_closed(n, j), degree_pmf_hypergeom(n, j)):
+                ok &= route.keys() == law.keys()
+                for d, p in law.items():
+                    worst = max(worst, abs(route[d] - p) / max(p, 1e-300))
+    ok &= worst <= 1e-9
     _report("criterion 2: three-route equivalence, n <= 30", ok, f"max relative error {worst:.2e}")
     assert ok
 

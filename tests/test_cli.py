@@ -52,10 +52,12 @@ def test_exact_pmf_rational(capsys):
 
 
 def test_exact_pmf_root_closed_route_is_root_pmf(capsys):
-    # the whole-law loop carries root_pmf's two integers across d and divides them as root_pmf does
-    code, out, _ = run(capsys, "exact-pmf", "--n", "60", "--j", "1", "--method", "closed")
-    assert code == 0
-    assert out.strip().split("\n")[1:] == [f"{d},{cli._num(cli.root_pmf(60, d))}" for d in range(1, 60)]
+    # both routes print the root's closed form, which divides once per degree: the exact law rounded
+    expected = [f"{d},{float(p)!r}" for d, p in cli.degree_pmf_recurrence(60, 1, exact=True).items()]
+    for method in ("closed", "hypergeom"):
+        code, out, _ = run(capsys, "exact-pmf", "--n", "60", "--j", "1", "--method", method)
+        assert code == 0
+        assert out.strip().split("\n")[1:] == expected
 
 
 def test_exact_pmf_methods_agree(capsys):
@@ -353,19 +355,39 @@ def test_verify_suite_passes(capsys):
 
 
 def test_verify_routes_checks_every_node_exactly(capsys, monkeypatch):
-    # one check per (n, j), 1 <= j <= n <= 12 (j = 1: root_pmf); each compares
-    # with ==, so a route one ulp off the exact law's float fails it
+    # one check per (n, j), 1 <= j <= n <= 12; each compares whole laws
+    # with ==, so one entry one ulp off the exact law's float fails it
     code, out, _ = run(capsys, "verify", "--suite", "routes", "--n-max", "5")
     assert code == 0
     lines = out.strip().split("\n")
     assert lines[0] == "PASS route-equivalence n=2 j=1"
     assert lines[-2:] == ["PASS route-equivalence n=12 j=12", "verify: 77/77 checks passed"]
-    closed, root = cli.degree_pmf_closed, cli.root_pmf
-    monkeypatch.setattr(cli, "degree_pmf_closed", lambda n, j, d: math.nextafter(closed(n, j, d), 2.0))
-    monkeypatch.setattr(cli, "root_pmf", lambda n, d: math.nextafter(root(n, d), 2.0))
-    code, out, _ = run(capsys, "verify", "--suite", "routes", "--n-max", "5")
-    assert code == 2
-    assert "verify: 0/77 checks passed" in out
+
+    def nudged(route):
+        def law(n, j):
+            probs = route(n, j)
+            d = max(probs)
+            return {**probs, d: math.nextafter(probs[d], 2.0)}
+
+        return law
+
+    for name in ("degree_pmf_closed", "degree_pmf_hypergeom"):
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, name, nudged(getattr(cli, name)))
+            code, out, _ = run(capsys, "verify", "--suite", "routes", "--n-max", "5")
+        assert code == 2
+        assert "verify: 0/77 checks passed" in out
+
+
+def test_verify_all_is_the_ci_entry_point(capsys):
+    # 42 oracle, 77 route, 4 normalization and 3 martingale checks
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--n-max", "8")
+    assert code == 0
+    lines = out.strip().split("\n")
+    assert lines[-1] == "verify: 126/126 checks passed"
+    for check in ("oracle-vs-recurrence n=8 j=8", "route-equivalence n=12 j=1", "normalization n=200 root",
+                  "martingale-mean-zero"):
+        assert f"PASS {check}" in lines
 
 
 @pytest.mark.parametrize(
@@ -444,16 +466,21 @@ def test_zagreb_moments_beyond_the_digit_limit(capsys, tmp_path):
         ),
         ({"--n": "2"}, "port: error: the statistic 'zagreb' is 2 in all 50 replicates at n = 2"),
         ({"--n": "3", "--stat": "zagreb"}, "port: error: the statistic 'zagreb' is 6 in all 50 replicates at n = 3"),
+        # too few replicates for the Jarque-Bera summary: refused before any tree grows
+        ({"--n": "500000", "--reps": "7"}, "port: error: --reps must be >= 8 for the Jarque-Bera summary, got 7"),
     ],
-    ids=[f"bad{i}" for i in range(7)],
+    ids=[f"bad{i}" for i in range(8)],
 )
-def test_simulate_rejects_bad_config_before_writing(capsys, tmp_path, bad, message):
+def test_simulate_rejects_bad_config_before_writing(capsys, tmp_path, monkeypatch, bad, message):
+    grown, grow_forest = [], montecarlo.grow_forest
+    monkeypatch.setattr(montecarlo, "grow_forest", lambda *args, **kw: grown.append(args) or grow_forest(*args, **kw))
     out_dir = tmp_path / "run"
     flags = {"--n": "30", "--reps": "50", "--seed": "1", "--out": str(out_dir), **bad}
     code, _, err = run(capsys, "simulate", *[item for pair in flags.items() for item in pair])
     assert code == 1
     assert message in err
     assert not out_dir.exists()
+    assert bool(grown) == ("in all 50 replicates" in message)  # only a constant sample needs the forest
 
 
 def test_simulate_zagreb2_refuses_int64_overflow(capsys, tmp_path, monkeypatch):

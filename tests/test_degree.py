@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,23 +13,21 @@ from port_trees.degree import (
     degree_pmf_recurrence,
     degree_support,
     degree_variance,
-    root_pmf,
 )
 from port_trees.oracle import oracle_moment
 
 
 def test_newest_node_is_a_leaf():
     for n in (2, 5, 9):
-        assert degree_pmf_closed(n, n, 1) == pytest.approx(1.0, abs=1e-12)
-        assert degree_pmf_hypergeom(n, n, 1) == pytest.approx(1.0, abs=1e-12)
+        assert degree_pmf_closed(n, n) == {1: 1.0}
+        assert degree_pmf_hypergeom(n, n) == {1: 1.0}
         assert degree_pmf_recurrence(n, n, exact=True) == {1: Fraction(1)}
 
 
 def test_known_law_n4_j2():
     law = degree_pmf_recurrence(4, 2, exact=True)
     assert law == {1: Fraction(8, 15), 2: Fraction(1, 3), 3: Fraction(2, 15)}
-    assert degree_pmf_closed(4, 2, 1) == pytest.approx(8 / 15, abs=1e-12)
-    assert degree_pmf_closed(4, 2, 3) == pytest.approx(2 / 15, abs=1e-12)
+    assert degree_pmf_closed(4, 2) == pytest.approx({1: 8 / 15, 2: 1 / 3, 3: 2 / 15}, abs=1e-12)
 
 
 def test_known_law_n3_j2():
@@ -43,19 +42,21 @@ def test_max_degree_closed_form():
         expected = math.exp(
             math.lgamma(n - j + 1) + math.lgamma(j - 0.5) - (n - j) * math.log(2) - math.lgamma(n - 0.5)
         )
-        assert degree_pmf_closed(n, j, d) == pytest.approx(expected, rel=1e-10)
+        assert degree_pmf_closed(n, j)[d] == pytest.approx(expected, rel=1e-10)
 
 
 def test_out_of_support_is_zero():
-    assert degree_pmf_closed(5, 3, 0) == 0.0
-    assert degree_pmf_closed(5, 3, 4) == 0.0
-    assert degree_pmf_hypergeom(5, 3, 9) == 0.0
-    assert root_pmf(5, 5) == 0.0
+    # a law holds the degrees of its support and no other
+    for route in (degree_pmf_closed, degree_pmf_hypergeom, degree_pmf_recurrence):
+        assert list(route(5, 3)) == list(degree_support(5, 3)) == [1, 2, 3]
+        assert list(route(5, 1)) == list(degree_support(5, 1)) == [1, 2, 3, 4]
 
 
-def test_j1_rejected_outside_root_route():
-    with pytest.raises(ValueError):
-        degree_pmf_closed(5, 1, 1)
+@pytest.mark.parametrize("route", [degree_pmf_closed, degree_pmf_hypergeom, degree_pmf_recurrence])
+def test_every_route_rejects_bad_labels(route):
+    for n, j in [(1, 1), (5, 0), (5, 6)]:
+        with pytest.raises(ValueError, match="need"):
+            route(n, j)
 
 
 def test_recurrence_rejects_bad_labels():
@@ -65,18 +66,16 @@ def test_recurrence_rejects_bad_labels():
 
 
 def test_root_pmf_small_cases():
-    assert root_pmf(2, 1) == pytest.approx(1.0, rel=1e-12)
-    assert root_pmf(4, 1) == pytest.approx(1 / 5, rel=1e-12)
-    assert root_pmf(4, 2) == pytest.approx(2 / 5, rel=1e-12)
-    assert root_pmf(4, 3) == pytest.approx(2 / 5, rel=1e-12)
+    for route in (degree_pmf_closed, degree_pmf_hypergeom):
+        assert route(2, 1) == {1: 1.0}
+        assert route(4, 1) == pytest.approx({1: 1 / 5, 2: 2 / 5, 3: 2 / 5}, rel=1e-12)
 
 
 def test_root_pmf_matches_recurrence():
     for n in (3, 6, 20, 50):
         law = degree_pmf_recurrence(n, 1, exact=True)
         assert list(law) == list(range(1, n))
-        for d, p in law.items():
-            assert root_pmf(n, d) == pytest.approx(float(p), rel=1e-10)
+        assert degree_pmf_closed(n, 1) == {d: float(p) for d, p in law.items()}
         assert sum(law.values()) == 1
 
 
@@ -88,10 +87,10 @@ def test_root_recurrence_small_laws():
 @pytest.mark.parametrize("j", [1, 2])
 def test_recurrence_table_holds_plain_nonzero_scalars(j):
     # numpy scalars would change every repr the CLI writes; the far tail
-    # underflows to 0.0 at this n and must stay out of the table
+    # falls below the smallest normal float at this n and must stay out of the table
     n = 1500
     law = degree_pmf_recurrence(n, j)
-    assert all(type(d) is int and type(p) is float and p > 0.0 for d, p in law.items())
+    assert all(type(d) is int and type(p) is float and p >= sys.float_info.min for d, p in law.items())
     assert len(law) < len(degree_support(n, j))
     exact = degree_pmf_recurrence(60, j, exact=True)
     assert all(type(p) is Fraction for p in exact.values())
@@ -100,17 +99,31 @@ def test_recurrence_table_holds_plain_nonzero_scalars(j):
         assert approx[d] == pytest.approx(float(p), rel=1e-12)
 
 
+@pytest.mark.parametrize("j", [1, 2])
+def test_float_laws_leave_out_subnormal_tails(j):
+    # each root step multiplies the smallest subnormal by (m-1)/(2m-3) > 1/2, which rounds
+    # back to itself, so a stuck 5e-324 would stand at d = n - 1 for an exact ~1e-359
+    n = 1200
+    law = degree_pmf_recurrence(n, j)
+    assert list(law) == list(range(1, len(law) + 1))
+    assert min(law.values()) >= sys.float_info.min
+    assert len(law) < len(degree_support(n, j))
+    if j == 1:  # the closed law at j = 2 costs about a second
+        closed = degree_pmf_closed(n, j)
+        assert list(closed) == list(law)
+        assert all(law[d] == pytest.approx(p, rel=1e-14) for d, p in closed.items())
+
+
 def test_root_pmf_normalizes_at_n50():
-    assert sum(root_pmf(50, d) for d in range(1, 50)) == pytest.approx(1.0, abs=1e-10)
+    assert sum(degree_pmf_closed(50, 1).values()) == pytest.approx(1.0, abs=1e-10)
 
 
 @pytest.mark.parametrize("n", range(2, 31))
 def test_route_equivalence(n):
-    for j in range(2, n + 1):
+    for j in range(1, n + 1):
         law = degree_pmf_recurrence(n, j)
-        for d, p in law.items():
-            assert degree_pmf_closed(n, j, d) == pytest.approx(p, rel=1e-9, abs=1e-12)
-            assert degree_pmf_hypergeom(n, j, d) == pytest.approx(p, rel=1e-9, abs=1e-12)
+        assert degree_pmf_closed(n, j) == pytest.approx(law, rel=1e-9, abs=1e-12)
+        assert degree_pmf_hypergeom(n, j) == pytest.approx(law, rel=1e-9, abs=1e-12)
 
 
 def test_rational_recurrence_normalizes_exactly():

@@ -12,7 +12,6 @@ from port_trees.degree import (
     degree_pmf_hypergeom,
     degree_pmf_recurrence,
     degree_variance,
-    root_pmf,
 )
 from port_trees.oracle import oracle_moment
 from port_trees.special import hypergeometric_pfq
@@ -22,31 +21,30 @@ _SETTINGS = settings(derandomize=True, database=None, deadline=None, suppress_he
 
 
 @st.composite
-def _node_and_degree(draw):
-    n = draw(st.integers(2, 120))
-    j = draw(st.integers(2, n))
-    return n, j, draw(st.integers(1, n - j + 1))
+def _node(draw, n_max=300):
+    n = draw(st.integers(2, n_max))
+    return n, draw(st.integers(1, n))
 
 
 @settings(_SETTINGS, max_examples=60)
-@given(_node_and_degree())
+@given(_node(120))
 def test_closed_and_hypergeometric_routes_round_the_exact_law(case):
-    # both routes sum in exact rationals and round once, so they equal the
-    # exact DP's value rounded to float, with no tolerance
-    n, j, d = case
-    expected = float(degree_pmf_recurrence(n, j, exact=True)[d])
-    assert degree_pmf_closed(n, j, d) == expected
-    assert degree_pmf_hypergeom(n, j, d) == expected
+    # both routes sum in exact rationals and round once, so each whole law
+    # equals the exact DP's rounded to float, with no tolerance
+    n, j = case
+    expected = {d: float(p) for d, p in degree_pmf_recurrence(n, j, exact=True).items()}
+    assert degree_pmf_closed(n, j) == expected
+    assert degree_pmf_hypergeom(n, j) == expected
 
 
 @settings(_SETTINGS, max_examples=10)
 @given(st.integers(2, 299))
 def test_root_pmf_tracks_the_exact_root_law(n):
-    # root_pmf divides two integers once, so it equals the exact law rounded to float
+    # the root's closed form divides two integers once per degree, so it
+    # equals the exact law rounded to float
     law = degree_pmf_recurrence(n, 1, exact=True)
     assert set(law) == set(range(1, n))
-    for d, p in law.items():
-        assert root_pmf(n, d) == float(p)
+    assert degree_pmf_closed(n, 1) == {d: float(p) for d, p in law.items()}
 
 
 def _rising(x, m):
@@ -80,12 +78,6 @@ def test_hypergeometric_pfaff_saalschutz(m, a, b, c):
     value = hypergeometric_pfq([-m, a, b], [c, e], 1)
     assert isinstance(value, Fraction)
     assert value == _rising(c - a, m) * _rising(c - b, m) / (_rising(c, m) * _rising(c - a - b, m))
-
-
-@st.composite
-def _node(draw):
-    n = draw(st.integers(2, 300))
-    return n, draw(st.integers(1, n))
 
 
 @settings(_SETTINGS, max_examples=40)
