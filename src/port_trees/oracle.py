@@ -1,11 +1,14 @@
-"""Brute-force ground truth by exhaustive history enumeration.
+"""Exact ground truth by a DP over degree multisets.
 
-Every attachment history of a small tree is visited once by a DFS over
-parent choices.  Branch weights are the integer attachment weights, so
-each leaf carries an exact integer weight and the law of any statistic
-comes out in exact rational arithmetic.  The statistic is evaluated
-incrementally along the DFS path (push/pop degree updates); no trees are
-materialized.
+Under either kernel a node's attachment weight depends on its degree
+only (the root has one extra gap under the gap kernel), so all
+attachment histories that reach the same degree multiset have the same
+future.  The DP merges them: each state holds the summed integer weight
+of its histories, with the root and the watched node kept apart from the
+other nodes, and one step adds one node.  The law of any statistic of
+the degrees is read from the final states and divided once by the
+history count, so it comes out in exact rational arithmetic, equal to
+the law over every history.  No trees are materialized.
 """
 
 from __future__ import annotations
@@ -36,6 +39,19 @@ def oracle_moment(law: dict, order: int):
     return sum(v**order * p for v, p in law.items())
 
 
+def _attach(others: tuple, d: int, leaf: bool) -> tuple:
+    """The sorted (degree, count) pairs ``others`` with one node of degree
+    d raised to d + 1 (none when d = 0) and, if ``leaf``, one more node of
+    degree 1."""
+    counts = dict(others)
+    if d:
+        counts[d] -= 1
+        counts[d + 1] = counts.get(d + 1, 0) + 1
+    if leaf:
+        counts[1] = counts.get(1, 0) + 1
+    return tuple(sorted((degree, count) for degree, count in counts.items() if count))
+
+
 def enumerate_statistic(n: int, kernel: Kernel, statistic: str) -> dict:
     """Exact law {value: Fraction} of ``statistic`` over all n-node
     attachment histories, ascending in value.
@@ -43,7 +59,9 @@ def enumerate_statistic(n: int, kernel: Kernel, statistic: str) -> dict:
     ``statistic`` is a label of ``tree.parse_statistic``, the one that
     ``port simulate`` takes: ``zagreb``, ``cubic``, ``zagreb2``,
     ``martingale`` or ``degree:J`` (the root is ``degree:1``).  The cap
-    n <= DEFAULT_CAP = 9 keeps the history count near 2 million.
+    n <= DEFAULT_CAP = 9 is the reach of the checks built on the oracle
+    (``verify`` tests its ``--n-max`` against it); at n = 9 the DP holds
+    at most 118 states.
     """
     if n < 2:
         raise ValueError(f"enumeration requires n >= 2, got {n}")
@@ -51,42 +69,34 @@ def enumerate_statistic(n: int, kernel: Kernel, statistic: str) -> dict:
         raise ValueError(f"n={n} exceeds the enumeration cap {DEFAULT_CAP}")
     name, j = parse_statistic(statistic, n)
 
-    gap = kernel is Kernel.GAP
-    degree = [0] * (n + 1)
-    degree[1] = 1
-    degree[2] = 1
+    # (root degree, node j's degree, sorted (degree, count) pairs of the
+    # other nodes) -> summed integer weight of the histories that reach it.
+    # Node j >= 2 is kept apart from its birth; its degree is 0 before
+    # then, and always when no such node is watched.
+    states = {(1, 1, ()) if j == 2 else (1, 0, ((1, 1),)): 1}
+    extra = 1 if kernel is Kernel.GAP else 0  # the root's extra gap
+    for m in range(2, n):  # node m+1 joins each m-node state
+        born = m + 1 == j
+        grown: dict = {}
+        for (root, mine, others), weight in states.items():
+            kept = 1 if born else mine  # node j's degree unless it is the parent
+            rest = _attach(others, 0, not born)
+            moves = [(root + extra, (root + 1, kept, rest))]
+            if mine:
+                moves.append((mine, (root, mine + 1, rest)))
+            moves += [(count * d, (root, kept, _attach(others, d, not born))) for d, count in others]
+            for w, state in moves:
+                grown[state] = grown.get(state, 0) + weight * w
+        states = grown
+
     accum: dict = {}
-    # state carried along the DFS: degrees, zagreb, cubic
-    state = {"zagreb": 2, "cubic": 2}
-
-    def record(weight: int) -> None:
+    for (root, mine, others), weight in states.items():
         if name == "degree":
-            value = degree[j]
-        elif name == "cubic":
-            value = state["cubic"]
-        else:  # zagreb, and zagreb2 / martingale as images of its law below
-            value = state["zagreb"]
+            value = root if j == 1 else mine
+        else:  # Z or Y, with no node watched; zagreb2 and martingale are images of Z's law below
+            power = 3 if name == "cubic" else 2
+            value = root**power + sum(count * d**power for d, count in others)
         accum[value] = accum.get(value, 0) + weight
-
-    def dfs(m: int, weight: int) -> None:
-        # insert node m+1 into the current m-node tree
-        if m == n:
-            record(weight)
-            return
-        for v in range(1, m + 1):
-            w = degree[v] + 1 if (gap and v == 1) else degree[v]
-            d_old = degree[v]
-            degree[v] += 1
-            degree[m + 1] = 1
-            state["zagreb"] += 2 * d_old + 2
-            state["cubic"] += 3 * d_old * d_old + 3 * d_old + 2
-            dfs(m + 1, weight * w)
-            state["cubic"] -= 3 * d_old * d_old + 3 * d_old + 2
-            state["zagreb"] -= 2 * d_old + 2
-            degree[m + 1] = 0
-            degree[v] = d_old
-
-    dfs(2, 1)
     # both maps of Z are injective and increasing, so the sorted law keeps its order
     if name == "zagreb2":
         accum = {z * z: weight for z, weight in accum.items()}

@@ -11,8 +11,8 @@ and B_n = Gamma(n+1/2)/(sqrt(pi) Gamma(n-1)):
     Var[Z_n] = 4 m H^2 - 4 m (m+1) H2 + 20 m H + 16 m^2 + 64 m - 128 B_n
 
 ``moment_rows`` streams the table one row at a time.  Its exact rows
-come from integers: with L = lcm(1..m), the loop keeps A = H L,
-C = H2 L^2 and K = C(2n, n), so that B_n = n m K / 4^n.  When m grows to
+come from integers: with L = lcm(1..m), the loop keeps A = H L and
+C = H2 L^2, and K = C(2n, n) gives B_n = n m K / 4^n.  When m grows to
 n, L is multiplied by f = n / gcd(L, n), A and C are scaled by f and
 f^2, and L/n and (L/n)^2 are added.  Each moment is then one integer
 numerator over a known denominator: L for E[Z], L 4^n for E[Y], and
@@ -22,19 +22,23 @@ its trailing-zero count and running one gcd against L_odd (or L_odd^2)
 only.
 
 The exact loop is split three ways.  ``_binary_states`` steps L, L_odd,
-v, A, C and K; ``_square_divisors`` turns each state into the gcds of
-the E[Z^2] and Var[Z] numerators with L^2 4^n, most of the table's gcd
-time; and ``_exact_rows`` finds the E[Z] and E[Y] gcds, reduces the
-base-10 pairs below, and pairs each state with its divisors by
-``zip(..., strict=True)``.  Where the ``fork`` start method exists and
-a second core is usable (``montecarlo._cpu_count``), ``_square_divisors``
-runs in a forked worker that sends its rows in blocks of ``_BLOCK``
-through a one-way pipe, so the two halves run on two cores; otherwise
-it runs in this process.  Either way the rows are the same, and every
-``_reduce`` remainder check runs here.  The worker is forked, not
-spawned: a spawned one would import numpy again, which costs more than
-a 2000-row table saves, and the worker touches nothing but Python ints
-and its pipe.  It starts on the first row and ends when the rows do.
+v, A and C.  ``_square_divisors`` turns each state into the gcds of the
+E[Y], E[Z^2] and Var[Z] numerators with their denominators, most of the
+table's gcd time.  It builds those numerators from products it carries
+beside the binary state, with S = L^2: S, Q = A^2, P = A L, KL = K L and
+KS = K S, stepped as the base-10 loop below steps its own (without the
+4^n), so no row multiplies two big ints.  ``_exact_rows`` finds the
+E[Z] gcd, reduces the base-10 pairs below, and pairs each state with
+its divisors by ``zip(..., strict=True)``.  Where the ``fork`` start
+method exists and a second core is usable (``montecarlo._cpu_count``),
+``_square_divisors`` runs in a forked worker that sends its rows in
+blocks of ``_BLOCK`` through a one-way pipe, so the two halves run on
+two cores; otherwise it runs in this process.  Either way the rows are
+the same, and every ``_reduce`` remainder check runs here.  The worker
+is forked, not spawned: a spawned one would import numpy again, which
+costs more than a 2000-row table saves, and the worker touches nothing
+but Python ints and its pipe.  It starts on the first row and ends when
+the rows do.
 
 That binary state only finds the gcds.  The pairs themselves are built
 in base 10, as integer ``Decimal``s, because CPython's int -> str is
@@ -151,16 +155,14 @@ def _divisor(num: int, odd: int, v: int) -> int:
 
 
 def _binary_states(n_max: int):
-    """(n, L, L_odd, v, A, C, K, f) for n = 1 .. n_max, with m = n - 1:
-    L = lcm(1..m) = L_odd 2^v, A = H L, C = H2 L^2, K = C(2n, n), and
-    f = n / gcd(L, n), the factor L gains when m grows to n."""
+    """(n, L, L_odd, v, A, C, f) for n = 1 .. n_max, with m = n - 1:
+    L = lcm(1..m) = L_odd 2^v, A = H L, C = H2 L^2, and f = n / gcd(L, n),
+    the factor L gains when m grows to n."""
     lcm, odd, v = 1, 1, 0
     a = c = 0
-    k = 1
     for n in range(1, n_max + 1):
-        k = k * 2 * (2 * n - 1) // n
         f = n // math.gcd(lcm, n)  # f = p if n = p^k, else 1
-        yield n, lcm, odd, v, a, c, k, f
+        yield n, lcm, odd, v, a, c, f
         t = (f & -f).bit_length() - 1
         lcm, odd, v = lcm * f, odd * (f >> t), v + t
         q = lcm // n
@@ -169,16 +171,25 @@ def _binary_states(n_max: int):
 
 
 def _square_divisors(n_max: int):
-    """(g2, gv) for n = 1 .. n_max: the gcds of the E[Z^2] and Var[Z]
-    numerators with their denominator L^2 4^n."""
-    for n, lcm, odd, v, a, c, k, _ in _binary_states(n_max):
+    """(gy, g2, gv) for n = 1 .. n_max: the gcd of the E[Y] numerator with
+    L 4^n, and those of the E[Z^2] and Var[Z] numerators with L^2 4^n."""
+    # S = L^2, Q = A^2, P = A L, KL = K L and KS = K S
+    s = kl = ks = 1
+    q = p = 0
+    for n, lcm, odd, v, a, c, f in _binary_states(n_max):
         m = n - 1
-        lsq, aa, square = lcm * lcm, a * a, odd * odd
-        b128 = 128 * n * m * k * lsq  # 128 B_n over L^2 4^n
-        rest = 20 * m * a * lcm + (16 * m * m + 64 * m) * lsq
-        second = ((4 * m * (m + 1) * (aa - c) + rest) << 2 * n) - b128
-        var = second - (4 * m * m * aa << 2 * n)
-        yield _divisor(second, square, 2 * v + 2 * n), _divisor(var, square, 2 * v + 2 * n)
+        kl, ks = kl * (4 * n - 2) // n, ks * (4 * n - 2) // n
+        gy = _divisor(32 * n * m * kl - ((6 * m * a + 16 * m * lcm) << 2 * n), odd, v + 2 * n)
+        rest = 20 * m * p + (16 * m * m + 64 * m) * s
+        second = ((4 * m * (m + 1) * (q - c) + rest) << 2 * n) - 128 * n * m * ks
+        var = second - (4 * m * m * q << 2 * n)
+        square = s >> 2 * v  # L_odd^2
+        yield gy, _divisor(second, square, 2 * v + 2 * n), _divisor(var, square, 2 * v + 2 * n)
+        # m grows to n
+        f2 = f * f
+        s, kl, ks, q, p = s * f2, kl * f, ks * f2, q * f2, p * f2
+        q += 2 * p // n + s // (n * n)
+        p += s // n
 
 
 def _send_square_divisors(n_max: int, reader, writer) -> None:
@@ -238,10 +249,9 @@ def _exact_rows(n_max: int):
     dl = dl4 = ds4 = dkl = dks = Decimal(1)
     da = da4 = dc4 = dp = dq = Decimal(0)
     with contextlib.closing(_square_divisor_rows(n_max)) as divisors:
-        for (n, lcm, odd, v, a, _, k, f), (g2, gv) in zip(_binary_states(n_max), divisors, strict=True):
+        for (n, _, odd, v, a, _, f), (gy, g2, gv) in zip(_binary_states(n_max), divisors, strict=True):
             m = n - 1
             gz = _divisor(2 * m * a, odd, v)
-            gy = _divisor(32 * n * m * k * lcm - ((6 * m * a + 16 * m * lcm) << 2 * n), odd, v + 2 * n)
             with decimal.localcontext(_EXACT):
                 dl4, ds4, da4, dc4, dp, dq = dl4 * 4, ds4 * 4, da4 * 4, dc4 * 4, dp * 4, dq * 4
                 dkl, dks = dkl * (4 * n - 2) / n, dks * (4 * n - 2) / n

@@ -6,6 +6,10 @@ from fractions import Fraction
 
 import pytest
 
+from port_trees.oracle import history_count
+from port_trees.special import harmonic
+from port_trees.tree import Kernel, parse_statistic
+
 
 def _live_children() -> list[int]:
     """Pids of this process's children that have not exited: every child
@@ -71,3 +75,63 @@ def zagreb_recurrence() -> list:
         h += Fraction(1, n - 1)
         rows.append((ez, ey, ez2))
     return rows
+
+
+def _enumerate_by_dfs(n: int, kernel: Kernel, statistic: str) -> dict:
+    """The law of ``oracle.enumerate_statistic`` by visiting every
+    attachment history once, by a DFS over parent choices.  Branch weights
+    are the integer attachment weights, and the statistic is updated along
+    the DFS path (push/pop degree updates)."""
+    name, j = parse_statistic(statistic, n)
+
+    gap = kernel is Kernel.GAP
+    degree = [0] * (n + 1)
+    degree[1] = 1
+    degree[2] = 1
+    accum: dict = {}
+    # state carried along the DFS: degrees, zagreb, cubic
+    state = {"zagreb": 2, "cubic": 2}
+
+    def record(weight: int) -> None:
+        if name == "degree":
+            value = degree[j]
+        elif name == "cubic":
+            value = state["cubic"]
+        else:  # zagreb, and zagreb2 / martingale as images of its law below
+            value = state["zagreb"]
+        accum[value] = accum.get(value, 0) + weight
+
+    def dfs(m: int, weight: int) -> None:
+        # insert node m+1 into the current m-node tree
+        if m == n:
+            record(weight)
+            return
+        for v in range(1, m + 1):
+            w = degree[v] + 1 if (gap and v == 1) else degree[v]
+            d_old = degree[v]
+            degree[v] += 1
+            degree[m + 1] = 1
+            state["zagreb"] += 2 * d_old + 2
+            state["cubic"] += 3 * d_old * d_old + 3 * d_old + 2
+            dfs(m + 1, weight * w)
+            state["cubic"] -= 3 * d_old * d_old + 3 * d_old + 2
+            state["zagreb"] -= 2 * d_old + 2
+            degree[m + 1] = 0
+            degree[v] = d_old
+
+    dfs(2, 1)
+    # both maps of Z are injective and increasing, so the sorted law keeps its order
+    if name == "zagreb2":
+        accum = {z * z: weight for z, weight in accum.items()}
+    elif name == "martingale":  # M_n = 2/(n-1) Z_n - 4 H_{n-1}
+        h = harmonic(n - 1)
+        accum = {Fraction(2 * z, n - 1) - 4 * h: weight for z, weight in accum.items()}
+    total = history_count(n, kernel)
+    return {value: Fraction(weight, total) for value, weight in sorted(accum.items())}
+
+
+@pytest.fixture(scope="session")
+def enumerate_by_dfs():
+    """The brute-force reference for the oracle's degree-multiset DP: the
+    law of a statistic over every attachment history, one DFS leaf each."""
+    return _enumerate_by_dfs

@@ -17,6 +17,14 @@ def test_history_counts():
     assert history_count(8, Kernel.DEGREE) == 2 * 4 * 6 * 8 * 10 * 12
 
 
+@pytest.mark.parametrize("kernel", list(Kernel))
+@pytest.mark.parametrize("n", range(2, 9))
+def test_multiset_dp_equals_the_history_dfs(enumerate_by_dfs, n, kernel):
+    # every label, value for value and in the same order
+    for label in ("zagreb", "cubic", "zagreb2", "martingale", "root-degree", *(f"degree:{j}" for j in range(1, n + 1))):
+        assert list(enumerate_statistic(n, kernel, label).items()) == list(enumerate_by_dfs(n, kernel, label).items())
+
+
 def test_unique_two_node_tree():
     for kernel in Kernel:
         assert enumerate_statistic(2, kernel, "zagreb") == {2: Fraction(1)}

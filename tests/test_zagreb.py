@@ -76,6 +76,22 @@ def test_exact_rows_where_the_lcm_grows():
             assert (second_z, var_z) == (_pair(ez2), _pair(ez2 - ez * ez))
 
 
+def test_carried_products_give_the_divisors_of_rebuilt_ones():
+    # the worker steps L^2, A^2, A L, K L and K L^2 from row to row; here each
+    # row rebuilds them from the binary state and takes plain gcds with the
+    # denominators L 4^n and L^2 4^n
+    rebuilt = []
+    for n, lcm, _, _, a, c, _ in zagreb._binary_states(400):
+        m, k = n - 1, math.comb(2 * n, n)
+        lsq, aa = lcm * lcm, a * a
+        cubic = 32 * n * m * k * lcm - ((6 * m * a + 16 * m * lcm) << 2 * n)
+        rest = 20 * m * a * lcm + (16 * m * m + 64 * m) * lsq
+        second = ((4 * m * (m + 1) * (aa - c) + rest) << 2 * n) - 128 * n * m * k * lsq
+        var = second - (4 * m * m * aa << 2 * n)
+        rebuilt.append((math.gcd(cubic, lcm << 2 * n), math.gcd(second, lsq << 2 * n), math.gcd(var, lsq << 2 * n)))
+    assert list(zagreb._square_divisors(400)) == rebuilt
+
+
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(), reason="the square-divisor worker is forked"
 )
