@@ -420,6 +420,12 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"port: error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:  # the reader closed stdout early, as ``| head`` does
+        # point stdout at devnull, so the flush at exit meets no broken pipe
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     if code == 0 and getattr(args, "out", None):
         resolved = {k: v for k, v in vars(args).items() if k not in ("fn", "config", "subcommand", "out")}
         _write_manifest(args.out, args.subcommand, resolved)

@@ -11,43 +11,14 @@ and B_n = Gamma(n+1/2)/(sqrt(pi) Gamma(n-1)):
     Var[Z_n] = 4 m H^2 - 4 m (m+1) H2 + 20 m H + 16 m^2 + 64 m - 128 B_n
 
 ``moment_rows`` streams the table one row at a time.  Its exact rows
-come from integers: with L = lcm(1..m), the loop keeps A = H L and
-C = H2 L^2, and K = C(2n, n) gives B_n = n m K / 4^n.  When m grows to
-n, L is multiplied by f = n / gcd(L, n), A and C are scaled by f and
-f^2, and L/n and (L/n)^2 are added.  Each moment is then one integer
-numerator over a known denominator: L for E[Z], L 4^n for E[Y], and
-L^2 4^n for E[Z^2] and Var[Z].  Writing L = L_odd 2^v, the gcd of a
-numerator and its denominator comes from cancelling the power of two by
-its trailing-zero count and running one gcd against L_odd (or L_odd^2)
-only.
-
-The exact loop is split three ways.  ``_binary_states`` steps L, L_odd,
-v, A and C.  ``_square_divisors`` turns each state into the gcds of the
-E[Y], E[Z^2] and Var[Z] numerators with their denominators, most of the
-table's gcd time.  It builds those numerators from products it carries
-beside the binary state, with S = L^2: S, Q = A^2, P = A L, KL = K L and
-KS = K S, stepped as the base-10 loop below steps its own (without the
-4^n), so no row multiplies two big ints.  ``_exact_rows`` finds the
-E[Z] gcd, reduces the base-10 pairs below, and pairs each state with
-its divisors by ``zip(..., strict=True)``.  Where the ``fork`` start
-method exists and a second core is usable (``montecarlo._cpu_count``),
-``_square_divisors`` runs in a forked worker that sends its rows in
-blocks of ``_BLOCK`` through a one-way pipe, so the two halves run on
-two cores; otherwise it runs in this process.  Either way the rows are
-the same, and every ``_reduce`` remainder check runs here.  The worker
-is forked, not spawned: a spawned one would import numpy again, which
-costs more than a 2000-row table saves, and the worker touches nothing
-but Python ints and its pipe.  It starts on the first row and ends when
-the rows do.
-
-That binary state only finds the gcds.  The pairs themselves are built
-in base 10, as integer ``Decimal``s, because CPython's int -> str is
-quadratic in the digit count and the values run to thousands of digits.
-Beside the binary state the loop carries, with S = L^2, the decimals
-L, L4 = L 4^n, S4 = S 4^n, KL = K L, KS = K S, A, A4 = A 4^n, C4 = C 4^n,
-P = A L 4^n and Q = A^2 4^n, and updates them by small-integer products,
-exact small-integer quotients and sums only.  Each row multiplies every
-4^n term by 4 and steps KL and KS by (4n - 2)/n; the numerators are
+come from integers: with L = lcm(1..m), A = H L, C = H2 L^2 and
+K = C(2n, n), so that B_n = n m K / 4^n, each moment is one integer
+numerator over a known denominator.  ``_numerator_rows`` carries, with
+S = L^2, the values L, L4 = L 4^n, S4 = S 4^n, KL = K L, KS = K S, A,
+A4 = A 4^n, C4 = C 4^n, P = A L 4^n and Q = A^2 4^n, and steps them by
+small-integer products, exact small-integer quotients and sums only.
+Each row multiplies every 4^n term by 4 and steps KL and KS by
+(4n - 2)/n; the numerators are
 
     E[Z]     2 m A                                           over L
     E[Y]     32 n m KL - 6 m A4 - 16 m L4                    over L4
@@ -55,17 +26,40 @@ exact small-integer quotients and sums only.  Each row multiplies every
                + (16 m^2 + 64 m) S4 - 128 n m KS             over S4
     Var[Z]   the E[Z^2] numerator - 4 m^2 Q                  over S4
 
-and both sides are divided by the gcd.  When m grows to n, L, L4 and KL
-are scaled by f and S4 and KS by f^2, and then
+When m grows to n, L gains the factor f = lcm(1..n)/lcm(1..m), which is
+p if n = p^k and 1 otherwise (``_lcm_growth``, on small ints only).  L,
+L4 and KL are scaled by f and S4 and KS by f^2, and then
 
     A'  = A f + L'/n  (A4 likewise)    C4' = C4 f^2 + S4'/n^2
     P'  = P f^2 + S4'/n                Q'  = Q f^2 + 2 (P f^2)/n + S4'/n^2
 
-That arithmetic runs under ``_EXACT``, a context of unbounded precision
-that traps rounding, in blocks that close before each row is yielded, so
-the caller's decimal context is neither used nor changed.  Outside
-``_EXACT`` convert the pairs with ``int()`` before doing arithmetic on
-them.  The float rows keep the closed forms' own expression order.
+Every quotient goes through ``_exact_div``, which raises on a remainder.
+
+That one recurrence runs on two number types.  On ints,
+``_square_divisors`` finds the gcds of the E[Y], E[Z^2] and Var[Z]
+numerators with their denominators, most of the table's gcd time;
+``_divisor`` cancels a denominator's power of two by its trailing-zero
+count and runs one gcd against its odd part only.  On integer
+``Decimal``s, ``_exact_rows`` builds the pairs themselves, because
+CPython's int -> str is quadratic in the digit count and the values run
+to thousands of digits.  It resumes the recurrence under ``_EXACT``, a
+context of unbounded precision that traps rounding, in blocks that close
+before each row is yielded, so the caller's decimal context is neither
+used nor changed.  Outside ``_EXACT`` convert the pairs with ``int()``
+before doing arithmetic on them.  ``_exact_rows`` also steps L and A as
+ints for the E[Z] gcd, divides each pair by its gcd (``_reduce``, which
+checks the remainders) and pairs each row with its divisors by
+``zip(..., strict=True)``.
+
+Where the ``fork`` start method exists and a second core is usable
+(``montecarlo._cpu_count``), ``_square_divisors`` runs in a forked
+worker that sends its rows in blocks of ``_BLOCK`` through a one-way
+pipe, so the two number types run on two cores; otherwise it runs in
+this process.  Either way the rows are the same.  The worker is forked,
+not spawned: a spawned one would import numpy again, which costs more
+than a 2000-row table saves, and the worker touches nothing but Python
+ints and its pipe.  It starts on the first row and ends when the rows
+do.  The float rows keep the closed forms' own expression order.
 """
 
 from __future__ import annotations
@@ -134,62 +128,73 @@ def _b(n: int) -> Fraction:
     return Fraction(n * (n - 1) * math.comb(2 * n, n), 4**n)
 
 
-def _reduce(num: Decimal, den: Decimal, g: int) -> tuple[Decimal, Decimal]:
-    """(num / g, den / g) for a common divisor g, by ``divmod``: an exact
-    ``/`` costs twice as much at unbounded precision, so the remainders
-    are checked here instead."""
-    g = Decimal(g)
-    (p, r), (q, s) = divmod(num, g), divmod(den, g)
-    if r or s:
+def _lcm_growth(n: int) -> int:
+    """lcm(1..n) / lcm(1..n-1): p if n = p^k for a prime p, else 1."""
+    for p in range(2, math.isqrt(n) + 1):
+        if n % p == 0:
+            while n % p == 0:
+                n //= p
+            return p if n == 1 else 1
+    return n  # 1 or a prime
+
+
+def _exact_div(num, den):
+    """num / den, in num's type, for a den that divides num.  Decimal
+    ``//`` does not trap an inexact quotient as ``/`` under ``_EXACT``
+    does, and ``divmod`` costs half that ``/`` at unbounded precision, so
+    the remainder is checked here, for ints and Decimals alike."""
+    q, r = divmod(num, den)
+    if r:
         raise decimal.Inexact("a divisor leaves a remainder in an exact row")
-    return p, q
+    return q
 
 
-def _divisor(num: int, odd: int, v: int) -> int:
-    """The gcd of num and odd 2^v, for odd ``odd``: the power of two cancels
-    by trailing-zero count, so gcd runs against the odd part only."""
+def _reduce(num: Decimal, den: Decimal, g: int) -> tuple[Decimal, Decimal]:
+    """(num / g, den / g) for a common divisor g."""
+    g = Decimal(g)
+    return _exact_div(num, g), _exact_div(den, g)
+
+
+def _divisor(num: int, den: int) -> int:
+    """The gcd of num and den > 0: den's power of two cancels by
+    trailing-zero count, so gcd runs against its odd part only."""
     if num == 0:
-        return odd << v
+        return den
+    v = (den & -den).bit_length() - 1
     t = min((num & -num).bit_length() - 1, v)
-    return math.gcd(num >> t, odd) << t
+    return math.gcd(num >> t, den >> v) << t
 
 
-def _binary_states(n_max: int):
-    """(n, L, L_odd, v, A, C, f) for n = 1 .. n_max, with m = n - 1:
-    L = lcm(1..m) = L_odd 2^v, A = H L, C = H2 L^2, and f = n / gcd(L, n),
-    the factor L gains when m grows to n."""
-    lcm, odd, v = 1, 1, 0
-    a = c = 0
+def _numerator_rows(n_max: int, one):
+    """The unreduced (numerator, denominator) pairs of E[Z_n], E[Y_n],
+    E[Z_n^2] and Var[Z_n] for n = 1 .. n_max, of the type of ``one``:
+    ints, or integer Decimals, whose every ``next()`` runs under
+    ``_EXACT``."""
+    # with S = L^2: L, L 4^n, S 4^n, K L, K S, A, A 4^n, C 4^n, P = A L 4^n and Q = A^2 4^n
+    l = l4 = s4 = kl = ks = one
+    a = a4 = c4 = p = q = one * 0
     for n in range(1, n_max + 1):
-        f = n // math.gcd(lcm, n)  # f = p if n = p^k, else 1
-        yield n, lcm, odd, v, a, c, f
-        t = (f & -f).bit_length() - 1
-        lcm, odd, v = lcm * f, odd * (f >> t), v + t
-        q = lcm // n
-        a = a * f + q
-        c = c * f * f + q * q
+        m = n - 1
+        l4, s4, a4, c4, p, q = l4 * 4, s4 * 4, a4 * 4, c4 * 4, p * 4, q * 4
+        kl, ks = _exact_div(kl * (4 * n - 2), n), _exact_div(ks * (4 * n - 2), n)
+        second = 4 * m * (m + 1) * (q - c4) + 20 * m * p + (16 * m * m + 64 * m) * s4 - 128 * n * m * ks
+        cubic = 32 * n * m * kl - 6 * m * a4 - 16 * m * l4
+        yield (2 * m * a, l), (cubic, l4), (second, s4), (second - 4 * m * m * q, s4)
+        # m grows to n
+        f = _lcm_growth(n)
+        f2 = f * f
+        l, l4, s4, kl, ks = l * f, l4 * f, s4 * f2, kl * f, ks * f2
+        a, a4, c4, p, q = a * f, a4 * f, c4 * f2, p * f2, q * f2
+        a, a4 = a + _exact_div(l, n), a4 + _exact_div(l4, n)
+        c4, q = c4 + _exact_div(s4, n * n), q + _exact_div(2 * p, n) + _exact_div(s4, n * n)
+        p += _exact_div(s4, n)
 
 
 def _square_divisors(n_max: int):
     """(gy, g2, gv) for n = 1 .. n_max: the gcd of the E[Y] numerator with
     L 4^n, and those of the E[Z^2] and Var[Z] numerators with L^2 4^n."""
-    # S = L^2, Q = A^2, P = A L, KL = K L and KS = K S
-    s = kl = ks = 1
-    q = p = 0
-    for n, lcm, odd, v, a, c, f in _binary_states(n_max):
-        m = n - 1
-        kl, ks = kl * (4 * n - 2) // n, ks * (4 * n - 2) // n
-        gy = _divisor(32 * n * m * kl - ((6 * m * a + 16 * m * lcm) << 2 * n), odd, v + 2 * n)
-        rest = 20 * m * p + (16 * m * m + 64 * m) * s
-        second = ((4 * m * (m + 1) * (q - c) + rest) << 2 * n) - 128 * n * m * ks
-        var = second - (4 * m * m * q << 2 * n)
-        square = s >> 2 * v  # L_odd^2
-        yield gy, _divisor(second, square, 2 * v + 2 * n), _divisor(var, square, 2 * v + 2 * n)
-        # m grows to n
-        f2 = f * f
-        s, kl, ks, q, p = s * f2, kl * f, ks * f2, q * f2, p * f2
-        q += 2 * p // n + s // (n * n)
-        p += s // n
+    for _, *pairs in _numerator_rows(n_max, 1):
+        yield tuple(_divisor(num, den) for num, den in pairs)
 
 
 def _send_square_divisors(n_max: int, reader, writer) -> None:
@@ -244,33 +249,18 @@ def _square_divisor_rows(n_max: int):
 
 
 def _exact_rows(n_max: int):
-    # base 10, with S = L^2: L, L 4^n, S 4^n, K L, K S, A, A 4^n, C 4^n,
-    # P = A L 4^n and Q = A^2 4^n
-    dl = dl4 = ds4 = dkl = dks = Decimal(1)
-    da = da4 = dc4 = dp = dq = Decimal(0)
+    numerators = _numerator_rows(n_max, Decimal(1))
+    lcm, a = 1, 0  # L and A as ints, for the E[Z] gcd
     with contextlib.closing(_square_divisor_rows(n_max)) as divisors:
-        for (n, _, odd, v, a, _, f), (gy, g2, gv) in zip(_binary_states(n_max), divisors, strict=True):
-            m = n - 1
-            gz = _divisor(2 * m * a, odd, v)
+        for n, square_gcds in zip(range(1, n_max + 1), divisors, strict=True):
+            gz = _divisor(2 * (n - 1) * a, lcm)
             with decimal.localcontext(_EXACT):
-                dl4, ds4, da4, dc4, dp, dq = dl4 * 4, ds4 * 4, da4 * 4, dc4 * 4, dp * 4, dq * 4
-                dkl, dks = dkl * (4 * n - 2) / n, dks * (4 * n - 2) / n
-                dsecond = 4 * m * (m + 1) * (dq - dc4) + 20 * m * dp + (16 * m * m + 64 * m) * ds4 - 128 * n * m * dks
-                row = (
-                    n,
-                    _reduce(2 * m * da, dl, gz),
-                    _reduce(32 * n * m * dkl - 6 * m * da4 - 16 * m * dl4, dl4, gy),
-                    _reduce(dsecond, ds4, g2),
-                    _reduce(dsecond - 4 * m * m * dq, ds4, gv),
-                )
+                pairs = next(numerators)
+                row = (n, *(_reduce(num, den, g) for (num, den), g in zip(pairs, (gz, *square_gcds), strict=True)))
             yield row
-            with decimal.localcontext(_EXACT):  # m grows to n
-                f2 = f * f
-                dl, dl4, ds4, dkl, dks = dl * f, dl4 * f, ds4 * f2, dkl * f, dks * f2
-                da, da4, dc4, dp, dq = da * f, da4 * f, dc4 * f2, dp * f2, dq * f2
-                da, da4 = da + dl / n, da4 + dl4 / n
-                dc4, dq = dc4 + ds4 / (n * n), dq + 2 * dp / n + ds4 / (n * n)
-                dp += ds4 / n
+            f = _lcm_growth(n)
+            lcm *= f
+            a = a * f + _exact_div(lcm, n)
 
 
 def _float_rows(n_max: int):

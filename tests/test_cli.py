@@ -6,6 +6,7 @@ import math
 import multiprocessing
 import os
 import pkgutil
+import signal
 import subprocess
 import sys
 import types
@@ -86,6 +87,17 @@ def test_exact_pmf_bytes_are_pinned(capsys, tmp_path, argv, digest):
     code, _, _ = run(capsys, "exact-pmf", *argv.split(), "--out", str(tmp_path))
     assert code == 0
     assert hashlib.sha256((tmp_path / "pmf.csv").read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_exact_zagreb_table_bytes_are_pinned(capsys, tmp_path, monkeypatch, cores):
+    # SHA-256 of series.csv, the benchmark's series-2000-rational digest; two
+    # usable cores fork the square-divisor worker, one keeps it in process
+    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: cores)
+    code, _, err = run(capsys, "zagreb-moments", "--n-max", "2000", "--rational", "--out", str(tmp_path))
+    assert code == 0, err
+    digest = hashlib.sha256((tmp_path / "series.csv").read_bytes()).hexdigest()
+    assert digest == "af8ec452d3a94440cd6d0caa5ccbad9f621756a623da2287309317a65fbeff61"
 
 
 @pytest.mark.parametrize(
@@ -707,3 +719,25 @@ def test_usage_errors_exit_1_without_traceback(tmp_path, argv, message):
     if message is not None:
         assert proc.stderr.splitlines() == [message]
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("argv", ["zagreb-moments --n-max 2000", "exact-pmf --n 600 --j 2 --rational"])
+def test_a_reader_that_closes_stdout_early_fails_the_run_cleanly(argv):
+    # as ``port ... | head -1`` does: both outputs are far larger than a pipe holds
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "port_trees.cli", *argv.split()],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, start_new_session=True,
+    )
+    try:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)  # stderr closes when every process holding it, a worker too, has ended
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert proc.returncode == 1
+    assert b"Traceback" not in err and b"Exception ignored" not in err
+    with pytest.raises(ProcessLookupError):  # no process of the run's session is left, the worker included
+        os.killpg(proc.pid, 0)

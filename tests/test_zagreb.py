@@ -77,12 +77,13 @@ def test_exact_rows_where_the_lcm_grows():
 
 
 def test_carried_products_give_the_divisors_of_rebuilt_ones():
-    # the worker steps L^2, A^2, A L, K L and K L^2 from row to row; here each
-    # row rebuilds them from the binary state and takes plain gcds with the
-    # denominators L 4^n and L^2 4^n
+    # the worker steps L, A, K L, K L^2 and, times 4^n, L, L^2, A, C, A L and
+    # A^2 from row to row; here each row rebuilds them from lcm, the harmonic
+    # sums and C(2n, n), and takes plain gcds with L 4^n and L^2 4^n
     rebuilt = []
-    for n, lcm, _, _, a, c, _ in zagreb._binary_states(400):
-        m, k = n - 1, math.comb(2 * n, n)
+    for n in range(1, 401):
+        m, k, lcm = n - 1, math.comb(2 * n, n), math.lcm(*range(1, n))
+        a, c = int(harmonic(m) * lcm), int(harmonic(m, 2) * lcm**2)
         lsq, aa = lcm * lcm, a * a
         cubic = 32 * n * m * k * lcm - ((6 * m * a + 16 * m * lcm) << 2 * n)
         rest = 20 * m * a * lcm + (16 * m * m + 64 * m) * lsq
@@ -90,6 +91,23 @@ def test_carried_products_give_the_divisors_of_rebuilt_ones():
         var = second - (4 * m * m * aa << 2 * n)
         rebuilt.append((math.gcd(cubic, lcm << 2 * n), math.gcd(second, lsq << 2 * n), math.gcd(var, lsq << 2 * n)))
     assert list(zagreb._square_divisors(400)) == rebuilt
+
+
+def test_lcm_growth_is_the_ratio_of_consecutive_lcms():
+    previous = 1
+    for n in range(1, 3001):
+        current = math.lcm(previous, n)
+        assert zagreb._lcm_growth(n) == current // previous, n
+        previous = current
+
+
+@pytest.mark.parametrize("one", [1, Decimal(1)])
+def test_exact_division_raises_on_a_remainder(one):
+    with decimal.localcontext(zagreb._EXACT):
+        assert zagreb._exact_div(12 * one, 4) == 3
+        assert type(zagreb._exact_div(12 * one, 4)) is type(one)
+        with pytest.raises(decimal.Inexact, match="remainder"):
+            zagreb._exact_div(13 * one, 4)
 
 
 needs_fork = pytest.mark.skipif(
