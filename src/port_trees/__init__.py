@@ -1,6 +1,10 @@
 """Exact analytics and Monte Carlo simulation for plane-oriented
 recursive trees: degree-profile laws, Zagreb-index moments, martingale
-diagnostics, and the Poissonized degree process."""
+diagnostics, and the Poissonized degree process.
+
+The exact modules load with the package.  The two that build numpy
+arrays, ``montecarlo`` and ``poisson``, load on the first use of one of
+their names here, so ``import port_trees`` does not import numpy."""
 
 __version__ = "0.1.0"
 
@@ -28,20 +32,21 @@ from .zagreb import (
     zagreb_variance_asymptotic,
 )
 from .oracle import enumerate_statistic, history_count, oracle_moment
-from .montecarlo import (
-    SimulationConfig,
-    StatsSummary,
-    grow_forest,
-    jarque_bera,
-    kde,
-    martingale_diagnostics,
-    run_experiment,
-    summarize,
-)
-from .poisson import (
-    mgf_w,
-    moments_w,
-    scaled_limit_test,
-    simulate_gap_tree,
-    simulate_yule,
-)
+
+# name -> the module that defines it, imported on first access (PEP 562)
+_SAMPLING = {
+    **dict.fromkeys(
+        ("SimulationConfig", "StatsSummary", "grow_forest", "jarque_bera", "kde", "martingale_diagnostics",
+         "run_experiment", "summarize"),
+        "montecarlo",
+    ),
+    **dict.fromkeys(("mgf_w", "moments_w", "scaled_limit_test", "simulate_gap_tree", "simulate_yule"), "poisson"),
+}
+
+
+def __getattr__(name):
+    if name not in _SAMPLING:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    return getattr(importlib.import_module(f".{_SAMPLING[name]}", __name__), name)

@@ -13,6 +13,10 @@ defaults via ``--config``: keys are option names (``n_max`` or
 ``n-max``), values are parsed with the flag's type, other keys are
 ignored, and explicit flags always win.  The seed comes only from the
 flag or config file, never from the environment.
+
+The sampling commands import ``montecarlo``, ``poisson`` and numpy
+inside their own functions, so a command that builds no array starts
+without numpy.
 """
 
 from __future__ import annotations
@@ -22,16 +26,11 @@ import contextlib
 import json
 import os
 import sys
-from dataclasses import asdict
 from fractions import Fraction
-
-import numpy as np
 
 from . import __version__
 from .degree import degree_mean, degree_pmf_closed, degree_pmf_hypergeom, degree_pmf_recurrence, degree_variance
-from .montecarlo import SimulationConfig, StatsSummary, kde, martingale_diagnostics, run_experiment
 from .oracle import DEFAULT_CAP, enumerate_statistic, history_count, oracle_moment
-from .poisson import moments_w, simulate_gap_tree, simulate_yule
 from .tree import Kernel
 from .zagreb import martingale_diff_bound, moment_rows, zagreb_mean, zagreb_second_moment
 
@@ -160,9 +159,10 @@ def _emit_rows(header, rows, fmt: str, out_dir: str | None, stem: str) -> None:
             fh.write(",".join(str(c) for c in row) + "\n")
 
 
-def _emit_sample(out_dir: str, sample: np.ndarray, summary: dict) -> None:
-    """``sample.csv``, one value per line (``tolist`` prints ints as ints
-    and floats by ``repr``), and ``summary.json``."""
+def _emit_sample(out_dir: str, sample, summary: dict) -> None:
+    """``sample.csv``, one value per line of the numpy array ``sample``
+    (``tolist`` prints ints as ints and floats by ``repr``), and
+    ``summary.json``."""
     with _output(out_dir, "sample.csv") as fh:
         fh.writelines(f"{v}\n" for v in sample.tolist())
     _emit_json({"schema_version": SCHEMA_VERSION, **summary}, out_dir, "summary.json")
@@ -222,8 +222,13 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
-def _simulate(sim: SimulationConfig, out_dir: str, kde_grid: int) -> StatsSummary:
-    """Run the experiment; write its sample, summary and, if ``kde_grid``, KDE."""
+def _simulate(sim, out_dir: str, kde_grid: int):
+    """Run the experiment of the ``SimulationConfig`` ``sim``; write its
+    sample, summary and, if ``kde_grid``, KDE; return its ``StatsSummary``."""
+    from dataclasses import asdict
+
+    from .montecarlo import kde, run_experiment
+
     sample, summary = run_experiment(sim)
     _emit_sample(out_dir, sample, asdict(summary))
     if kde_grid:
@@ -235,6 +240,8 @@ def _simulate(sim: SimulationConfig, out_dir: str, kde_grid: int) -> StatsSummar
 def _cmd_simulate(args) -> int:
     if args.kde < 0:
         raise SystemExit(f"--kde must be >= 0 (0 disables the KDE), got {args.kde}")
+    from .montecarlo import SimulationConfig
+
     sim = SimulationConfig(
         n=args.n, replicates=args.reps, kernel=Kernel.parse(args.kernel), seed=args.seed, statistic=args.stat
     )
@@ -254,6 +261,10 @@ def _cmd_poisson(args) -> int:
         raise SystemExit(f"--dt must be >= 0, got {dt}")
     if mode == "tree" and j < 2:
         raise SystemExit(f"--j must be >= 2 in tree mode, got {j}")
+    import numpy as np
+
+    from .poisson import moments_w, simulate_gap_tree, simulate_yule
+
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(args.seed)))
     sample = simulate_yule(dt, rng, size=reps) if mode == "yule" else simulate_gap_tree(j, dt, rng, reps)
     mean_t, _, var_t = moments_w(dt)
@@ -273,6 +284,8 @@ def _cmd_poisson(args) -> int:
 
 
 def _cmd_normality_report(args) -> int:
+    from .montecarlo import SimulationConfig
+
     n, reps = args.n, args.reps
     sim = SimulationConfig(n=n, replicates=reps, kernel=Kernel.DEGREE, seed=args.seed, statistic="zagreb")
     if reps < 100:
@@ -332,6 +345,8 @@ def _verify_normalization(n: int) -> list[tuple[str, bool]]:
 
 
 def _verify_martingale() -> list[tuple[str, bool]]:
+    from .montecarlo import SimulationConfig, martingale_diagnostics
+
     report = martingale_diagnostics(
         SimulationConfig(n=2000, replicates=400, kernel=Kernel.DEGREE, seed=7, statistic="martingale")
     )

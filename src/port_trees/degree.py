@@ -33,8 +33,6 @@ import sys
 from enum import Enum
 from fractions import Fraction
 
-import numpy as np
-
 from .special import _pfq_sum, log_gamma
 
 __all__ = [
@@ -152,6 +150,8 @@ def degree_pmf_recurrence(n: int, j: int, exact: bool = False) -> dict:
             ]
             den *= c
         return {d: Fraction(p, den) for d, p in enumerate(nums, start=1) if p}
+    import numpy as np  # here, not at the top: the exact routes never load it
+
     probs = np.array([1.0])  # probs[i] = P(degree = i + 1)
     for m in steps:
         denom = 1.0 * (2 * m - 3)
@@ -200,6 +200,8 @@ def _mean_gamma_ratio(n: int, j: int) -> float:
     # Gamma(n) Gamma(j-1/2) / (Gamma(n-1/2) Gamma(j)) = prod_{k=j}^{n-1} 2k/(2k-1): a float product
     # (exact at j = n) for k < m, and for k >= m >= 2^16 the series log Gamma(y+1/2) - log Gamma(y)
     # = ln(y)/2 - 1/(8y) + O(y^-3) at y = n-1/2 and y = m-1/2, whose O(y^-3) is below 2e-17
+    import numpy as np
+
     m = min(n, max(j, 1 << 16))
     k = np.arange(j, m, dtype=float)
     y, z = n - 0.5, m - 0.5

@@ -27,13 +27,12 @@ sample sizes; reports note the substitution.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .tree import Kernel, parse_statistic
-from .zagreb import M_SECOND_MOMENT_LIMIT, martingale_diff_bound
+from .zagreb import M_SECOND_MOMENT_LIMIT, _cpu_count, martingale_diff_bound
 
 __all__ = [
     "SimulationConfig",
@@ -217,14 +216,6 @@ def _grow_chunk(n, reps, kernel, rng, labels=(), martingale=None):
         result.extra["martingale_max_diff"] = max_diff
         result.extra["martingale_bound_ok"] = bound_ok
     return result
-
-
-def _cpu_count() -> int:
-    """Cores this process may run on (``taskset`` limits them)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 def grow_forest(

@@ -86,6 +86,8 @@ def simulate_gap_tree(j: int, dt: float, rng: np.random.Generator, size: int) ->
     """
     if j < 2:
         raise ValueError(f"simulate_gap_tree requires j >= 2, got {j}")
+    if j > NODE_CAP:  # the tree holds node j before any event
+        raise ValueError(f"j={j} is past the cap of {NODE_CAP} nodes")
     if not dt >= 0:  # NaN too
         raise ValueError(f"elapsed time must be >= 0, got {dt}")
     if size < 1:

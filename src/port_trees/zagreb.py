@@ -52,14 +52,15 @@ checks the remainders) and pairs each row with its divisors by
 ``zip(..., strict=True)``.
 
 Where the ``fork`` start method exists and a second core is usable
-(``montecarlo._cpu_count``), ``_square_divisors`` runs in a forked
-worker that sends its rows in blocks of ``_BLOCK`` through a one-way
-pipe, so the two number types run on two cores; otherwise it runs in
-this process.  Either way the rows are the same.  The worker is forked,
-not spawned: a spawned one would import numpy again, which costs more
-than a 2000-row table saves, and the worker touches nothing but Python
-ints and its pipe.  It starts on the first row and ends when the rows
-do.  The float rows keep the closed forms' own expression order.
+(``_cpu_count``, the package's one core counter, which ``montecarlo``
+shares), ``_square_divisors`` runs in a forked worker that sends its
+rows in blocks of ``_BLOCK`` through a one-way pipe, so the two number
+types run on two cores; otherwise it runs in this process.  Either way
+the rows are the same.  The worker is forked, not spawned: a spawned one
+would start a new interpreter and import the package again, and the
+worker touches nothing but Python ints and its pipe.  It starts on the
+first row and ends when the rows do.  The float rows keep the closed
+forms' own expression order.
 """
 
 from __future__ import annotations
@@ -68,11 +69,10 @@ import contextlib
 import decimal
 import itertools
 import math
+import os
 from collections import deque
 from decimal import Decimal
 from fractions import Fraction
-
-import numpy as np
 
 from .special import harmonic
 
@@ -190,6 +190,14 @@ def _numerator_rows(n_max: int, one):
         p += _exact_div(s4, n)
 
 
+def _cpu_count() -> int:
+    """Cores this process may run on (``taskset`` limits them)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _square_divisors(n_max: int):
     """(gy, g2, gv) for n = 1 .. n_max: the gcd of the E[Y] numerator with
     L 4^n, and those of the E[Z^2] and Var[Z] numerators with L^2 4^n."""
@@ -240,8 +248,6 @@ def _square_divisor_rows(n_max: int):
     """``_square_divisors`` from a forked worker where ``fork`` exists and
     a second core is usable, else in this process."""
     import multiprocessing
-
-    from .montecarlo import _cpu_count
 
     if "fork" in multiprocessing.get_all_start_methods() and _cpu_count() > 1:
         return _piped_square_divisors(n_max, multiprocessing.get_context("fork"))
@@ -341,6 +347,8 @@ def martingale_diff_bound(j):
     """Uniform bound (6j^2 - 8j - 2)/((j-1)(j-2)) on |M_j - M_{j-1}|,
     strictly decreasing for j >= 3.  ``j`` may be an int or an integer
     array (one bound per entry)."""
+    import numpy as np  # here, not at the top: the exact tables never load it
+
     if np.any(np.asarray(j) < 3):
         raise ValueError(f"martingale_diff_bound requires j >= 3, got {j}")
     return (6 * j * j - 8 * j - 2) / ((j - 1) * (j - 2))

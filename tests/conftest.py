@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from port_trees import zagreb
 from port_trees.oracle import history_count
 from port_trees.special import harmonic
 from port_trees.tree import Kernel, parse_statistic
@@ -51,6 +52,22 @@ def no_child_process_left():
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
     pytest.fail(f"the test left {len(left)} live child process(es): pids {left}")
+
+
+@pytest.fixture
+def table_cores(monkeypatch):
+    """``table_cores(k)`` makes the exact Zagreb table see k usable cores,
+    where more than one forks the square-divisor worker, and returns the
+    list of the table's calls to ``_piped_square_divisors`` in this test,
+    one per forked worker."""
+    piped, spy = [], zagreb._piped_square_divisors
+    monkeypatch.setattr(zagreb, "_piped_square_divisors", lambda *args: piped.append(args) or spy(*args))
+
+    def set_cores(cores: int) -> list:
+        monkeypatch.setattr(zagreb, "_cpu_count", lambda: cores)
+        return piped
+
+    return set_cores
 
 
 @pytest.fixture(scope="session")

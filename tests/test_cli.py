@@ -27,13 +27,50 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# every exact command but the float degree DP and the degree moments
+_NUMPY_FREE_COMMANDS = [
+    "zagreb-moments --n-max 300 --rational",
+    "zagreb-moments --n-max 10001",  # float rows, past RATIONAL_CAP
+    "exact-pmf --n 60 --j 2 --rational",
+    "exact-pmf --n 60 --j 3 --method closed",
+    "exact-pmf --n 60 --j 3 --method hypergeom",
+    "oracle --n 7 --kernel degree --stat zagreb",
+    "verify --suite oracle --n-max 5",
+    "verify --suite routes --n-max 5",
+]
+_REPORT_MODULES = """
+import contextlib, io, json, sys
+
+def loaded():
+    return sorted(m for m in sys.modules if m.partition(".")[0] in ("numpy", "scipy"))
+
+import port_trees.cli
+
+report = [["import port_trees.cli", 0, loaded()]]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        report.append([argv, port_trees.cli.main(argv.split()), loaded()])
+from port_trees import grow_forest, simulate_yule
+
+report.append([f"{grow_forest.__module__} {simulate_yule.__module__}", 0, []])
+print(json.dumps(report))
+"""
+
+
 def test_cli_imports_no_scipy():
-    # numpy is the only runtime dependency; scipy is a test-only reference
+    # numpy is the only runtime dependency, and only the commands that build
+    # an array load it; scipy is a test-only reference
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
-    code = "import port_trees.cli, sys; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    proc = subprocess.run(
+        [sys.executable, "-c", _REPORT_MODULES, json.dumps(_NUMPY_FREE_COMMANDS)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert json.loads(proc.stdout) == [
+        ["import port_trees.cli", 0, []],
+        *([argv, 0, []] for argv in _NUMPY_FREE_COMMANDS),
+        ["port_trees.montecarlo port_trees.poisson", 0, []],  # the package serves them on first use
+    ]
 
 
 def test_exact_pmf_root(capsys):
@@ -90,12 +127,13 @@ def test_exact_pmf_bytes_are_pinned(capsys, tmp_path, argv, digest):
 
 
 @pytest.mark.parametrize("cores", [1, 2])
-def test_exact_zagreb_table_bytes_are_pinned(capsys, tmp_path, monkeypatch, cores):
+def test_exact_zagreb_table_bytes_are_pinned(capsys, tmp_path, table_cores, cores):
     # SHA-256 of series.csv, the benchmark's series-2000-rational digest; two
     # usable cores fork the square-divisor worker, one keeps it in process
-    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: cores)
+    piped = table_cores(cores)
     code, _, err = run(capsys, "zagreb-moments", "--n-max", "2000", "--rational", "--out", str(tmp_path))
     assert code == 0, err
+    assert len(piped) == (cores > 1 and "fork" in multiprocessing.get_all_start_methods())
     digest = hashlib.sha256((tmp_path / "series.csv").read_bytes()).hexdigest()
     assert digest == "af8ec452d3a94440cd6d0caa5ccbad9f621756a623da2287309317a65fbeff61"
 
@@ -283,10 +321,13 @@ def test_every_exported_name_resolves():
     for module in modules:
         for name in getattr(module, "__all__", None) or [n for n in vars(module) if not n.startswith("_")]:
             exported.setdefault(name, getattr(module, name))
-    # and every name the package itself exports is one of those
-    for name, obj in vars(port_trees).items():
+    # and every name the package itself exports, loaded or served on first use, is one of those
+    for name in [*vars(port_trees), *port_trees._SAMPLING]:
+        obj = getattr(port_trees, name)
         if not name.startswith("_") and not isinstance(obj, types.ModuleType):
             assert exported.get(name) is obj, name
+    with pytest.raises(AttributeError, match="module 'port_trees' has no attribute 'no_such_name'"):
+        port_trees.no_such_name
 
 
 def test_simulate_byte_reproducible(capsys, tmp_path):
@@ -432,17 +473,19 @@ def test_usage_errors_exit_1(capsys):
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="the worker is forked")
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_zagreb_moments_bytes_do_not_depend_on_the_worker(capsys, tmp_path, monkeypatch, fmt):
+def test_zagreb_moments_bytes_do_not_depend_on_the_worker(capsys, tmp_path, table_cores, fmt):
     # two usable cores fork the square-divisor worker, one keeps it in process
-    outputs = []
+    outputs, forks = [], []
     for cores in (1, 2):
-        monkeypatch.setattr(montecarlo, "_cpu_count", lambda: cores)
+        piped = table_cores(cores)
         out_dir = tmp_path / str(cores)
         argv = ["zagreb-moments", "--n-max", "600", "--format", fmt]
         stdout = run(capsys, *argv)
         written = run(capsys, *argv, "--out", str(out_dir))
         files = {name: (out_dir / name).read_bytes() for name in sorted(os.listdir(out_dir))}
         outputs.append((stdout, written, files))
+        forks.append(len(piped))
+    assert forks == [0, 2]  # one worker per table, and none on one core
     assert outputs[0] == outputs[1]
     assert outputs[0][0][0] == 0 and outputs[0][2][f"series.{fmt}"] == outputs[0][0][1].encode()
 
@@ -523,8 +566,10 @@ def test_simulate_zagreb2_refuses_int64_overflow(capsys, tmp_path, monkeypatch):
         ({"--dt": "inf"}, "port: error: elapsed time must be in [0, 40.0], got dt=inf"),
         ({"--dt": "50"}, "port: error: elapsed time must be in [0, 40.0], got dt=50.0"),
         ({"--dt": "710"}, "port: error: elapsed time must be in [0, 40.0], got dt=710.0"),
+        # node j itself is past the cap, whatever dt
+        ({"--mode": "tree", "--j": "100000000"}, "port: error: j=100000000 is past the cap of 10000000 nodes"),
     ],
-    ids=[f"bad{i}" for i in range(10)],
+    ids=[f"bad{i}" for i in range(11)],
 )
 def test_poisson_rejects_bad_input_before_writing(capsys, tmp_path, bad, message):
     out_dir = tmp_path / "poi"

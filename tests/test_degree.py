@@ -114,6 +114,17 @@ def test_float_laws_leave_out_subnormal_tails(j):
         assert all(law[d] == pytest.approx(p, rel=1e-14) for d, p in closed.items())
 
 
+@pytest.mark.parametrize("n,j", [(200, 1), (200, 2), (300, 100), (500, 2)])
+def test_float_recurrence_is_within_its_rounding_bound(n, j):
+    # the DP's coefficients are nonnegative and each entry takes at most three
+    # roundings per step, so its relative error is at most 3(n - j + 1) u; the
+    # closed route divides once, so it is the exact law correctly rounded
+    u = 2.0**-53
+    law, closed = degree_pmf_recurrence(n, j), degree_pmf_closed(n, j)
+    assert list(law) == list(closed)
+    assert all(abs(law[d] - p) <= 3 * (n - j + 1) * u * p for d, p in closed.items())
+
+
 def test_root_pmf_normalizes_at_n50():
     assert sum(degree_pmf_closed(50, 1).values()) == pytest.approx(1.0, abs=1e-10)
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from port_trees import montecarlo, zagreb
+from port_trees import zagreb
 from port_trees.oracle import enumerate_statistic
 from port_trees.special import harmonic
 from port_trees.tree import Kernel
@@ -131,29 +131,22 @@ def _deadline(seconds: int):
         signal.signal(signal.SIGALRM, previous)
 
 
-def _cores(monkeypatch, cores: int) -> None:
-    """Make the table see ``cores`` usable cores: more than one forks the worker."""
-    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: cores)
-
-
 @needs_fork
 @pytest.mark.parametrize("n_max", [1, 2, 3, 64, 65, 600])
-def test_piped_and_in_process_divisors_give_equal_rows(monkeypatch, n_max):
+def test_piped_and_in_process_divisors_give_equal_rows(table_cores, n_max):
     # 64 rows are one block from the worker, 65 two
-    _cores(monkeypatch, 1)
+    piped = table_cores(1)
     in_process = list(moment_rows(n_max, exact=True))
-    piped = []
-    spy = zagreb._piped_square_divisors
-    monkeypatch.setattr(zagreb, "_piped_square_divisors", lambda *args: piped.append(args) or spy(*args))
-    _cores(monkeypatch, 2)
+    assert piped == []  # one core: no worker
+    table_cores(2)
     assert list(moment_rows(n_max, exact=True)) == in_process
     assert len(piped) == 1
     assert len(in_process) == n_max
 
 
 @needs_fork
-def test_the_worker_lives_from_the_first_row_to_the_close(monkeypatch):
-    _cores(monkeypatch, 2)
+def test_the_worker_lives_from_the_first_row_to_the_close(table_cores):
+    table_cores(2)
     rows = moment_rows(RATIONAL_CAP)
     assert multiprocessing.active_children() == []  # nothing starts before the first next()
     with _deadline(30):
@@ -165,7 +158,7 @@ def test_the_worker_lives_from_the_first_row_to_the_close(monkeypatch):
 
 @needs_fork
 @pytest.mark.parametrize("death,code", [("raise", 1), ("kill", -signal.SIGKILL)])
-def test_a_worker_that_dies_fails_the_table(monkeypatch, death, code):
+def test_a_worker_that_dies_fails_the_table(monkeypatch, table_cores, death, code):
     square_divisors = zagreb._square_divisors
 
     def dying(n_max):  # patched before the fork, so the worker runs it
@@ -175,7 +168,7 @@ def test_a_worker_that_dies_fails_the_table(monkeypatch, death, code):
         os.kill(os.getpid(), signal.SIGKILL)
 
     monkeypatch.setattr(zagreb, "_square_divisors", dying)
-    _cores(monkeypatch, 2)
+    table_cores(2)
     with _deadline(30), pytest.raises(RuntimeError, match=rf"worker exited with code {code} after 64 of 300 rows"):
         list(moment_rows(300, exact=True))
     assert multiprocessing.active_children() == []
