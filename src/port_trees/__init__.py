@@ -16,7 +16,6 @@ from .degree import (
     degree_pmf_closed,
     degree_pmf_hypergeom,
     degree_pmf_recurrence,
-    degree_support,
     degree_variance,
 )
 from .zagreb import (

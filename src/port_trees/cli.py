@@ -341,6 +341,13 @@ def _verify_normalization(n: int) -> list[tuple[str, bool]]:
         checks.append((f"normalization n={n} j={j}", abs(total - 1.0) <= 1e-10))
     total = sum(degree_pmf_recurrence(n, 1).values())
     checks.append((f"normalization n={n} root", abs(total - 1.0) <= 1e-10))
+    for j in (1, 2, n // 2, n):
+        # the DP's coefficients are nonnegative and each entry takes at most three roundings
+        # per step; the closed route divides once, so it is the exact law correctly rounded
+        law, closed = degree_pmf_recurrence(n, j), degree_pmf_closed(n, j)
+        bound = 3 * (n - j + 1) * 2.0**-53
+        ok = list(law) == list(closed) and all(abs(law[d] - p) <= bound * p for d, p in closed.items())
+        checks.append((f"recurrence-rounding n={n} j={j}", ok))
     return checks
 
 

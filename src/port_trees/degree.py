@@ -14,8 +14,8 @@ entries left out:
   exact mode on integer numerators over the common denominator
   prod (2m-3).
 * ``degree_pmf_hypergeom`` -- two terminating 3F2 series, summed as
-  unreduced integer pairs.  The root's law is one hypergeometric term,
-  the closed route's.
+  unreduced integer pairs by this module's ``_pfq_sum``.  The root's
+  law is one hypergeometric term, the closed route's.
 
 The exact routes build no ``Fraction`` in their loops: they divide once
 per probability, by ``p / q`` for a float (int true division rounds
@@ -33,11 +33,8 @@ import sys
 from enum import Enum
 from fractions import Fraction
 
-from .special import _pfq_sum, log_gamma
-
 __all__ = [
     "Regime",
-    "degree_support",
     "degree_pmf_closed",
     "degree_pmf_recurrence",
     "degree_pmf_hypergeom",
@@ -51,13 +48,6 @@ class Regime(Enum):
     FIXED_J = "fixed-j"
     GROWING_J = "growing-j"
     LINEAR_THETA = "linear-theta"
-
-
-def degree_support(n: int, j: int) -> range:
-    """Possible degrees of node j at time n."""
-    if j == 1:
-        return range(1, n) if n >= 2 else range(0, 1)
-    return range(1, n - j + 2)
 
 
 def _check_nj(n: int, j: int) -> None:
@@ -163,6 +153,46 @@ def degree_pmf_recurrence(n: int, j: int, exact: bool = False) -> dict:
     return _float_law(enumerate(probs.tolist(), start=1))
 
 
+_MAX_PFQ_TERMS = 100_000
+
+
+def _pfq_sum(upper, lower, z) -> tuple[int, int]:
+    """The terminating series pFq(upper; lower; z) = sum_s (prod (a_i)_s /
+    prod (b_j)_s) z^s / s!, summed until the first upper Pochhammer factor
+    is exactly zero, as an unreduced (numerator, denominator) pair of ints,
+    for int or Fraction parameters.
+
+    A parameter a = p/q turns a + s into (p + s q)/q, so the ratio of
+    term s+1 to term s is r_num/r_den with int factors; then
+    term_{s+1} = term_s r_num and total_{s+1} = total_s r_den + term_{s+1},
+    both over den_{s+1} = den_s r_den.  The series stops where some
+    p + s q of an upper parameter is zero, and a lower one reaching zero
+    first is a pole.  (``den`` may be negative.)  Raises ValueError if no
+    upper parameter can terminate the series, or at a pole.
+    """
+    ups = [(a.numerator, a.denominator) for a in upper]
+    los = [(b.numerator, b.denominator) for b in lower]
+    # a nonpositive integer upper parameter must exist: a + s with a
+    # non-integer a never reaches 0
+    if not any(q == 1 and p <= 0 for p, q in ups):
+        raise ValueError("series does not terminate: no nonpositive integer upper parameter")
+    # the constant parts of the term ratio: the 1/q of each a + s, and z
+    num_scale = math.prod(q for _, q in los) * z.numerator
+    den_scale = math.prod(q for _, q in ups) * z.denominator
+    total = term = den = 1
+    for s in range(_MAX_PFQ_TERMS):
+        if any(p + s * q == 0 for p, q in ups):
+            return total, den
+        if any(p + s * q == 0 for p, q in los):
+            raise ValueError("lower-parameter pole reached before termination")
+        r_num = math.prod(p + s * q for p, q in ups) * num_scale
+        r_den = math.prod(p + s * q for p, q in los) * (s + 1) * den_scale
+        term *= r_num
+        total = total * r_den + term
+        den *= r_den
+    raise ValueError("series failed to terminate within the iteration cap")
+
+
 def degree_pmf_hypergeom(n: int, j: int) -> dict:
     """Hypergeometric route: each P(d) as a difference of two 3F2s.
 
@@ -200,12 +230,10 @@ def _mean_gamma_ratio(n: int, j: int) -> float:
     # Gamma(n) Gamma(j-1/2) / (Gamma(n-1/2) Gamma(j)) = prod_{k=j}^{n-1} 2k/(2k-1): a float product
     # (exact at j = n) for k < m, and for k >= m >= 2^16 the series log Gamma(y+1/2) - log Gamma(y)
     # = ln(y)/2 - 1/(8y) + O(y^-3) at y = n-1/2 and y = m-1/2, whose O(y^-3) is below 2e-17
-    import numpy as np
-
     m = min(n, max(j, 1 << 16))
-    k = np.arange(j, m, dtype=float)
     y, z = n - 0.5, m - 0.5
-    return float(np.prod(2 * k / (2 * k - 1))) * math.exp(0.5 * math.log1p((n - m) / z) + (n - m) / (8 * y * z))
+    product = math.prod(2.0 * k / (2.0 * k - 1) for k in range(j, m))
+    return product * math.exp(0.5 * math.log1p((n - m) / z) + (n - m) / (8 * y * z))
 
 
 def degree_mean(n: int, j: int) -> float:
@@ -227,8 +255,9 @@ def degree_moments_asymptotic(n: int, j: int, regime: Regime) -> tuple[float, fl
     The behavior changes with how j scales against n: fixed j, growing
     j = o(n), and the linear phase j = theta * n with 0 < theta < 1.
     """
+    _check_nj(n, j)
     if regime is Regime.FIXED_J:
-        ratio = math.exp(log_gamma(j - 0.5) - log_gamma(j + 0.0))
+        ratio = math.exp(math.lgamma(j - 0.5) - math.lgamma(j + 0.0))
         return ratio * math.sqrt(n), (4.0 / (2 * j - 1) - ratio * ratio) * n
     if regime is Regime.GROWING_J:
         return math.sqrt(n / j), n / j

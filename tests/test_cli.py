@@ -34,6 +34,8 @@ _NUMPY_FREE_COMMANDS = [
     "exact-pmf --n 60 --j 2 --rational",
     "exact-pmf --n 60 --j 3 --method closed",
     "exact-pmf --n 60 --j 3 --method hypergeom",
+    "exact-moments --n 1000000000 --j 2",
+    "exact-moments --n 60 --j 3",
     "oracle --n 7 --kernel degree --stat zagreb",
     "verify --suite oracle --n-max 5",
     "verify --suite routes --n-max 5",
@@ -433,14 +435,28 @@ def test_verify_routes_checks_every_node_exactly(capsys, monkeypatch):
 
 
 def test_verify_all_is_the_ci_entry_point(capsys):
-    # 42 oracle, 77 route, 4 normalization and 3 martingale checks
+    # 42 oracle, 77 route, 8 normalization and 3 martingale checks
     code, out, _ = run(capsys, "verify", "--suite", "all", "--n-max", "8")
     assert code == 0
     lines = out.strip().split("\n")
-    assert lines[-1] == "verify: 126/126 checks passed"
+    assert lines[-1] == "verify: 130/130 checks passed"
     for check in ("oracle-vs-recurrence n=8 j=8", "route-equivalence n=12 j=1", "normalization n=200 root",
-                  "martingale-mean-zero"):
+                  "recurrence-rounding n=200 j=100", "martingale-mean-zero"):
         assert f"PASS {check}" in lines
+
+
+def test_verify_normalization_bounds_the_float_dp_against_the_closed_law(capsys, monkeypatch):
+    # a relative error of 1e-12 is past the 3(n - j + 1) 2^-53 rounding bound at every j checked,
+    # yet it leaves each law summing to 1 within the 1e-10 normalization tolerance
+    route = cli.degree_pmf_recurrence
+    monkeypatch.setattr(cli, "degree_pmf_recurrence", lambda n, j: {d: p * (1 + 1e-12) for d, p in route(n, j).items()})
+    code, out, _ = run(capsys, "verify", "--suite", "normalization")
+    assert code == 2
+    lines = out.strip().split("\n")
+    assert [line for line in lines if "recurrence-rounding" in line] == [
+        f"FAIL recurrence-rounding n=200 j={j}" for j in (1, 2, 100, 200)
+    ]
+    assert lines[-1] == "verify: 4/8 checks passed"
 
 
 @pytest.mark.parametrize(

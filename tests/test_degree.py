@@ -6,12 +6,12 @@ import pytest
 
 from port_trees.degree import (
     Regime,
+    _pfq_sum,
     degree_mean,
     degree_moments_asymptotic,
     degree_pmf_closed,
     degree_pmf_hypergeom,
     degree_pmf_recurrence,
-    degree_support,
     degree_variance,
 )
 from port_trees.oracle import oracle_moment
@@ -48,8 +48,8 @@ def test_max_degree_closed_form():
 def test_out_of_support_is_zero():
     # a law holds the degrees of its support and no other
     for route in (degree_pmf_closed, degree_pmf_hypergeom, degree_pmf_recurrence):
-        assert list(route(5, 3)) == list(degree_support(5, 3)) == [1, 2, 3]
-        assert list(route(5, 1)) == list(degree_support(5, 1)) == [1, 2, 3, 4]
+        assert list(route(5, 3)) == [1, 2, 3]
+        assert list(route(5, 1)) == [1, 2, 3, 4]
 
 
 @pytest.mark.parametrize("route", [degree_pmf_closed, degree_pmf_hypergeom, degree_pmf_recurrence])
@@ -91,7 +91,7 @@ def test_recurrence_table_holds_plain_nonzero_scalars(j):
     n = 1500
     law = degree_pmf_recurrence(n, j)
     assert all(type(d) is int and type(p) is float and p >= sys.float_info.min for d, p in law.items())
-    assert len(law) < len(degree_support(n, j))
+    assert len(law) < n - 1  # the support is 1 .. n - 1 for j = 1 and 2
     exact = degree_pmf_recurrence(60, j, exact=True)
     assert all(type(p) is Fraction for p in exact.values())
     approx = degree_pmf_recurrence(60, j)
@@ -107,7 +107,7 @@ def test_float_laws_leave_out_subnormal_tails(j):
     law = degree_pmf_recurrence(n, j)
     assert list(law) == list(range(1, len(law) + 1))
     assert min(law.values()) >= sys.float_info.min
-    assert len(law) < len(degree_support(n, j))
+    assert len(law) < n - 1
     if j == 1:  # the closed law at j = 2 costs about a second
         closed = degree_pmf_closed(n, j)
         assert list(closed) == list(law)
@@ -148,9 +148,9 @@ def test_float_recurrence_normalization_drift():
 
 
 def test_support_bounds():
-    assert list(degree_support(6, 2)) == [1, 2, 3, 4, 5]
-    assert list(degree_support(6, 6)) == [1]
-    assert list(degree_support(6, 1)) == [1, 2, 3, 4, 5]
+    assert list(degree_pmf_recurrence(6, 2, exact=True)) == [1, 2, 3, 4, 5]
+    assert list(degree_pmf_recurrence(6, 6, exact=True)) == [1]
+    assert list(degree_pmf_recurrence(6, 1, exact=True)) == [1, 2, 3, 4, 5]
 
 
 def test_degree_mean_values():
@@ -210,7 +210,56 @@ def test_asymptotic_regimes():
         degree_moments_asymptotic(5, 5, Regime.LINEAR_THETA)
 
 
+@pytest.mark.parametrize(
+    "n,j,regime,message",
+    [(100, 0, Regime.GROWING_J, "j=0"), (0, 1, Regime.FIXED_J, "n=0"), (5, 9, Regime.GROWING_J, "j=9")],
+)
+def test_asymptotic_rejects_bad_labels(n, j, regime, message):
+    with pytest.raises(ValueError, match=message):
+        degree_moments_asymptotic(n, j, regime)
+
+
 def test_asymptotic_growing_j():
     mean, variance = degree_moments_asymptotic(10**6, 10**3, Regime.GROWING_J)
     assert mean == pytest.approx(math.sqrt(1000.0), rel=1e-12)
     assert variance == pytest.approx(1000.0, rel=1e-12)
+
+
+def _pfq(upper, lower, z):
+    return Fraction(*_pfq_sum(upper, lower, z))
+
+
+def test_pfq_trivial_cases():
+    # a zero upper parameter keeps only the s=0 term
+    assert _pfq([0, Fraction(33, 10)], [Fraction(17, 10)], 1) == 1
+    # 3F2 with upper -1: 1 + (-1)(1)(1)/1 = 0
+    assert _pfq([-1, 1, 1], [1, 1], 1) == 0
+
+
+def test_pfq_matches_binomial_sum():
+    # 1F0(-m;;z) = (1-z)^m for integer m
+    for m in (1, 2, 5):
+        for z in (Fraction(3, 10), Fraction(-6, 5)):
+            assert _pfq([-m], [], z) == (1 - z) ** m
+
+
+@pytest.mark.parametrize("m", [1, 4, 9])
+def test_pfq_chu_vandermonde(m):
+    # 2F1(-m, b; c; 1) = (c-b)_m / (c)_m
+    b, c = Fraction(3, 2), Fraction(7, 3)
+    expected = math.prod(c - b + i for i in range(m)) / math.prod(c + i for i in range(m))
+    assert _pfq([-m, b], [c], 1) == expected
+
+
+def test_pfq_rejects_nonterminating():
+    with pytest.raises(ValueError):
+        _pfq([Fraction(1, 2), 1], [2], 1)
+    # half-integer upper parameters never hit an integer zero
+    with pytest.raises(ValueError):
+        _pfq([Fraction(-1, 2)], [2], 1)
+
+
+def test_pfq_rejects_lower_pole_before_termination():
+    # lower parameter -1 dies at s=1, before the upper -3 stops at s=3
+    with pytest.raises(ValueError):
+        _pfq([-3], [-1], 1)

@@ -7,8 +7,8 @@ spanned function's arguments by name (``n``, ``replicates``,
 (``extra["martingale_bound_ok"]``, ``times``), so renaming an argument or
 a result field breaks every benchmark command although the package's own
 tests pass.  This test installs both recorders the benchmark uses, in a
-fresh interpreter, and runs one small command per subcommand through
-them.
+fresh interpreter, and runs one small command per subcommand, and one
+per exact degree route, through them.
 """
 
 import json
@@ -38,6 +38,9 @@ commands = [
     f"simulate --n 50 --reps {reps} --stat martingale --seed 1 --out {out}/simulate",
     f"poisson --mode tree --j 2 --dt 0.5 --reps {reps} --seed 1 --out {out}/poisson",
     f"exact-pmf --n 30 --j 2 --out {out}/pmf",
+    f"exact-pmf --n 30 --j 3 --method hypergeom --out {out}/hypergeom",
+    f"exact-pmf --n 30 --j 3 --method closed --out {out}/closed",
+    f"exact-moments --n 50 --j 2 --out {out}/moments",
     f"oracle --n 5 --kernel degree --stat zagreb --out {out}/oracle",
     f"zagreb-moments --n-max 30 --out {out}/zagreb",
     "verify --suite oracle --n-max 4",
