@@ -33,6 +33,8 @@ import sys
 from enum import Enum
 from fractions import Fraction
 
+from .special import log_gamma
+
 __all__ = [
     "Regime",
     "degree_pmf_closed",
@@ -257,7 +259,7 @@ def degree_moments_asymptotic(n: int, j: int, regime: Regime) -> tuple[float, fl
     """
     _check_nj(n, j)
     if regime is Regime.FIXED_J:
-        ratio = math.exp(math.lgamma(j - 0.5) - math.lgamma(j + 0.0))
+        ratio = math.exp(log_gamma(j - 0.5) - log_gamma(j + 0.0))
         return ratio * math.sqrt(n), (4.0 / (2 * j - 1) - ratio * ratio) * n
     if regime is Regime.GROWING_J:
         return math.sqrt(n / j), n / j

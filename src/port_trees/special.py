@@ -1,10 +1,35 @@
-"""Exact harmonic numbers, shared by ``zagreb`` and ``oracle``."""
+"""Scalar special functions: exact harmonic numbers, shared by ``zagreb``
+and ``oracle``, and the real-argument gamma helpers ``log_gamma`` (the
+fixed-j asymptotics in ``degree``) and ``reciprocal_gamma``."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-__all__ = ["harmonic"]
+__all__ = ["log_gamma", "reciprocal_gamma", "harmonic"]
+
+
+def log_gamma(x: float) -> float:
+    """ln Gamma(x) for x > 0."""
+    if x <= 0:
+        raise ValueError(f"log_gamma requires x > 0, got {x}")
+    return math.lgamma(x)
+
+
+def reciprocal_gamma(x: float) -> float:
+    """1/Gamma(x), defined on all reals.
+
+    Returns exactly 0.0 at the poles x = 0, -1, -2, ... so that series
+    terms carrying a gamma pole in the denominator vanish without any
+    special-casing at the call site.
+    """
+    if x > 0:
+        return math.exp(-math.lgamma(x))
+    if x == math.floor(x):
+        return 0.0
+    # reflection: 1/Gamma(x) = Gamma(1-x) sin(pi x) / pi
+    return math.sin(math.pi * x) * math.exp(math.lgamma(1.0 - x)) / math.pi
 
 
 def harmonic(n: int, order: int = 1) -> Fraction:
