@@ -15,7 +15,10 @@ one thread per usable core up to ``_MAX_WORKERS`` (numpy releases the
 GIL in the draw, the gathers, the sort and the reductions), and merged
 in chunk order, so the worker count never changes a byte.  At most
 ``_MAX_WORKERS`` chunks, 500,000 node slots, are in flight at once,
-whatever the core count.  The module computes and returns; it writes
+whatever the core count.  Each worker thread builds every chunk it
+grows in the same two buffers, allocated once per ``grow_forest`` call,
+so the pages of one chunk are not handed back and faulted in again by
+the next.  The module computes and returns; it writes
 no file (the ``port`` command line writes every output).
 
 Normality is assessed with the Jarque-Bera moment test (exactly
@@ -27,6 +30,7 @@ sample sizes; reports note the substitution.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,8 +53,9 @@ __all__ = [
 # bound-check tolerance: the bound is exact, the trace is float
 _BOUND_EPS = 1e-9
 # per-chunk budget of node slots, replicates x n; the martingale path
-# keeps about 45 bytes per slot alive at its peak, so a chunk holds
-# about 6 MB and the most that grow in parallel about 23 MB
+# keeps about 32 bytes per slot alive at its peak (tracemalloc, the two
+# reused buffers included), so a chunk holds about 4 MB and the most
+# that grow in parallel about 16 MB
 _CHUNK_ELEMENT_BUDGET = 125_000
 # most chunks grown at once, whatever the core count
 _MAX_WORKERS = 4
@@ -109,12 +114,14 @@ class ForestResult:
     extra: dict = field(default_factory=dict)
 
 
-def _draw_parents(n, reps, kernel, rng):
+def _draw_parents(n, reps, kernel, rng, slots):
     """Parents of nodes 2..n in ``reps`` trees, drawn with no loop over nodes.
 
     Node labels live in a (reps, n) grid, node k of row r at flat index
-    r * n + k - 1.  Returns an int32 (reps, n - 1) array whose column
-    m - 2 holds the flat index of node m's parent.
+    r * n + k - 1.  The grid is built in place in the leading reps * n
+    entries of ``slots``, a flat int32 buffer that the caller reuses
+    from chunk to chunk.  Returns an int32 (reps, n - 1) view of it whose
+    column m - 2 holds the flat index of node m's parent.
 
     This is the bag sampler of Batagelj & Brandes (Phys. Rev. E 71,
     036113, 2005).  Under the degree kernel the tree on m - 1 nodes has
@@ -129,11 +136,15 @@ def _draw_parents(n, reps, kernel, rng):
     first_slot = -1 if kernel is Kernel.GAP else 0
     ends = 2 * np.arange(1, n - 1, dtype=np.int32)  # 2(m - 2) edge ends met by node m = 3..n
     q = rng.integers(first_slot, ends, size=(reps, n - 2), dtype=np.int32)
-    ref = np.empty((reps, n), dtype=np.int32)
+    ref = slots[: reps * n].reshape(reps, n)
     row_start = np.arange(0, reps * n, n, dtype=np.int32)[:, None]
     ref[:, :2] = row_start  # node 2 hangs off the root; the root's entry is never read
-    np.add(q >> 1, row_start + 1, out=ref[:, 2:])
-    ref[:, 2:] ^= (q & 1) - 1  # even slot: ~target marks the entry pending
+    target = np.right_shift(q, 1, out=ref[:, 2:])
+    target += row_start + 1
+    q &= 1
+    q -= 1
+    target ^= q  # even slot: ~target marks the entry pending
+    del q  # free the draws before the pointer jumping
     flat = ref.reshape(-1)
     pending = np.flatnonzero(flat < 0)
     while pending.size:
@@ -143,25 +154,24 @@ def _draw_parents(n, reps, kernel, rng):
     return ref[:, 1:]
 
 
-def _earlier_siblings(parents):
-    """For each node of a (reps, n - 1) parent array, the number of
-    earlier nodes with the same parent, found by one sort of
-    (parent, node) keys."""
-    size = parents.size
+def _earlier_siblings(keys):
+    """For each node of a flat int64 parent array ``keys``, the number
+    of earlier nodes with the same parent, found by one sort of
+    (parent, node) keys.  The sort and the counts reuse ``keys``, which
+    is returned holding the counts."""
+    size = keys.size
     shift = size.bit_length()
-    keys = parents.reshape(-1).astype(np.int64)
+    rank = np.arange(size, dtype=np.int64)
     keys <<= shift
-    keys |= np.arange(size)
+    keys |= rank
     keys.sort()
     node = keys & ((1 << shift) - 1)
     keys >>= shift  # each node's parent, grouped
-    rank = np.arange(size, dtype=np.int64)
-    group_start = rank * np.concatenate(([True], keys[1:] != keys[:-1]))
+    group_start = np.multiply(rank, np.concatenate(([True], keys[1:] != keys[:-1])), out=keys)
     np.maximum.accumulate(group_start, out=group_start)
     rank -= group_start
-    earlier = np.empty(size, dtype=np.int64)
-    earlier[node] = rank
-    return earlier.reshape(parents.shape)
+    keys[node] = rank
+    return keys
 
 
 def _martingale_constants(n):
@@ -173,17 +183,18 @@ def _martingale_constants(n):
     return 2.0 / (m - 1), 4.0 * h, martingale_diff_bound(m[1:]) + _BOUND_EPS
 
 
-def _martingale_path(parents, constants):
+def _martingale_path(parents, keys, constants):
     """Final M_n, largest |M_m - M_{m-1}| and the increment-bound flag
-    of each row, from the parents of ``_draw_parents`` (degree kernel)
-    and the ``_martingale_constants`` of the tree size.
+    of each row, from the parents of ``_draw_parents`` (degree kernel),
+    their flat int64 copy ``keys`` (overwritten) and the
+    ``_martingale_constants`` of the tree size.
 
     Node m raises Z by 2d + 2, where d is its parent's degree just
     before m arrives: the parent's earlier children, plus one for the
     edge to its own parent unless it is the root.
     """
     scale, offset, limit = constants
-    z_path = _earlier_siblings(parents)
+    z_path = _earlier_siblings(keys).reshape(parents.shape)
     z_path += parents != parents[:, :1]  # node 2's parent is the root
     z_path *= 2
     z_path += 2
@@ -196,12 +207,17 @@ def _martingale_path(parents, constants):
     return m_path[:, -1].copy(), diff.max(axis=1, initial=0.0), bound_ok
 
 
-def _grow_chunk(n, reps, kernel, rng, labels=(), martingale=None):
+def _grow_chunk(n, reps, kernel, rng, labels, martingale, slots, keys):
     """One chunk's ForestResult; ``martingale`` holds the
-    ``_martingale_constants`` of n when the path is wanted.  It runs on
-    a worker thread, so it calls no public function of the package."""
-    parents = _draw_parents(n, reps, kernel, rng)
-    deg = np.bincount(parents.reshape(-1), minlength=reps * n).reshape(reps, n)
+    ``_martingale_constants`` of n when the path is wanted.  ``slots``
+    (int32) and ``keys`` (int64) are the worker's reused buffers, of at
+    least reps * n and reps * (n - 1) entries; no returned array is a
+    view of them.  It runs on a worker thread, so it calls no public
+    function of the package."""
+    parents = _draw_parents(n, reps, kernel, rng, slots)
+    keys = keys[: parents.size]
+    np.copyto(keys.reshape(parents.shape), parents)  # int64 is intp on 64-bit hosts: bincount makes no copy
+    deg = np.bincount(keys, minlength=reps * n).reshape(reps, n)
     deg[:, 1:] += 1  # the edge to the parent; the root, node 1, has none
     result = ForestResult(
         zagreb=np.einsum("ij,ij->i", deg, deg),
@@ -211,7 +227,7 @@ def _grow_chunk(n, reps, kernel, rng, labels=(), martingale=None):
         result.extra[f"degree:{j}"] = deg[:, j - 1].copy()
     if martingale is not None:
         del deg  # not needed by the path; free it before the sort
-        m_final, max_diff, bound_ok = _martingale_path(parents, martingale)
+        m_final, max_diff, bound_ok = _martingale_path(parents, keys, martingale)
         result.extra["martingale"] = m_final
         result.extra["martingale_max_diff"] = max_diff
         result.extra["martingale_bound_ok"] = bound_ok
@@ -243,11 +259,16 @@ def grow_forest(
     martingale = _martingale_constants(n) if want_martingale else None
     n_chunks = (replicates + chunk_size - 1) // chunk_size
     streams = np.random.SeedSequence(seed).spawn(n_chunks)
+    rows = min(chunk_size, replicates)
+    worker = threading.local()  # each thread's chunk buffers, dropped with this call
 
     def grow(i):
         reps = min(chunk_size, replicates - i * chunk_size)
         rng = np.random.Generator(np.random.PCG64(streams[i]))
-        return _grow_chunk(n, reps, kernel, rng, labels, martingale)
+        if not hasattr(worker, "slots"):
+            worker.slots = np.empty(rows * n, dtype=np.int32)
+            worker.keys = np.empty(rows * (n - 1), dtype=np.int64)
+        return _grow_chunk(n, reps, kernel, rng, labels, martingale, worker.slots, worker.keys)
 
     from concurrent.futures import ThreadPoolExecutor
 

@@ -114,11 +114,12 @@ def _replay(parents, n):
 @pytest.mark.parametrize("kernel", list(Kernel))
 def test_forest_matches_scalar_replay(kernel):
     n, reps, seed = 40, 6, 9
-    parents = _draw_parents(n, reps, kernel, np.random.default_rng(seed))
+    parents = _draw_parents(n, reps, kernel, np.random.default_rng(seed), np.empty(reps * n, dtype=np.int32))
     # same stream: _grow_chunk draws exactly these parents
     res = _grow_chunk(
         n, reps, kernel, np.random.default_rng(seed),
         labels=tuple(range(1, n + 1)), martingale=_martingale_constants(n),
+        slots=np.empty(reps * n, dtype=np.int32), keys=np.empty(reps * (n - 1), dtype=np.int64),
     )
     labels = parents - np.arange(reps)[:, None] * n + 1  # flat grid index -> node label
     for r in range(reps):

@@ -1,0 +1,125 @@
+"""The forest sampler's reused chunk buffers: the bytes it draws are
+pinned, no result is a view of a buffer, and no buffer outlives a call."""
+
+import hashlib
+import sys
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from port_trees import montecarlo
+from port_trees.montecarlo import _grow_chunk, grow_forest
+from port_trees.poisson import simulate_gap_tree
+from port_trees.tree import Kernel
+
+# (n, replicates, kernel, keyword arguments) of grow_forest, seed 23
+FOREST_CASES = {
+    "degree-martingale-labels": (400, 700, Kernel.DEGREE, {"want_martingale": True, "labels": (1, 5, 400)}),
+    "gap-labels": (400, 700, Kernel.GAP, {"labels": (1, 5, 400)}),
+    "partial-last-chunk": (
+        300, 1000, Kernel.DEGREE, {"want_martingale": True, "labels": (1, 5, 300), "chunk_size": 70}
+    ),
+}
+# sha256 of each case's arrays, taken from the sampler before it reused buffers
+FOREST_SHA256 = {
+    "degree-martingale-labels": "2b2ae006715d0315fa2d014fc486496eff3f4f502e03226e898b37ae8ebec174",
+    "gap-labels": "7845684f354f7b7e578f27158ad1ec10d6e3a74eda33f29c8ce3a86124d1b867",
+    "partial-last-chunk": "9b93e1a79b197136c0b157512c576b3d5e2cb683ac1e65361456161613c591a9",
+}
+# (j, dt, size) of simulate_gap_tree, seed 29
+GAP_TREE_CASES = {"j2-dt3": (2, 3.0, 600), "j5-dt2": (5, 2.0, 300)}
+GAP_TREE_SHA256 = {
+    "j2-dt3": "f0ee385268f2da0cda72e8336dc0ff0a16e16f57bd72f5362e2e43e5be8cd3fb",
+    "j5-dt2": "1b740136e97b491b0ac8ed771e890c202ea8e2a9da77aee2f9f477458ecac98f",
+}
+
+
+def _digest(arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def _forest_arrays(result):
+    return [result.zagreb, result.cubic] + [result.extra[k] for k in sorted(result.extra)]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("case", sorted(FOREST_CASES))
+def test_forest_bytes_are_pinned(case, workers, monkeypatch):
+    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: workers)
+    n, replicates, kernel, flags = FOREST_CASES[case]
+    result = grow_forest(n, replicates, kernel, 23, **flags)
+    assert _digest(_forest_arrays(result)) == FOREST_SHA256[case]
+
+
+@pytest.mark.parametrize("case", sorted(GAP_TREE_CASES))
+def test_gap_tree_bytes_are_pinned(case):
+    j, dt, size = GAP_TREE_CASES[case]
+    w = simulate_gap_tree(j, dt, np.random.default_rng(29), size)
+    assert _digest([w]) == GAP_TREE_SHA256[case]
+
+
+def test_workers_never_share_a_buffer(monkeypatch):
+    # more workers than cores, 40 small chunks and a short switch
+    # interval: two threads writing one buffer would change the bytes
+    n, replicates, flags = 200, 400, {"want_martingale": True, "labels": (1, 5, 200), "chunk_size": 10}
+    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 1)
+    expected = _digest(_forest_arrays(grow_forest(n, replicates, Kernel.DEGREE, 31, **flags)))
+    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            assert _digest(_forest_arrays(grow_forest(n, replicates, Kernel.DEGREE, 31, **flags))) == expected
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("case", sorted(FOREST_CASES))
+def test_forest_results_survive_the_next_call(case):
+    n, replicates, kernel, flags = FOREST_CASES[case]
+    first = grow_forest(n, replicates, kernel, 1, **flags)
+    kept = [a.copy() for a in _forest_arrays(first)]
+    grow_forest(n, replicates, kernel, 2, **flags)
+    for a, b in zip(_forest_arrays(first), kept):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_chunk_results_survive_the_next_chunk():
+    # two chunks through the same buffers: the first chunk's arrays must
+    # not be views of them
+    n, reps = 60, 9
+    slots, keys = np.empty(reps * n, dtype=np.int32), np.empty(reps * (n - 1), dtype=np.int64)
+    martingale = montecarlo._martingale_constants(n)
+    first = _grow_chunk(n, reps, Kernel.DEGREE, np.random.default_rng(1), (1, 5, n), martingale, slots, keys)
+    kept = [a.copy() for a in _forest_arrays(first)]
+    _grow_chunk(n, reps, Kernel.DEGREE, np.random.default_rng(2), (1, 5, n), martingale, slots, keys)
+    for a, b in zip(_forest_arrays(first), kept):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: grow_forest(10000, 200, Kernel.DEGREE, 3, want_martingale=True),
+        lambda: grow_forest(5000, 300, Kernel.GAP, 3, labels=(10,)),
+        lambda: simulate_gap_tree(2, 3.0, np.random.default_rng(3), 600),
+    ],
+    ids=["martingale", "gap-labels", "gap-tree"],
+)
+def test_no_buffer_outlives_the_call(call):
+    # each call's buffers hold at least 480 kB; its results hold under 10 kB
+    call()  # first-call imports and caches are not the call's buffers
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert result is not None
+    assert after - before < 50_000
