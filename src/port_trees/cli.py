@@ -36,6 +36,9 @@ from .zagreb import martingale_diff_bound, moment_rows, zagreb_mean, zagreb_seco
 
 SCHEMA_VERSION = 1
 _REQUIRED = object()  # default of a required option; main names the option if it stays unset
+# values per write of sample.csv: one join per block is about twice as
+# fast as a write per value, and only one block's strings are alive
+_SAMPLE_BLOCK = 8192
 
 
 class _Parser(argparse.ArgumentParser):
@@ -164,7 +167,8 @@ def _emit_sample(out_dir: str, sample, summary: dict) -> None:
     (``tolist`` prints ints as ints and floats by ``repr``), and
     ``summary.json``."""
     with _output(out_dir, "sample.csv") as fh:
-        fh.writelines(f"{v}\n" for v in sample.tolist())
+        for start in range(0, sample.size, _SAMPLE_BLOCK):
+            fh.write("\n".join(map(str, sample[start : start + _SAMPLE_BLOCK].tolist())) + "\n")
     _emit_json({"schema_version": SCHEMA_VERSION, **summary}, out_dir, "summary.json")
 
 

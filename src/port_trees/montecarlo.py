@@ -18,7 +18,8 @@ in chunk order, so the worker count never changes a byte.  At most
 whatever the core count.  Each worker thread builds every chunk it
 grows in the same two buffers, allocated once per ``grow_forest`` call,
 so the pages of one chunk are not handed back and faulted in again by
-the next.  The module computes and returns; it writes
+the next; the martingale path works through a chunk in small blocks of
+rows for the same reason.  The module computes and returns; it writes
 no file (the ``port`` command line writes every output).
 
 Normality is assessed with the Jarque-Bera moment test (exactly
@@ -52,11 +53,15 @@ __all__ = [
 
 # bound-check tolerance: the bound is exact, the trace is float
 _BOUND_EPS = 1e-9
-# per-chunk budget of node slots, replicates x n; the martingale path
-# keeps about 32 bytes per slot alive at its peak (tracemalloc, the two
-# reused buffers included), so a chunk holds about 4 MB and the most
-# that grow in parallel about 16 MB
+# per-chunk budget of node slots, replicates x n; a chunk keeps about
+# 24 bytes per slot alive at its peak (tracemalloc, the two reused
+# buffers included), so it holds about 3 MB and the most that grow in
+# parallel about 12 MB
 _CHUNK_ELEMENT_BUDGET = 125_000
+# most node slots in one block of rows of the martingale path (at least
+# one row); each of its temporaries, 8 bytes a slot, then stays under
+# glibc's 128 kB mmap threshold for rows of up to 16,384 nodes
+_PATH_BLOCK_SLOTS = 8192
 # most chunks grown at once, whatever the core count
 _MAX_WORKERS = 4
 # fewest observations the Jarque-Bera summary takes
@@ -114,14 +119,64 @@ class ForestResult:
     extra: dict = field(default_factory=dict)
 
 
-def _draw_parents(n, reps, kernel, rng, slots):
+def _slot_bounds(n, kernel):
+    """The bag sampler's draw bounds for nodes m = 3..n: the first slot
+    (-1 under the gap kernel, whose extra root gap comes first, else 0),
+    each node's count of slots r (uint32) and the Lemire rejection
+    thresholds (2**32 - r) % r (uint32).  A tree of fewer nodes uses the
+    leading entries."""
+    first_slot = -1 if kernel is Kernel.GAP else 0
+    ranges = np.arange(2 - first_slot, 2 * n - 2 - first_slot, 2, dtype=np.uint32)  # 2(m - 2) edge ends, + the gap
+    thresholds = np.negative(ranges)  # 2**32 - r: a uint32 negation wraps
+    thresholds %= ranges
+    return first_slot, ranges, thresholds
+
+
+def _bounded_draw(rng, low, ranges, thresholds, out, scratch):
+    """Write ``rng.integers(low, low + ranges, size=out.shape,
+    dtype=np.int32)`` into the int64 array ``out``, value for value and
+    leaving ``rng`` in the same state, in whole-array steps.
+
+    numpy draws entry i of column c from the next uint32 x as the high
+    half of x * r_c, unless the low half falls below the threshold
+    (2**32 - r_c) % r_c; it then discards x and tries the next uint32
+    (Lemire, ACM TOMACS 29(1), 2019).  Here every entry takes one uint32
+    up front; each rare rejection shifts that entry and all later ones
+    onto the next uint32 of the stream, in place.  ``scratch`` is a
+    uint32 array of ``out``'s shape that holds the low halves.  Every
+    r must lie in [2, 2**31]: numpy draws nothing for r = 1.
+    """
+    cols = ranges.size
+    raw = rng.integers(0, 2**32, size=out.shape, dtype=np.uint32)  # one next_uint32 per entry, in order
+    flat = raw.reshape(-1)
+    row = col = 0  # entries before (row, col) are final
+    while True:
+        np.multiply(raw[row:], ranges, out=scratch[row:])  # the low halves, mod 2**32
+        rejected = np.flatnonzero(scratch[row:] < thresholds)
+        rejected = rejected[rejected >= col]
+        if not rejected.size:
+            break
+        start = row * cols + int(rejected[0])
+        flat[start:-1] = flat[start + 1 :]
+        flat[-1] = rng.integers(0, 2**32, dtype=np.uint32)
+        row, col = divmod(start, cols)
+    np.multiply(raw, ranges, out=out, dtype=np.int64)
+    out >>= 32
+    out += low
+    return out
+
+
+def _draw_parents(n, reps, bounds, rng, slots, draws):
     """Parents of nodes 2..n in ``reps`` trees, drawn with no loop over nodes.
 
     Node labels live in a (reps, n) grid, node k of row r at flat index
     r * n + k - 1.  The grid is built in place in the leading reps * n
     entries of ``slots``, a flat int32 buffer that the caller reuses
-    from chunk to chunk.  Returns an int32 (reps, n - 1) view of it whose
-    column m - 2 holds the flat index of node m's parent.
+    from chunk to chunk; ``draws`` is a flat int64 buffer of at least
+    reps * (n - 2) entries that holds the drawn slots and is free again
+    on return.  ``bounds`` is the ``_slot_bounds`` of the kernel, for n
+    nodes or more.  Returns an int32 (reps, n - 1) view of ``slots``
+    whose column m - 2 holds the flat index of node m's parent.
 
     This is the bag sampler of Batagelj & Brandes (Phys. Rev. E 71,
     036113, 2005).  Under the degree kernel the tree on m - 1 nodes has
@@ -130,13 +185,16 @@ def _draw_parents(n, reps, kernel, rng, slots):
     here as slot -1.  Node m >= 3 draws a slot q uniformly.  An odd slot
     names node (q >> 1) + 2 (the root for q = -1); an even slot inherits
     the parent of the earlier node (q >> 1) + 2.  All slots are drawn at
-    once.  Then every pending node copies its target's current entry,
-    which halves the remaining chains, until none is pending.
+    once, by ``_bounded_draw``: numpy's own bounded draw done in
+    whole-array steps, so the slots are those of ``rng.integers``.  Then
+    every pending node copies its target's current entry, which halves
+    the remaining chains, until none is pending.
     """
-    first_slot = -1 if kernel is Kernel.GAP else 0
-    ends = 2 * np.arange(1, n - 1, dtype=np.int32)  # 2(m - 2) edge ends met by node m = 3..n
-    q = rng.integers(first_slot, ends, size=(reps, n - 2), dtype=np.int32)
+    first_slot, ranges, thresholds = bounds
     ref = slots[: reps * n].reshape(reps, n)
+    draws = draws[: reps * (n - 2)].reshape(reps, n - 2)
+    # the grid's node columns hold the low halves until the targets overwrite them
+    q = _bounded_draw(rng, first_slot, ranges[: n - 2], thresholds[: n - 2], draws, ref[:, 2:].view(np.uint32))
     row_start = np.arange(0, reps * n, n, dtype=np.int32)[:, None]
     ref[:, :2] = row_start  # node 2 hangs off the root; the root's entry is never read
     target = np.right_shift(q, 1, out=ref[:, 2:])
@@ -144,7 +202,6 @@ def _draw_parents(n, reps, kernel, rng, slots):
     q &= 1
     q -= 1
     target ^= q  # even slot: ~target marks the entry pending
-    del q  # free the draws before the pointer jumping
     flat = ref.reshape(-1)
     pending = np.flatnonzero(flat < 0)
     while pending.size:
@@ -191,30 +248,44 @@ def _martingale_path(parents, keys, constants):
 
     Node m raises Z by 2d + 2, where d is its parent's degree just
     before m arrives: the parent's earlier children, plus one for the
-    edge to its own parent unless it is the root.
+    edge to its own parent unless it is the root.  Each row's path is
+    its own, so the rows go through in blocks of at most
+    ``_PATH_BLOCK_SLOTS`` node slots: the temporaries of one block are
+    small enough for the allocator to hand the same memory to the next.
     """
     scale, offset, limit = constants
-    z_path = _earlier_siblings(keys).reshape(parents.shape)
-    z_path += parents != parents[:, :1]  # node 2's parent is the root
-    z_path *= 2
-    z_path += 2
-    np.cumsum(z_path, axis=1, out=z_path)  # Z_m for m = 2..n
-    m_path = scale * z_path
-    m_path -= offset
-    diff = np.diff(m_path, axis=1)  # m = 3..n
-    np.abs(diff, out=diff)
-    bound_ok = (diff <= limit).all(axis=1)
-    return m_path[:, -1].copy(), diff.max(axis=1, initial=0.0), bound_ok
+    reps, width = parents.shape
+    keys = keys.reshape(parents.shape)
+    m_final, max_diff = np.empty(reps), np.empty(reps)
+    bound_ok = np.empty(reps, dtype=bool)
+    rows = max(1, _PATH_BLOCK_SLOTS // width)
+    for start in range(0, reps, rows):
+        block = slice(start, start + rows)
+        z_path = _earlier_siblings(keys[block].reshape(-1)).reshape(-1, width)
+        z_path += parents[block] != parents[block, :1]  # node 2's parent is the root
+        z_path *= 2
+        z_path += 2
+        np.cumsum(z_path, axis=1, out=z_path)  # Z_m for m = 2..n
+        m_path = scale * z_path
+        m_path -= offset
+        m_final[block] = m_path[:, -1]
+        diff = np.diff(m_path, axis=1)  # m = 3..n
+        np.abs(diff, out=diff)
+        max_diff[block] = diff.max(axis=1, initial=0.0)
+        bound_ok[block] = (diff <= limit).all(axis=1)
+    return m_final, max_diff, bound_ok
 
 
-def _grow_chunk(n, reps, kernel, rng, labels, martingale, slots, keys):
-    """One chunk's ForestResult; ``martingale`` holds the
+def _grow_chunk(n, reps, bounds, rng, labels, martingale, slots, keys):
+    """One chunk's ForestResult; ``bounds`` is the ``_slot_bounds`` of
+    the kernel and n, and ``martingale`` holds the
     ``_martingale_constants`` of n when the path is wanted.  ``slots``
     (int32) and ``keys`` (int64) are the worker's reused buffers, of at
-    least reps * n and reps * (n - 1) entries; no returned array is a
-    view of them.  It runs on a worker thread, so it calls no public
-    function of the package."""
-    parents = _draw_parents(n, reps, kernel, rng, slots)
+    least reps * n and reps * (n - 1) entries; ``keys`` holds the drawn
+    slots before the parents.  No returned array is a view of them.  It
+    runs on a worker thread, so it calls no public function of the
+    package."""
+    parents = _draw_parents(n, reps, bounds, rng, slots, keys)
     keys = keys[: parents.size]
     np.copyto(keys.reshape(parents.shape), parents)  # int64 is intp on 64-bit hosts: bincount makes no copy
     deg = np.bincount(keys, minlength=reps * n).reshape(reps, n)
@@ -256,6 +327,7 @@ def grow_forest(
     chunk_size = SimulationConfig(n=n, replicates=replicates, chunk_size=chunk_size).resolved_chunk()
     if want_martingale and kernel is not Kernel.DEGREE:
         raise ValueError("the martingale transform is defined for the degree-proportional kernel")
+    bounds = _slot_bounds(n, kernel)  # shared read-only by the workers
     martingale = _martingale_constants(n) if want_martingale else None
     n_chunks = (replicates + chunk_size - 1) // chunk_size
     streams = np.random.SeedSequence(seed).spawn(n_chunks)
@@ -268,7 +340,7 @@ def grow_forest(
         if not hasattr(worker, "slots"):
             worker.slots = np.empty(rows * n, dtype=np.int32)
             worker.keys = np.empty(rows * (n - 1), dtype=np.int64)
-        return _grow_chunk(n, reps, kernel, rng, labels, martingale, worker.slots, worker.keys)
+        return _grow_chunk(n, reps, bounds, rng, labels, martingale, worker.slots, worker.keys)
 
     from concurrent.futures import ThreadPoolExecutor
 

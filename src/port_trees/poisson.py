@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .montecarlo import SimulationConfig, _draw_parents
+from .montecarlo import SimulationConfig, _draw_parents, _slot_bounds
 from .tree import Kernel
 
 __all__ = [
@@ -102,12 +102,14 @@ def simulate_gap_tree(j: int, dt: float, rng: np.random.Generator, size: int) ->
     rows = SimulationConfig(n=top, replicates=size).resolved_chunk()
     order = np.argsort(k, kind="stable")
     w = np.ones(size, dtype=np.int64)
+    bounds = _slot_bounds(top, Kernel.GAP)  # each chunk uses the leading entries
     slots = np.empty(rows * top, dtype=np.int32)  # every chunk's node grid, in turn
+    draws = np.empty(rows * (top - 2), dtype=np.int64)  # and its drawn slots
     for start in range(0, size, rows):
         chunk = order[start : start + rows]
         events = k[chunk]
         n = j + int(events[-1])
-        children = _draw_parents(n, chunk.size, Kernel.GAP, rng, slots)[:, j - 1 :]  # parents of nodes j+1 ... n
+        children = _draw_parents(n, chunk.size, bounds, rng, slots, draws)[:, j - 1 :]  # parents of nodes j+1 ... n
         node_j = np.arange(j - 1, chunk.size * n, n)[:, None]  # flat index of node j in each row
         born = np.arange(n - j) < events[:, None]
         w[chunk] += ((children == node_j) & born).sum(axis=1)

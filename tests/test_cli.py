@@ -276,8 +276,13 @@ def _experiment_sample(statistic):
             lambda: simulate_yule(1.5, np.random.Generator(np.random.PCG64(np.random.SeedSequence(9))), size=300),
             int,
         ),
+        (  # more values than two of the writer's blocks
+            ["poisson", "--dt", "1.5", "--reps", "20000"],
+            lambda: simulate_yule(1.5, np.random.Generator(np.random.PCG64(np.random.SeedSequence(9))), size=20000),
+            int,
+        ),
     ],
-    ids=["simulate-cubic", "simulate-martingale", "poisson"],
+    ids=["simulate-cubic", "simulate-martingale", "poisson", "poisson-blocks"],
 )
 def test_sample_csv_round_trips(capsys, tmp_path, argv, expected, parse):
     # every value reads back exactly: ints as ints, floats with no tolerance
@@ -285,7 +290,9 @@ def test_sample_csv_round_trips(capsys, tmp_path, argv, expected, parse):
     assert code == 0, err
     values = expected().tolist()
     assert all(isinstance(v, parse) for v in values)
-    assert [parse(line) for line in (tmp_path / "sample.csv").read_text().splitlines()] == values
+    text = (tmp_path / "sample.csv").read_text()
+    assert text.count("\n") == len(values)  # one line per value, each ended
+    assert [parse(line) for line in text.splitlines()] == values
 
 
 def _file_writers(source: str) -> list[str]:

@@ -16,6 +16,7 @@ from port_trees.montecarlo import (
     _grow_chunk,
     _martingale_constants,
     _parse_statistic,
+    _slot_bounds,
     grow_forest,
     jarque_bera,
     kde,
@@ -114,10 +115,13 @@ def _replay(parents, n):
 @pytest.mark.parametrize("kernel", list(Kernel))
 def test_forest_matches_scalar_replay(kernel):
     n, reps, seed = 40, 6, 9
-    parents = _draw_parents(n, reps, kernel, np.random.default_rng(seed), np.empty(reps * n, dtype=np.int32))
+    parents = _draw_parents(
+        n, reps, _slot_bounds(n, kernel), np.random.default_rng(seed),
+        np.empty(reps * n, dtype=np.int32), np.empty(reps * (n - 1), dtype=np.int64),
+    )
     # same stream: _grow_chunk draws exactly these parents
     res = _grow_chunk(
-        n, reps, kernel, np.random.default_rng(seed),
+        n, reps, _slot_bounds(n, kernel), np.random.default_rng(seed),
         labels=tuple(range(1, n + 1)), martingale=_martingale_constants(n),
         slots=np.empty(reps * n, dtype=np.int32), keys=np.empty(reps * (n - 1), dtype=np.int64),
     )

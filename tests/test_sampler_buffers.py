@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from port_trees import montecarlo
-from port_trees.montecarlo import _grow_chunk, grow_forest
+from port_trees.montecarlo import _bounded_draw, _grow_chunk, _slot_bounds, grow_forest
 from port_trees.poisson import simulate_gap_tree
 from port_trees.tree import Kernel
 
@@ -33,6 +33,12 @@ GAP_TREE_SHA256 = {
     "j2-dt3": "f0ee385268f2da0cda72e8336dc0ff0a16e16f57bd72f5362e2e43e5be8cd3fb",
     "j5-dt2": "1b740136e97b491b0ac8ed771e890c202ea8e2a9da77aee2f9f477458ecac98f",
 }
+# (n, reps) of a chunk's slot draw: the smallest trees, then chunks of
+# the benchmark's shapes
+DRAW_SHAPES = [(3, 1), (3, 40), (4, 1), (4, 40), (20000, 6), (10000, 12), (5000, 25)]
+# each (kernel, carried half) meets at least one Lemire rejection in
+# these seeds' 10000 x 12 draws; gap seed 2 meets two
+REJECTION_SEEDS = range(10)
 
 
 def _digest(arrays):
@@ -94,10 +100,10 @@ def test_chunk_results_survive_the_next_chunk():
     # not be views of them
     n, reps = 60, 9
     slots, keys = np.empty(reps * n, dtype=np.int32), np.empty(reps * (n - 1), dtype=np.int64)
-    martingale = montecarlo._martingale_constants(n)
-    first = _grow_chunk(n, reps, Kernel.DEGREE, np.random.default_rng(1), (1, 5, n), martingale, slots, keys)
+    bounds, martingale = _slot_bounds(n, Kernel.DEGREE), montecarlo._martingale_constants(n)
+    first = _grow_chunk(n, reps, bounds, np.random.default_rng(1), (1, 5, n), martingale, slots, keys)
     kept = [a.copy() for a in _forest_arrays(first)]
-    _grow_chunk(n, reps, Kernel.DEGREE, np.random.default_rng(2), (1, 5, n), martingale, slots, keys)
+    _grow_chunk(n, reps, bounds, np.random.default_rng(2), (1, 5, n), martingale, slots, keys)
     for a, b in zip(_forest_arrays(first), kept):
         assert a.tobytes() == b.tobytes()
 
@@ -123,3 +129,45 @@ def test_no_buffer_outlives_the_call(call):
         tracemalloc.stop()
     assert result is not None
     assert after - before < 50_000
+
+
+def _both_draws(seed, n, reps, kernel, carried):
+    """numpy's bounded draw of a chunk's slots and ``_bounded_draw``'s,
+    from two generators of one seed, with the generators after each."""
+    first_slot, ranges, thresholds = _slot_bounds(n, kernel)
+    numpy_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    if carried:  # the generator holds the other half of its last 64-bit output
+        for g in (numpy_rng, rng):
+            g.integers(0, 2**32, dtype=np.uint32)
+            assert g.bit_generator.state["has_uint32"] == 1
+    ends = 2 * np.arange(1, n - 1, dtype=np.int32)
+    expected = numpy_rng.integers(first_slot, ends, size=(reps, n - 2), dtype=np.int32)
+    got = np.empty((reps, n - 2), dtype=np.int64)
+    _bounded_draw(rng, first_slot, ranges, thresholds, got, np.empty((reps, n - 2), dtype=np.uint32))
+    return expected, got, numpy_rng, rng
+
+
+@pytest.mark.parametrize("carried", [False, True], ids=["aligned", "carried-half"])
+@pytest.mark.parametrize("kernel", list(Kernel))
+@pytest.mark.parametrize("n,reps", DRAW_SHAPES)
+def test_bounded_draw_is_numpys(n, reps, kernel, carried):
+    for seed in (0, 7):
+        expected, got, numpy_rng, rng = _both_draws(seed, n, reps, kernel, carried)
+        np.testing.assert_array_equal(got, expected)
+        assert rng.bit_generator.state == numpy_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("carried", [False, True], ids=["aligned", "carried-half"])
+@pytest.mark.parametrize("kernel", list(Kernel))
+def test_bounded_draw_repairs_rejections(kernel, carried):
+    n, reps = 10000, 12
+    rejected = 0
+    for seed in REJECTION_SEEDS:
+        expected, got, numpy_rng, rng = _both_draws(seed, n, reps, kernel, carried)
+        np.testing.assert_array_equal(got, expected)
+        assert rng.bit_generator.state == numpy_rng.bit_generator.state
+        # one uint32 per slot, unless numpy rejected one and drew again
+        plain = np.random.default_rng(seed)
+        plain.integers(0, 2**32, size=int(carried) + reps * (n - 2), dtype=np.uint32)
+        rejected += plain.bit_generator.state != numpy_rng.bit_generator.state
+    assert rejected >= 1
