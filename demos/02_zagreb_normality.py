@@ -3,15 +3,13 @@
 Run:  python3 demos/02_zagreb_normality.py
 """
 
-import numpy as np
-
 from port_trees import (
     Kernel,
     VAR_Z_COEFFICIENT,
     grow_forest,
-    jarque_bera,
     kde,
     moment_rows,
+    summarize,
     zagreb_mean,
     zagreb_second_moment,
 )
@@ -30,10 +28,9 @@ print("\nMonte Carlo at n = 20000 (3000 replicates):")
 res = grow_forest(20_000, 3000, Kernel.DEGREE, seed=7)
 z = res.zagreb.astype(float)
 print(f"  sample mean {z.mean():.1f}  vs exact {float(zagreb_mean(20_000)):.1f}")
-c = z - z.mean()
-skew = float(np.mean(c**3) / np.mean(c**2) ** 1.5)
-jb, p = jarque_bera(z)
-print(f"  skewness {skew:+.3f} (right-skewed), Jarque-Bera {jb:.1f}, p = {p:.2e}")
+summary = summarize(z)
+print(f"  skewness {summary.skewness:+.3f} (right-skewed), Jarque-Bera {summary.jb_statistic:.1f}, "
+      f"p = {summary.jb_pvalue:.2e}")
 print("  => normality decisively rejected; the limit law is not Gaussian")
 
 grid, dens = kde(z, grid_size=9)

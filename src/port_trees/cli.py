@@ -292,9 +292,9 @@ def _cmd_normality_report(args) -> int:
 
     n, reps = args.n, args.reps
     sim = SimulationConfig(n=n, replicates=reps, kernel=Kernel.DEGREE, seed=args.seed, statistic="zagreb")
+    summary = _simulate(sim, args.out, 256)  # refuses --reps < 8 first, so a refused run gets no warning
     if reps < 100:
         print("warning: fewer than 100 replicates; the normality test is underpowered", file=sys.stderr)
-    summary = _simulate(sim, args.out, 256)
     args.chunk_size = sim.resolved_chunk()
     verdict = "normality rejected" if summary.jb_pvalue < 1e-3 else "normality not rejected"
     report = {

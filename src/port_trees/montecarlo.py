@@ -46,7 +46,6 @@ __all__ = [
     "grow_forest",
     "run_experiment",
     "summarize",
-    "jarque_bera",
     "kde",
     "martingale_diagnostics",
 ]
@@ -367,37 +366,20 @@ def _extract_statistic(result: ForestResult, statistic: str) -> np.ndarray:
     return result.extra[statistic]
 
 
-def jarque_bera(sample) -> tuple[float, float]:
-    """Jarque-Bera statistic and chi-square(2) p-value.
-
+def summarize(sample) -> StatsSummary:
+    """Moments of the sample and its Jarque-Bera normality test:
     JB = (k/6)(S^2 + K^2/4) with sample skewness S and excess kurtosis
-    K; the chi-square(2) tail is exp(-JB/2).
-    """
+    K, centred once; the chi-square(2) tail is exp(-JB/2)."""
     x = np.asarray(sample, dtype=float)
-    return _jarque_bera(x.size, *_skew_kurtosis(x))
-
-
-def _skew_kurtosis(x: np.ndarray) -> tuple[float, float]:
-    """Skewness and excess kurtosis of x, centred once, where the
-    Jarque-Bera test is defined."""
     if x.size < _JB_MIN_COUNT:
-        raise ValueError(f"jarque_bera needs at least {_JB_MIN_COUNT} observations, got {x.size}")
+        raise ValueError(f"summarize needs at least {_JB_MIN_COUNT} observations, got {x.size}")
     centered = x - x.mean()
     m2 = float(np.mean(centered**2))
     if m2 == 0.0:
-        raise ValueError("jarque_bera is undefined for a zero-variance sample")
-    return float(np.mean(centered**3) / m2**1.5), float(np.mean(centered**4) / m2**2 - 3.0)
-
-
-def _jarque_bera(k: int, skew: float, kurt: float) -> tuple[float, float]:
-    jb = k / 6.0 * (skew * skew + kurt * kurt / 4.0)
-    return float(jb), float(math.exp(-jb / 2.0))
-
-
-def summarize(sample) -> StatsSummary:
-    x = np.asarray(sample, dtype=float)
-    skew, kurt = _skew_kurtosis(x)
-    jb, p = _jarque_bera(x.size, skew, kurt)
+        raise ValueError("the Jarque-Bera test is undefined for a zero-variance sample")
+    skew = float(np.mean(centered**3) / m2**1.5)
+    kurt = float(np.mean(centered**4) / m2**2 - 3.0)
+    jb = x.size / 6.0 * (skew * skew + kurt * kurt / 4.0)
     return StatsSummary(
         count=x.size,
         mean=float(x.mean()),
@@ -405,7 +387,7 @@ def summarize(sample) -> StatsSummary:
         skewness=skew,
         excess_kurtosis=kurt,
         jb_statistic=jb,
-        jb_pvalue=p,
+        jb_pvalue=math.exp(-jb / 2.0),
         minimum=float(x.min()),
         maximum=float(x.max()),
     )

@@ -7,14 +7,13 @@ elapsed time dt is geometric on {1, 2, ...} with success probability
 e^{-dt}.  ``simulate_yule`` samples that marginal directly;
 ``simulate_gap_tree`` validates the reduction against the full gap
 dynamics, growing whole trees with the forest sampler.  As dt grows,
-W e^{-dt} tends to the unit-mean exponential; ``scaled_limit_test``
-checks that limit with a one-sample Kolmogorov-Smirnov distance.
+W e^{-dt} tends to the unit-mean exponential; ``scaled_limit_distance``
+gives its exact Kolmogorov distance to that limit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,10 +23,9 @@ from .tree import Kernel
 __all__ = [
     "mgf_w",
     "moments_w",
+    "scaled_limit_distance",
     "simulate_yule",
     "simulate_gap_tree",
-    "scaled_limit_test",
-    "ScaledLimitReport",
 ]
 
 NODE_CAP = 10_000_000  # largest tree, j + K nodes, that simulate_gap_tree grows
@@ -58,17 +56,26 @@ def moments_w(dt: float) -> tuple[float, float, float]:
     return e, 2.0 * e * e - e, e * e - e
 
 
-def simulate_yule(dt: float, rng: np.random.Generator, size: int | None = None):
+def scaled_limit_distance(dt: float) -> float:
+    """Kolmogorov distance of W e^{-dt} to the unit-mean exponential, for
+    dt in [0, DT_MAX]: exactly 1 - exp(-p) with p = e^{-dt}.
+
+    p W lives on the lattice p, 2p, ...; the gap between the two laws is
+    largest just before the first jump, where P(p W < p) = 0, and since
+    1 - p <= e^{-p} no later jump is larger.
+    """
+    _check_horizon(dt)
+    return -math.expm1(-math.exp(-dt))
+
+
+def simulate_yule(dt: float, rng: np.random.Generator, size: int) -> np.ndarray:
     """Sample W at elapsed time dt via its geometric marginal on {1,2,...}.
 
     dt is limited to [0, DT_MAX]: at DT_MAX a draw reaches numpy's
     int64 ceiling with probability exp(-2^63 e^{-40}), about 1e-17.
     """
     _check_horizon(dt)
-    p = math.exp(-dt)
-    if size is None:
-        return int(rng.geometric(p))
-    return rng.geometric(p, size=size).astype(np.int64)
+    return rng.geometric(math.exp(-dt), size=size).astype(np.int64)
 
 
 def simulate_gap_tree(j: int, dt: float, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -114,44 +121,3 @@ def simulate_gap_tree(j: int, dt: float, rng: np.random.Generator, size: int) ->
         born = np.arange(n - j) < events[:, None]
         w[chunk] += ((children == node_j) & born).sum(axis=1)
     return w
-
-
-@dataclass(frozen=True)
-class ScaledLimitReport:
-    dt: float
-    replicates: int
-    ks_distance: float
-    threshold: float
-    passed: bool
-    scaled_mean: float
-
-
-def scaled_limit_test(dt: float, replicates: int, rng: np.random.Generator) -> ScaledLimitReport:
-    """One-sample KS check of W/e^{dt} against the unit-mean exponential.
-
-    Requires the limit regime e^{-dt} < 0.05 and at least 10^4
-    replicates.  The pass threshold allows for the lattice of the
-    geometric marginal (spacing e^{-dt}) on top of the usual 1.63/sqrt(R)
-    KS fluctuation band.
-    """
-    p = math.exp(-dt)
-    if p >= 0.05:
-        raise ValueError(f"dt={dt} is outside the limit regime (need e^-dt < 0.05)")
-    if replicates < 10_000:
-        raise ValueError(f"scaled_limit_test needs >= 10^4 replicates, got {replicates}")
-    sample = simulate_yule(dt, rng, size=replicates)
-    scaled = sample * p
-    # D = max_i max(i/k - F(x_(i)), F(x_(i)) - (i-1)/k) for F(x) = 1 - e^{-x}
-    # (Smirnov 1948; Marsaglia, Tsang & Wang, J. Stat. Softw. 8(18), 2003)
-    cdf = -np.expm1(-np.sort(scaled))
-    k = cdf.size
-    distance = float(max((np.arange(1, k + 1) / k - cdf).max(), (cdf - np.arange(k) / k).max()))
-    threshold = 1.5 * (p + 1.63 / math.sqrt(replicates))
-    return ScaledLimitReport(
-        dt=dt,
-        replicates=replicates,
-        ks_distance=distance,
-        threshold=threshold,
-        passed=distance < threshold,
-        scaled_mean=float(scaled.mean()),
-    )

@@ -36,9 +36,9 @@ from port_trees.degree import (
     degree_pmf_recurrence,
     degree_variance,
 )
-from port_trees.montecarlo import SimulationConfig, grow_forest, jarque_bera, martingale_diagnostics
+from port_trees.montecarlo import SimulationConfig, grow_forest, martingale_diagnostics, summarize
 from port_trees.oracle import enumerate_statistic, oracle_moment
-from port_trees.poisson import scaled_limit_test, simulate_gap_tree, simulate_yule
+from port_trees.poisson import scaled_limit_distance, simulate_gap_tree, simulate_yule
 from port_trees.tree import Kernel
 from port_trees.zagreb import (
     M_SECOND_MOMENT_LIMIT,
@@ -186,7 +186,8 @@ def test_criterion_08_non_normality_replication():
     centered = z - z.mean()
     skew = float(np.mean(centered**3) / np.mean(centered**2) ** 1.5)
     skew_floor = 5 * math.sqrt(6 / z.size)
-    jb, p = jarque_bera(z)
+    summary = summarize(z)
+    jb, p = summary.jb_statistic, summary.jb_pvalue
     ok_reject = p < 1e-6
     ok_exact = exact_third > 0
     ok_skew = skew > skew_floor
@@ -225,10 +226,13 @@ def test_criterion_10_poissonized_process():
     se = math.sqrt(sample.var(ddof=1) / sample.size)
     ok_mean = abs(sample.mean() - mean_t) <= 3 * se
     ok_var = abs(sample.var(ddof=1) - var_t) / var_t <= 0.05
-    ks = scaled_limit_test(6.0, 100_000, rng)
-    ok_ks = ks.ks_distance < 0.01
     from scipy import stats
 
+    # the KS distance of 1e5 draws lies within the DKW band of the exact distance, except with probability 1e-3
+    exact = scaled_limit_distance(6.0)
+    ks = stats.kstest(simulate_yule(6.0, rng, size=100_000) * math.exp(-6.0), "expon").statistic
+    band = math.sqrt(math.log(2000) / (2 * 100_000))
+    ok_ks = ks < 0.01 and exact < 0.01 and abs(ks - exact) <= band
     tree_vals = simulate_gap_tree(3, 1.0, rng, 10_000)
     yule_vals = simulate_yule(1.0, rng, size=10_000)
     p2 = stats.ks_2samp(tree_vals, yule_vals).pvalue
@@ -237,7 +241,8 @@ def test_criterion_10_poissonized_process():
         "criterion 10: Poissonized degree process",
         ok_mean and ok_var and ok_ks and ok_2s,
         f"mean dev {(sample.mean() - mean_t) / se:+.2f} se, var dev "
-        f"{(sample.var(ddof=1) - var_t) / var_t:+.3f}, KS {ks.ks_distance:.4f}, 2-sample p {p2:.3f}",
+        f"{(sample.var(ddof=1) - var_t) / var_t:+.3f}, KS {ks:.4f} vs exact {exact:.4f} (band {band:.4f}), "
+        f"2-sample p {p2:.3f}",
     )
     assert ok_mean and ok_var and ok_ks and ok_2s
 

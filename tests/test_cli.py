@@ -394,6 +394,14 @@ def test_normality_report_underpowered_warning(capsys, tmp_path):
     )
     assert code == 0
     assert "underpowered" in err
+    # a run refused for too few replicates prints only its error
+    code, _, err = run(
+        capsys, "normality-report", "--n", "50", "--reps", "5", "--seed", "1",
+        "--out", str(tmp_path / "refused"),
+    )
+    assert code == 1
+    assert "--reps must be >= 8" in err
+    assert "underpowered" not in err
 
 
 def test_config_file_defaults(capsys, tmp_path):

@@ -18,7 +18,6 @@ from port_trees.montecarlo import (
     _parse_statistic,
     _slot_bounds,
     grow_forest,
-    jarque_bera,
     kde,
     martingale_diagnostics,
     run_experiment,
@@ -293,30 +292,28 @@ def test_jarque_bera_normal_sample():
     rng = np.random.default_rng(100)
     rejected = 0
     for _ in range(20):
-        stat, p = jarque_bera(rng.standard_normal(100_000))
-        rejected += p < 0.001
+        rejected += summarize(rng.standard_normal(100_000)).jb_pvalue < 0.001
     assert rejected == 0
 
 
 def test_jarque_bera_exponential_sample():
     rng = np.random.default_rng(101)
-    stat, p = jarque_bera(rng.exponential(size=10_000))
-    assert p < 1e-6
+    assert summarize(rng.exponential(size=10_000)).jb_pvalue < 1e-6
 
 
 def test_jarque_bera_location_invariance():
     rng = np.random.default_rng(102)
     x = rng.standard_normal(5000)
-    s1, _ = jarque_bera(x)
-    s2, _ = jarque_bera(x + 1000.0)
+    s1 = summarize(x).jb_statistic
+    s2 = summarize(x + 1000.0).jb_statistic
     assert s1 == pytest.approx(s2, rel=1e-6)
 
 
 def test_jarque_bera_guards():
     with pytest.raises(ValueError):
-        jarque_bera([1.0, 2.0, 3.0])
+        summarize([1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
-        jarque_bera([5.0] * 100)
+        summarize([5.0] * 100)
 
 
 def test_kde_two_point_sample_symmetric_bimodal():

@@ -9,7 +9,7 @@ from port_trees.poisson import (
     DT_MAX,
     mgf_w,
     moments_w,
-    scaled_limit_test,
+    scaled_limit_distance,
     simulate_gap_tree,
     simulate_yule,
 )
@@ -57,7 +57,6 @@ def test_variance_identity():
 
 def test_yule_degenerate_at_start():
     rng = np.random.default_rng(0)
-    assert simulate_yule(0.0, rng) == 1
     assert np.all(simulate_yule(0.0, rng, size=100) == 1)
 
 
@@ -65,10 +64,10 @@ def test_yule_rejects_horizons_it_cannot_sample():
     # past DT_MAX numpy's geometric sampler saturates at 2^63 - 1, or rejects e^{-dt} = 0
     rng = np.random.default_rng(12)
     for dt in (-1.0, DT_MAX + 0.5, math.nan, math.inf):
-        for size in (None, 10):
+        for size in (1, 10):
             with pytest.raises(ValueError, match="dt="):
                 simulate_yule(dt, rng, size)
-    assert simulate_yule(DT_MAX, rng) >= 1
+    assert simulate_yule(DT_MAX, rng, size=1)[0] >= 1
     assert simulate_yule(DT_MAX, rng, size=10).max() < np.iinfo(np.int64).max
 
 
@@ -166,28 +165,46 @@ def test_full_tree_argument_validation():
         simulate_gap_tree(2, 400.0, rng, 1)  # e^{-2dt} underflows to 0
 
 
-def test_scaled_limit_regime_guards():
-    rng = np.random.default_rng(8)
-    with pytest.raises(ValueError):
-        scaled_limit_test(0.0, 100_000, rng)
-    with pytest.raises(ValueError):
-        scaled_limit_test(6.0, 100, rng)
+def _lattice_distance(dt):
+    # pW lives on p, 2p, ...: sup |P(pW <= x) - (1 - e^{-x})| over each
+    # jump kp and just before it, for k up to 60/p (the tail past it is
+    # below e^{-60}), in blocks of 2^20 jumps to keep the arrays small
+    p = math.exp(-dt)
+    log_q = math.log1p(-p)
+    top = math.ceil(60 / p)
+    sup = 0.0
+    for start in range(1, top + 1, 1 << 20):
+        k = np.arange(start, min(start + (1 << 20), top + 1), dtype=float)
+        exp_cdf = -np.expm1(-k * p)
+        at_jump = -np.expm1(k * log_q)  # P(W <= k) = 1 - (1 - p)^k
+        before_jump = -np.expm1((k - 1) * log_q)  # P(W <= k - 1)
+        sup = max(sup, np.abs(at_jump - exp_cdf).max(), np.abs(exp_cdf - before_jump).max())
+    return float(sup)
 
 
-def test_scaled_limit_convergence():
-    rng = np.random.default_rng(9)
-    report = scaled_limit_test(6.0, 100_000, rng)
-    assert report.passed
-    assert report.ks_distance < 0.01
-    # scaled sample has unit mean in the limit
-    assert report.scaled_mean == pytest.approx(1.0, abs=0.02)
+@pytest.mark.parametrize("dt", [0.5, 1.0, 2.0, 3.0, 6.0, 9.0, 12.0])
+def test_scaled_limit_distance_is_the_lattice_sup(dt):
+    assert scaled_limit_distance(dt) == pytest.approx(_lattice_distance(dt), rel=1e-12, abs=0)
+
+
+def test_scaled_limit_distance_values():
+    assert scaled_limit_distance(0.0) == pytest.approx(1 - math.exp(-1), rel=1e-15)  # W = 1
+    assert scaled_limit_distance(6.0) == pytest.approx(0.002475682607247459, rel=1e-15)
+    assert scaled_limit_distance(DT_MAX) == pytest.approx(math.exp(-DT_MAX), rel=1e-15)
 
 
 @pytest.mark.parametrize("dt", [4.0, 6.0])
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_scaled_limit_ks_distance_matches_scipy(seed, dt):
-    # the geometric lattice puts ties in the sample, so ties are covered too
-    report = scaled_limit_test(dt, 10_000, np.random.default_rng(seed))
-    sample = simulate_yule(dt, np.random.default_rng(seed), 10_000)
-    reference = stats.kstest(sample * math.exp(-dt), "expon").statistic
-    assert report.ks_distance == pytest.approx(reference, rel=0, abs=1e-12)
+def test_sample_ks_distance_is_within_dkw_band_of_exact(seed, dt):
+    # |D_sample - D_exact| <= sup |F_R - F_W|, which the DKW inequality
+    # keeps below sqrt(ln(2/alpha) / 2R) except with probability alpha = 1e-3
+    size = 10_000
+    sample = simulate_yule(dt, np.random.default_rng(seed), size)
+    distance = stats.kstest(sample * math.exp(-dt), "expon").statistic
+    assert abs(distance - scaled_limit_distance(dt)) <= math.sqrt(math.log(2000) / (2 * size))
+
+
+@pytest.mark.parametrize("dt", [math.nan, -1.0, 41.0])
+def test_scaled_limit_distance_domain(dt):
+    with pytest.raises(ValueError, match="elapsed time"):
+        scaled_limit_distance(dt)
