@@ -28,7 +28,6 @@ from .zagreb import (
     moment_rows,
     zagreb_mean,
     zagreb_second_moment,
-    zagreb_variance_asymptotic,
 )
 from .oracle import enumerate_statistic, history_count, oracle_moment
 

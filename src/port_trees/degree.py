@@ -11,8 +11,7 @@ entries left out:
   in integer additions.  The root (j = 1) has its own closed form.
 * ``degree_pmf_recurrence`` -- a forward DP with all-nonnegative
   coefficients; numerically stable and the default route, with an
-  exact mode on integer numerators over the common denominator
-  prod (2m-3).
+  exact mode on integer numerators over one common denominator.
 * ``degree_pmf_hypergeom`` -- two terminating 3F2 series, summed as
   unreduced integer pairs by this module's ``_pfq_sum``.  The root's
   law is one hypergeometric term, the closed route's.
@@ -33,7 +32,7 @@ import sys
 from enum import Enum
 from fractions import Fraction
 
-from .special import log_gamma
+from .tree import Kernel
 
 __all__ = [
     "Regime",
@@ -118,24 +117,25 @@ def degree_pmf_closed(n: int, j: int) -> dict:
 def degree_pmf_recurrence(n: int, j: int, exact: bool = False) -> dict:
     """Stable DP for the full degree law of node j at time n (j = 1: root).
 
-    A node of degree d owns d insertion gaps, the root d + 1, out of the
-    2m-3 gaps of the (m-1)-node tree.  Starting from the certain degree 1
-    at time max(j, 2), each growth step with g = gaps(d) maps
-    P_m(d) = (g(d-1)/(2m-3)) P_{m-1}(d-1) + ((2m-3-g(d))/(2m-3)) P_{m-1}(d)
+    Under ``Kernel.GAP`` node j of degree d has weight g(d), its degree
+    plus the root's extra gaps when j = 1, out of the total weight T_m of
+    the (m-1)-node tree that node m joins.  Starting from the certain
+    degree 1 at time max(j, 2), each growth step maps
+    P_m(d) = (g(d-1)/T_m) P_{m-1}(d-1) + ((T_m-g(d))/T_m) P_{m-1}(d)
     as one numpy shift-add.  Exact mode carries the integer numerators
-    N_m(d) = g(d-1) N_{m-1}(d-1) + (2m-3-g(d)) N_{m-1}(d) over the common
-    denominator D_m = prod (2k-3), with no division in the loop, and
+    N_m(d) = g(d-1) N_{m-1}(d-1) + (T_m-g(d)) N_{m-1}(d) over the common
+    denominator D_m = prod T_k, with no division in the loop, and
     builds one Fraction N(d)/D per degree at the end, so the law sums
     to 1 exactly.  The law is returned as {d: probability}, ascending in
     d, with zero probabilities (and, in floats, subnormal ones) left out.
     """
     _check_nj(n, j)
-    offset = 1 if j == 1 else 0  # the root's extra gap
-    steps = range(max(j, 2) + 1, n + 1)
+    offset = Kernel.GAP.root_gaps if j == 1 else 0
+    # T_m for the steps m = max(j, 2) + 1 .. n
+    totals = range(Kernel.GAP.total_weight(max(j, 2)), Kernel.GAP.total_weight(n), 2)
     if exact:
         nums, den = [1], 1  # nums[i] / den = P(degree = i + 1)
-        for m in steps:
-            c = 2 * m - 3
+        for c in totals:
             nums = [
                 (c - d - offset) * a + (d - 1 + offset) * b
                 for d, a, b in zip(range(1, len(nums) + 2), nums + [0], [0] + nums)
@@ -145,10 +145,10 @@ def degree_pmf_recurrence(n: int, j: int, exact: bool = False) -> dict:
     import numpy as np  # here, not at the top: the exact routes never load it
 
     probs = np.array([1.0])  # probs[i] = P(degree = i + 1)
-    for m in steps:
-        denom = 1.0 * (2 * m - 3)
+    for c in totals:
+        denom = 1.0 * c
         gaps = np.arange(1 + offset, probs.size + 1 + offset, dtype=float)
-        new = np.append(probs * (2 * m - 3 - gaps) / denom, 0.0)
+        new = np.append(probs * (c - gaps) / denom, 0.0)
         new[1:] += probs * gaps / denom
         probs = new
     # plain Python floats: a numpy float would change every repr
@@ -259,7 +259,7 @@ def degree_moments_asymptotic(n: int, j: int, regime: Regime) -> tuple[float, fl
     """
     _check_nj(n, j)
     if regime is Regime.FIXED_J:
-        ratio = math.exp(log_gamma(j - 0.5) - log_gamma(j + 0.0))
+        ratio = math.exp(math.lgamma(j - 0.5) - math.lgamma(j + 0.0))
         return ratio * math.sqrt(n), (4.0 / (2 * j - 1) - ratio * ratio) * n
     if regime is Regime.GROWING_J:
         return math.sqrt(n / j), n / j

@@ -120,12 +120,12 @@ class ForestResult:
 
 def _slot_bounds(n, kernel):
     """The bag sampler's draw bounds for nodes m = 3..n: the first slot
-    (-1 under the gap kernel, whose extra root gap comes first, else 0),
-    each node's count of slots r (uint32) and the Lemire rejection
-    thresholds (2**32 - r) % r (uint32).  A tree of fewer nodes uses the
-    leading entries."""
-    first_slot = -1 if kernel is Kernel.GAP else 0
-    ranges = np.arange(2 - first_slot, 2 * n - 2 - first_slot, 2, dtype=np.uint32)  # 2(m - 2) edge ends, + the gap
+    (the root's extra gaps come first), each node's count of slots r,
+    the total weight of the tree it joins (uint32), and the Lemire
+    rejection thresholds (2**32 - r) % r (uint32).  A tree of fewer
+    nodes uses the leading entries."""
+    first_slot = -kernel.root_gaps
+    ranges = np.arange(kernel.total_weight(2), kernel.total_weight(n), 2, dtype=np.uint32)
     thresholds = np.negative(ranges)  # 2**32 - r: a uint32 negation wraps
     thresholds %= ranges
     return first_slot, ranges, thresholds

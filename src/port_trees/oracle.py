@@ -1,18 +1,19 @@
 """Exact ground truth by a DP over degree multisets.
 
 Under either kernel a node's attachment weight depends on its degree
-only (the root has one extra gap under the gap kernel), so all
-attachment histories that reach the same degree multiset have the same
-future.  The DP merges them: each state holds the summed integer weight
-of its histories, with the root and the watched node kept apart from the
-other nodes, and one step adds one node.  The law of any statistic of
-the degrees is read from the final states and divided once by the
-history count, so it comes out in exact rational arithmetic, equal to
-the law over every history.  No trees are materialized.
+only (``tree.Kernel`` gives the weights), so all attachment histories
+that reach the same degree multiset have the same future.  The DP
+merges them: each state holds the summed integer weight of its
+histories, with the root and the watched node kept apart from the other
+nodes, and one step adds one node.  The law of any statistic of the
+degrees is read from the final states and divided once by the history
+count, so it comes out in exact rational arithmetic, equal to the law
+over every history.  No trees are materialized.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .special import harmonic
@@ -24,11 +25,9 @@ DEFAULT_CAP = 9
 
 
 def history_count(n: int, kernel: Kernel) -> int:
-    """Number of weighted attachment histories of an n-node tree."""
-    total = 1
-    for m in range(2, n):
-        total *= (2 * m - 1) if kernel is Kernel.GAP else 2 * (m - 1)
-    return total
+    """Number of weighted attachment histories of an n-node tree: the
+    product of the total weights that nodes 3..n join."""
+    return math.prod(kernel.total_weight(m) for m in range(2, n))
 
 
 def oracle_moment(law: dict, order: int):
@@ -74,14 +73,14 @@ def enumerate_statistic(n: int, kernel: Kernel, statistic: str) -> dict:
     # Node j >= 2 is kept apart from its birth; its degree is 0 before
     # then, and always when no such node is watched.
     states = {(1, 1, ()) if j == 2 else (1, 0, ((1, 1),)): 1}
-    extra = 1 if kernel is Kernel.GAP else 0  # the root's extra gap
+    root_gaps = kernel.root_gaps
     for m in range(2, n):  # node m+1 joins each m-node state
         born = m + 1 == j
         grown: dict = {}
         for (root, mine, others), weight in states.items():
             kept = 1 if born else mine  # node j's degree unless it is the parent
             rest = _attach(others, 0, not born)
-            moves = [(root + extra, (root + 1, kept, rest))]
+            moves = [(root + root_gaps, (root + 1, kept, rest))]
             if mine:
                 moves.append((mine, (root, mine + 1, rest)))
             moves += [(count * d, (root, kept, _attach(others, d, not born))) for d, count in others]

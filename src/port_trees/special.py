@@ -1,20 +1,12 @@
 """Scalar special functions: exact harmonic numbers, shared by ``zagreb``
-and ``oracle``, and the real-argument gamma helpers ``log_gamma`` (the
-fixed-j asymptotics in ``degree``) and ``reciprocal_gamma``."""
+and ``oracle``, and the real-argument ``reciprocal_gamma``."""
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 
-__all__ = ["log_gamma", "reciprocal_gamma", "harmonic"]
-
-
-def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0."""
-    if x <= 0:
-        raise ValueError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
+__all__ = ["reciprocal_gamma", "harmonic"]
 
 
 def reciprocal_gamma(x: float) -> float:

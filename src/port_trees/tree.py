@@ -1,15 +1,21 @@
 """The two attachment kernels of a plane-oriented recursive tree.
 
 A newcomer attaches to an existing node with probability proportional
-to that node's weight under one of two kernels:
+to that node's weight.  Under both kernels a node's weight is its
+degree; the kernels differ only at the root:
 
 * ``Kernel.GAP`` -- gap-oriented attachment: a node with outdegree k
-  carries k+1 insertion gaps, so node v is chosen with probability
-  (outdegree(v)+1)/(2m-1) in an m-node tree.
-* ``Kernel.DEGREE`` -- attachment proportional to raw degree,
-  probability degree(v)/(2(m-1)) in an m-node tree (m >= 2).  The very
+  carries k+1 insertion gaps.  That is the degree of every node but the
+  root, which has no parent edge and so one gap beyond its degree.
+* ``Kernel.DEGREE`` -- attachment proportional to raw degree.  The very
   first insertion (m=1 -> 2) is forced to the root, matching the unique
   two-node tree.
+
+``Kernel`` is the one place that states these weights: ``root_gaps`` is
+the root's weight beyond its degree, and ``total_weight(m)`` the summed
+weight of an m-node tree, so a newcomer picks node v of an m-node tree
+with probability weight(v)/total_weight(m).  The oracle, the forest
+sampler and the degree DP all read them from here.
 
 The module also holds the one vocabulary of tree statistics that the
 exact enumeration and the forest sampler share: the label table
@@ -32,6 +38,17 @@ class Kernel(enum.Enum):
             return cls(name)
         except ValueError:
             raise ValueError(f"unknown kernel {name!r}; expected 'gap' or 'degree'") from None
+
+    @property
+    def root_gaps(self) -> int:
+        """The root's weight beyond its degree: its extra gap, 1 under
+        ``GAP`` and 0 under ``DEGREE``."""
+        return 1 if self is Kernel.GAP else 0
+
+    def total_weight(self, m: int) -> int:
+        """The summed weight of an m-node tree: the 2(m - 1) ends of its
+        edges, plus the root's extra gaps."""
+        return 2 * (m - 1) + self.root_gaps
 
 
 # each fixed label as (statistic, node); the node is None unless the

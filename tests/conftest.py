@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 from port_trees import zagreb
-from port_trees.oracle import history_count
 from port_trees.special import harmonic
 from port_trees.tree import Kernel, parse_statistic
 
@@ -94,11 +93,12 @@ def zagreb_recurrence() -> list:
     return rows
 
 
-def _enumerate_by_dfs(n: int, kernel: Kernel, statistic: str) -> dict:
-    """The law of ``oracle.enumerate_statistic`` by visiting every
-    attachment history once, by a DFS over parent choices.  Branch weights
-    are the integer attachment weights, and the statistic is updated along
-    the DFS path (push/pop degree updates)."""
+def _dfs_weights(n: int, kernel: Kernel, statistic: str) -> dict:
+    """{value: summed integer weight} of ``statistic`` over every
+    attachment history, each visited once by a DFS over parent choices.
+    Branch weights are the integer attachment weights, written out here
+    apart from ``tree.Kernel``, and the statistic is updated along the
+    DFS path (push/pop degree updates)."""
     name, j = parse_statistic(statistic, n)
 
     gap = kernel is Kernel.GAP
@@ -143,8 +143,22 @@ def _enumerate_by_dfs(n: int, kernel: Kernel, statistic: str) -> dict:
     elif name == "martingale":  # M_n = 2/(n-1) Z_n - 4 H_{n-1}
         h = harmonic(n - 1)
         accum = {Fraction(2 * z, n - 1) - 4 * h: weight for z, weight in accum.items()}
-    total = history_count(n, kernel)
-    return {value: Fraction(weight, total) for value, weight in sorted(accum.items())}
+    return accum
+
+
+def _enumerate_by_dfs(n: int, kernel: Kernel, statistic: str) -> dict:
+    """The law of ``oracle.enumerate_statistic`` from the DFS's weights,
+    divided by their own sum, not by ``oracle.history_count``."""
+    weights = _dfs_weights(n, kernel, statistic)
+    total = sum(weights.values())
+    return {value: Fraction(weight, total) for value, weight in sorted(weights.items())}
+
+
+@pytest.fixture(scope="session")
+def dfs_weights():
+    """The DFS's summed integer weight of each value of a statistic; its
+    total is the weight of every attachment history."""
+    return _dfs_weights
 
 
 @pytest.fixture(scope="session")

@@ -205,10 +205,12 @@ def test_forest_reproducible_across_chunkings(monkeypatch):
 
 
 def test_forest_caps_chunks_in_flight(monkeypatch):
-    # on 8 cores at most 4 chunks of 125,000 slots grow at once, so the
-    # traced peak stays below the 24.8 MB that one 500,000-slot chunk of
-    # the martingale path takes; each chunk waits 20 ms on entry, so an
-    # uncapped pool would hold more than 4 at once
+    # on 8 cores at most 4 chunks of 125,000 slots grow at once.  Each
+    # chunk waits 20 ms on entry, so an uncapped pool would hold more than
+    # 4 at once: ``in_flight == [0, 4]`` is the assert that catches it.
+    # The 24.8 MB bound is what one 500,000-slot chunk of the martingale
+    # path took when chunks were first grown in parallel; with the reused
+    # chunk buffers this test's traced peak reads 9-11 MB on a 2-core host
     monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 8)
     grow_chunk = montecarlo._grow_chunk
     lock = threading.Lock()

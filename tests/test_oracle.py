@@ -18,6 +18,12 @@ def test_history_counts():
 
 
 @pytest.mark.parametrize("kernel", list(Kernel))
+def test_history_count_is_the_dfs_leaf_weight(dfs_weights, kernel):
+    for n in range(2, 9):
+        assert history_count(n, kernel) == sum(dfs_weights(n, kernel, "zagreb").values())
+
+
+@pytest.mark.parametrize("kernel", list(Kernel))
 @pytest.mark.parametrize("n", range(2, 9))
 def test_multiset_dp_equals_the_history_dfs(enumerate_by_dfs, n, kernel):
     # every label, value for value and in the same order

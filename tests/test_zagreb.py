@@ -5,7 +5,6 @@ import math
 import multiprocessing
 import os
 import signal
-from collections import deque
 from decimal import Decimal
 from fractions import Fraction
 
@@ -26,7 +25,6 @@ from port_trees.zagreb import (
     moment_rows,
     zagreb_mean,
     zagreb_second_moment,
-    zagreb_variance_asymptotic,
 )
 
 
@@ -234,19 +232,6 @@ def test_float_series_tracks_exact():
     approx = list(moment_rows(200, exact=False))
     for n in (50, 125, 200):
         assert approx[n - 1][3] == pytest.approx(float(_fraction(exact[n - 1][3])), rel=1e-12)
-
-
-def test_variance_asymptotic_report():
-    report = zagreb_variance_asymptotic(4)
-    assert report["variance_exact"] == pytest.approx(1.0, rel=1e-12)
-    assert VAR_Z_COEFFICIENT == pytest.approx(16 - 2 * math.pi**2 / 3, rel=1e-15)
-
-
-def test_variance_asymptotic_beyond_the_rational_cap_reads_the_float_row():
-    n = 10_001
-    last, mean_z, _, second_z, var_z = deque(moment_rows(n, exact=False), maxlen=1)[0]
-    assert last == n
-    assert zagreb_variance_asymptotic(n)["variance_exact"] == var_z == second_z - mean_z**2
 
 
 def test_weak_law_constants():
