@@ -4,9 +4,12 @@ Replicates are grown as numpy arrays (one row per tree), in chunks of
 at most ``_CHUNK_ELEMENT_BUDGET`` node slots.  A chunk has no loop over
 insertion steps: the bag sampler of Batagelj & Brandes draws every
 attachment slot at once and resolves the parents by pointer jumping,
-and one parent array then gives the degrees, Z, Y, the degree of any
-node (``degree:1`` is the root) and the whole martingale path M_m,
-each named by its label in ``tree.STATISTICS``.  Each chunk draws
+each round keeping its still-pending entries by index (numpy's
+boolean-mask indexing branches on every entry, several times slower
+when about half are pending, as in the first rounds).  One parent
+array then gives the degrees, Z, Y, the degree of any node
+(``degree:1`` is the root) and the whole martingale path M_m, each
+named by its label in ``tree.STATISTICS``.  Each chunk draws
 from its own stream spawned deterministically from the master seed, so
 the chunk size sets the stream: it is part of the resolved
 configuration recorded in the run manifest, and results are
@@ -187,7 +190,11 @@ def _draw_parents(n, reps, bounds, rng, slots, draws):
     once, by ``_bounded_draw``: numpy's own bounded draw done in
     whole-array steps, so the slots are those of ``rng.integers``.  Then
     every pending node copies its target's current entry, which halves
-    the remaining chains, until none is pending.
+    the remaining chains, until none is pending.  Each round keeps the
+    still-pending entries by index (``compress``), not by a boolean
+    mask: numpy's mask indexing branches on every entry, which costs
+    several times as much per entry when about half are still pending,
+    as in the first rounds.
     """
     first_slot, ranges, thresholds = bounds
     ref = slots[: reps * n].reshape(reps, n)
@@ -206,7 +213,7 @@ def _draw_parents(n, reps, bounds, rng, slots, draws):
     while pending.size:
         got = flat[~flat[pending]]
         flat[pending] = got
-        pending = pending[got < 0]
+        pending = pending.compress(got < 0)  # by index: a boolean-mask index branches per entry
     return ref[:, 1:]
 
 

@@ -135,6 +135,32 @@ def test_forest_matches_scalar_replay(kernel):
         assert res.extra["martingale_bound_ok"][r] == bound_ok
 
 
+@pytest.mark.parametrize("n,reps,kernel", [(10000, 12, Kernel.DEGREE), (5000, 25, Kernel.GAP)])
+def test_pointer_jump_matches_column_by_column_resolution(n, reps, kernel):
+    # chunks of the benchmark's shapes; the slots come from rng.integers,
+    # which _bounded_draw equals value for value
+    seed = 17
+    parents = _draw_parents(
+        n, reps, _slot_bounds(n, kernel), np.random.default_rng(seed),
+        np.empty(reps * n, dtype=np.int32), np.empty(reps * (n - 2), dtype=np.int64),
+    )
+    edge_ends = 2 * np.arange(1, n - 1)  # node m draws from the 2(m - 2) edge ends and the root's gaps
+    q = np.random.default_rng(seed).integers(-kernel.root_gaps, edge_ends, size=(reps, n - 2), dtype=np.int32)
+    rows = np.arange(reps)
+    label = np.zeros((reps, n + 1), dtype=np.int64)  # label[:, m]: node m's parent
+    label[:, 2] = 1
+    for m in range(3, n + 1):
+        s = q[:, m - 3]
+        node = (s >> 1) + 2  # the root for s = -1
+        # odd slot: that node itself; even slot: the final parent of that earlier node
+        label[:, m] = np.where(s & 1, node, label[rows, node])
+    row_start = rows[:, None] * n
+    np.testing.assert_array_equal(parents, row_start + label[:, 2:] - 1)
+    # every parent lies in its own row and before its child
+    child = np.arange(2, n + 1)
+    assert np.all(parents >= row_start) and np.all(parents < row_start + child - 1)
+
+
 @pytest.mark.parametrize(
     "kernel,want_martingale", [(Kernel.DEGREE, False), (Kernel.DEGREE, True), (Kernel.GAP, False)]
 )
@@ -397,3 +423,18 @@ def test_sample_mean_tracks_exact_zagreb_mean():
     res = grow_forest(n, 4000, Kernel.DEGREE, seed=55)
     exact = float(zagreb_mean(n))
     assert _within_se(res.zagreb.mean(), exact, res.zagreb.var(ddof=1), res.zagreb.size)
+
+
+def test_cubic_index_does_not_concentrate():
+    # Y_n/n^{3/2} keeps a random limit, carried by the first labels'
+    # degrees, while Z_n/(n log n) -> 2 is a weak law; a CV is
+    # scale-free, so the samples need no normalising
+    def cv(sample):
+        sample = sample.astype(float)
+        return sample.std(ddof=1) / sample.mean()
+
+    small = grow_forest(1000, 4000, Kernel.DEGREE, seed=7)
+    large = grow_forest(10_000, 1000, Kernel.DEGREE, seed=7)
+    # CV(Y) read 0.69-0.77 at 10^3 and 0.64-0.80 at 10^4 over seeds 0-19
+    assert cv(small.cubic) >= 0.55 and cv(large.cubic) >= 0.55
+    assert cv(large.zagreb) < cv(small.zagreb)
