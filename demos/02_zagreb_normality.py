@@ -25,8 +25,8 @@ for n in (100, 1000, 10_000):
     print(f"  n={n:>6d}  Var/n^2 = {float(var) / n**2:.4f}")
 
 print("\nMonte Carlo at n = 20000 (3000 replicates):")
-res = grow_forest(20_000, 3000, Kernel.DEGREE, seed=7)
-z = res.zagreb.astype(float)
+res = grow_forest(20_000, 3000, Kernel.DEGREE, seed=7, stats=("zagreb",))
+z = res.extra["zagreb"].astype(float)
 print(f"  sample mean {z.mean():.1f}  vs exact {float(zagreb_mean(20_000)):.1f}")
 summary = summarize(z)
 print(f"  skewness {summary.skewness:+.3f} (right-skewed), Jarque-Bera {summary.jb_statistic:.1f}, "

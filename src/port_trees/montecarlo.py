@@ -7,9 +7,9 @@ attachment slot at once and resolves the parents by pointer jumping,
 each round keeping its still-pending entries by index (numpy's
 boolean-mask indexing branches on every entry, several times slower
 when about half are pending, as in the first rounds).  One parent
-array then gives the degrees, Z, Y, the degree of any node
-(``degree:1`` is the root) and the whole martingale path M_m, each
-named by its label in ``tree.STATISTICS``.  Each chunk draws
+array then gives the degrees, Z, Y, the degree of any node and the
+whole martingale path M_m, but only what the requested labels of
+``tree.STATISTICS`` name.  Each chunk draws
 from its own stream spawned deterministically from the master seed, so
 the chunk size sets the stream: it is part of the resolved
 configuration recorded in the run manifest, and results are
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,6 +86,7 @@ class SimulationConfig:
             raise ValueError(f"n must be >= 2, got {self.n}")
         if self.replicates < 1:
             raise ValueError(f"replicates must be >= 1, got {self.replicates}")
+        parse_statistic(self.statistic, self.n)
         if self.chunk_size is not None and self.chunk_size < 1:
             raise ValueError(f"chunk_size must be None or >= 1, got {self.chunk_size}")
         rows = min(self.resolved_chunk(), self.replicates)
@@ -114,11 +115,10 @@ class StatsSummary:
 
 @dataclass
 class ForestResult:
-    """Per-replicate statistics from a batch of grown trees."""
+    """Per-replicate samples from a batch of grown trees: ``extra`` maps
+    each requested ``--stat`` label to its sample."""
 
-    zagreb: np.ndarray
-    cubic: np.ndarray
-    extra: dict = field(default_factory=dict)
+    extra: dict
 
 
 def _slot_bounds(n, kernel):
@@ -282,33 +282,44 @@ def _martingale_path(parents, keys, constants):
     return m_final, max_diff, bound_ok
 
 
-def _grow_chunk(n, reps, bounds, rng, labels, martingale, slots, keys):
-    """One chunk's ForestResult; ``bounds`` is the ``_slot_bounds`` of
-    the kernel and n, and ``martingale`` holds the
-    ``_martingale_constants`` of n when the path is wanted.  ``slots``
-    (int32) and ``keys`` (int64) are the worker's reused buffers, of at
-    least reps * n and reps * (n - 1) entries; ``keys`` holds the drawn
-    slots before the parents.  No returned array is a view of them.  It
-    runs on a worker thread, so it calls no public function of the
-    package."""
+def _grow_chunk(n, reps, bounds, rng, stats, martingale, slots, keys):
+    """One chunk's ``ForestResult.extra``, with Z still under
+    ``zagreb2``; ``stats`` maps each label to its ``parse_statistic``
+    pair.  ``bounds`` is the ``_slot_bounds`` of the kernel and n, and
+    ``martingale`` holds the ``_martingale_constants`` of n when the
+    path is wanted.  ``slots`` (int32) and ``keys`` (int64) are the
+    worker's reused buffers, of at least reps * n and reps * (n - 1)
+    entries; ``keys`` holds the drawn slots before the parents.  No
+    returned array is a view of them.  It runs on a worker thread, so
+    it calls no public function of the package."""
     parents = _draw_parents(n, reps, bounds, rng, slots, keys)
     keys = keys[: parents.size]
     np.copyto(keys.reshape(parents.shape), parents)  # int64 is intp on 64-bit hosts: bincount makes no copy
-    deg = np.bincount(keys, minlength=reps * n).reshape(reps, n)
-    deg[:, 1:] += 1  # the edge to the parent; the root, node 1, has none
-    result = ForestResult(
-        zagreb=np.einsum("ij,ij->i", deg, deg),
-        cubic=np.einsum("ij,ij,ij->i", deg, deg, deg),
-    )
-    for j in labels:
-        result.extra[f"degree:{j}"] = deg[:, j - 1].copy()
-    if martingale is not None:
+    names = {name for name, _ in stats.values()}
+    samples = {}
+    if names - {"martingale"}:  # every other statistic reads the degrees
+        deg = np.bincount(keys, minlength=reps * n).reshape(reps, n)
+        deg[:, 1:] += 1  # the edge to the parent; the root, node 1, has none
+        z = np.einsum("ij,ij->i", deg, deg) if names & {"zagreb", "zagreb2"} else None
+        for label, (name, node) in stats.items():
+            if name == "degree":
+                samples[label] = deg[:, node - 1].copy()
+            elif name == "cubic":
+                samples[label] = np.einsum("ij,ij,ij->i", deg, deg, deg)
+            elif name in ("zagreb", "zagreb2"):
+                samples[label] = z
         del deg  # not needed by the path; free it before the sort
-        m_final, max_diff, bound_ok = _martingale_path(parents, keys, martingale)
-        result.extra["martingale"] = m_final
-        result.extra["martingale_max_diff"] = max_diff
-        result.extra["martingale_bound_ok"] = bound_ok
-    return result
+    if martingale is not None:
+        path = _martingale_path(parents, keys, martingale)
+        samples.update(zip(("martingale", "martingale_max_diff", "martingale_bound_ok"), path))
+    return samples
+
+
+def _zagreb2(z):
+    """Z**2 of a Z sample, refused where a square would wrap in int64."""
+    if z.max() > _ZAGREB2_MAX_Z:
+        raise ValueError(f"zagreb2 overflows int64 for Z > {_ZAGREB2_MAX_Z}; largest Z is {z.max()}")
+    return z**2
 
 
 def grow_forest(
@@ -317,24 +328,31 @@ def grow_forest(
     kernel: Kernel,
     seed: int,
     *,
-    labels=(),
-    want_martingale: bool = False,
+    stats,
     chunk_size: int | None = None,
 ) -> ForestResult:
     """Grow ``replicates`` independent trees of size n, vectorized.
 
-    The degree of each node J in ``labels`` lands in ``extra`` as
-    ``degree:J``; node 1 is the root.  Chunk streams are spawned from
+    ``stats`` is a non-empty tuple of ``--stat`` labels of
+    ``tree.parse_statistic``, parsed before any tree grows; ``extra``
+    maps each to its sample, and ``martingale`` (degree kernel only)
+    adds ``martingale_max_diff`` and ``martingale_bound_ok``.  Only
+    what the labels need is computed: no degrees for ``martingale``
+    alone, Y only for ``cubic``, the path only for ``martingale``.  The
+    draws never depend on the labels.  Chunk streams are spawned from
     SeedSequence(seed), so the output is deterministic for fixed
     (n, replicates, kernel, seed, chunk_size).
     Chunks grow on up to ``_MAX_WORKERS`` threads and are merged in
     chunk order, so the number of cores never changes the output.
     """
     chunk_size = SimulationConfig(n=n, replicates=replicates, chunk_size=chunk_size).resolved_chunk()
-    if want_martingale and kernel is not Kernel.DEGREE:
+    if not stats:
+        raise ValueError("grow_forest needs at least one --stat label in stats")
+    stats = {label: parse_statistic(label, n) for label in stats}
+    if "martingale" in stats and kernel is not Kernel.DEGREE:
         raise ValueError("the martingale transform is defined for the degree-proportional kernel")
     bounds = _slot_bounds(n, kernel)  # shared read-only by the workers
-    martingale = _martingale_constants(n) if want_martingale else None
+    martingale = _martingale_constants(n) if "martingale" in stats else None
     n_chunks = (replicates + chunk_size - 1) // chunk_size
     streams = np.random.SeedSequence(seed).spawn(n_chunks)
     rows = min(chunk_size, replicates)
@@ -346,31 +364,16 @@ def grow_forest(
         if not hasattr(worker, "slots"):
             worker.slots = np.empty(rows * n, dtype=np.int32)
             worker.keys = np.empty(rows * (n - 1), dtype=np.int64)
-        return _grow_chunk(n, reps, bounds, rng, labels, martingale, worker.slots, worker.keys)
+        return _grow_chunk(n, reps, bounds, rng, stats, martingale, worker.slots, worker.keys)
 
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(min(n_chunks, _cpu_count(), _MAX_WORKERS)) as pool:
         parts = list(pool.map(grow, range(n_chunks)))  # in chunk order
-    merged = ForestResult(
-        zagreb=np.concatenate([p.zagreb for p in parts]),
-        cubic=np.concatenate([p.cubic for p in parts]),
-    )
-    for key in parts[0].extra:
-        merged.extra[key] = np.concatenate([p.extra[key] for p in parts])
-    return merged
-
-
-def _extract_statistic(result: ForestResult, statistic: str) -> np.ndarray:
-    if statistic == "zagreb":
-        return result.zagreb
-    if statistic == "cubic":
-        return result.cubic
-    if statistic == "zagreb2":
-        if result.zagreb.max() > _ZAGREB2_MAX_Z:
-            raise ValueError(f"zagreb2 overflows int64 for Z > {_ZAGREB2_MAX_Z}; largest Z is {result.zagreb.max()}")
-        return result.zagreb**2
-    return result.extra[statistic]
+    extra = {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
+    if "zagreb2" in extra:
+        extra["zagreb2"] = _zagreb2(extra["zagreb2"])
+    return ForestResult(extra)
 
 
 def summarize(sample) -> StatsSummary:
@@ -424,27 +427,16 @@ def kde(sample, grid_size: int = 256) -> tuple[np.ndarray, np.ndarray]:
     return grid, density
 
 
-def _parse_statistic(statistic: str, n: int) -> tuple[str, dict]:
-    """The statistic's key in a ForestResult and the grow_forest flags that collect it."""
-    name, j = parse_statistic(statistic, n)
-    if name == "degree":
-        return f"degree:{j}", {"labels": (j,)}
-    return name, {"want_martingale": name == "martingale"}
-
-
-def _grow(config: SimulationConfig) -> tuple[ForestResult, str]:
-    """The configured forest and its statistic's key in it."""
-    key, flags = _parse_statistic(config.statistic, config.n)
-    chunk = config.resolved_chunk()
-    return grow_forest(config.n, config.replicates, config.kernel, config.seed, chunk_size=chunk, **flags), key
-
-
 def run_experiment(config: SimulationConfig) -> tuple[np.ndarray, StatsSummary]:
     """Grow the configured forest; return the statistic's sample, one
     value per replicate, and its summary."""
     if config.replicates < _JB_MIN_COUNT:  # refused before any tree grows
         raise ValueError(f"--reps must be >= {_JB_MIN_COUNT} for the Jarque-Bera summary, got {config.replicates}")
-    values = _extract_statistic(*_grow(config))
+    forest = grow_forest(
+        config.n, config.replicates, config.kernel, config.seed,
+        stats=(config.statistic,), chunk_size=config.resolved_chunk(),
+    )
+    values = forest.extra[config.statistic]
     if values.min() == values.max():  # e.g. the newest node is always a leaf
         raise ValueError(
             f"the statistic {config.statistic!r} is {values[0]} in all {values.size} replicates at n = {config.n}: "
@@ -458,7 +450,10 @@ def martingale_diagnostics(config: SimulationConfig) -> dict:
     64 - 8 pi^2/3 target and the per-step increment bound check."""
     if config.statistic != "martingale":
         raise ValueError("martingale_diagnostics requires statistic='martingale'")
-    result, _ = _grow(config)
+    result = grow_forest(
+        config.n, config.replicates, config.kernel, config.seed,
+        stats=("martingale",), chunk_size=config.resolved_chunk(),
+    )
     m_final = result.extra["martingale"]
     max_diff = result.extra["martingale_max_diff"]
     bound_ok = result.extra["martingale_bound_ok"]

@@ -155,9 +155,9 @@ def test_criterion_06_asymptotic_variance_constant():
 
 def test_criterion_07_weak_laws_monte_carlo():
     n = 100_000
-    res = grow_forest(n, 200, Kernel.DEGREE, seed=2024)
-    z = res.zagreb.astype(float)
-    y = res.cubic.astype(float)
+    res = grow_forest(n, 200, Kernel.DEGREE, seed=2024, stats=("zagreb", "cubic"))
+    z = res.extra["zagreb"].astype(float)
+    y = res.extra["cubic"].astype(float)
     exact_mean = float(zagreb_mean(n))
     se = math.sqrt(z.var(ddof=1) / z.size)
     ok_z = abs(z.mean() - exact_mean) <= 4 * se
@@ -184,8 +184,8 @@ def test_criterion_08_non_normality_replication():
     exact_var = m2 - m1 * m1
     exact_third = m3 - 3 * m1 * m2 + 2 * m1**3
     exact_skew = float(exact_third) / float(exact_var) ** 1.5
-    res = grow_forest(20_000, 5000, Kernel.DEGREE, seed=42)
-    z = res.zagreb.astype(float)
+    res = grow_forest(20_000, 5000, Kernel.DEGREE, seed=42, stats=("zagreb",))
+    z = res.extra["zagreb"].astype(float)
     centered = z - z.mean()
     skew = float(np.mean(centered**3) / np.mean(centered**2) ** 1.5)
     skew_floor = 5 * math.sqrt(6 / z.size)

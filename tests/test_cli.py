@@ -570,11 +570,11 @@ def test_simulate_rejects_bad_config_before_writing(capsys, tmp_path, monkeypatc
 
 
 def test_simulate_zagreb2_refuses_int64_overflow(capsys, tmp_path, monkeypatch):
-    def huge_forest(n, replicates, kernel, seed, **flags):
-        zagreb = np.full(replicates, 3_037_000_500, dtype=np.int64)  # one above the int64 square root
-        return montecarlo.ForestResult(zagreb=zagreb, cubic=zagreb)
+    # each chunk's Z is one above the int64 square root; grow_forest squares the merged sample
+    def huge_chunk(n, reps, bounds, rng, stats, *buffers):
+        return {label: np.full(reps, 3_037_000_500, dtype=np.int64) for label in stats}
 
-    monkeypatch.setattr(montecarlo, "grow_forest", huge_forest)
+    monkeypatch.setattr(montecarlo, "_grow_chunk", huge_chunk)
     out_dir = tmp_path / "run"
     code, _, err = run(capsys, "simulate", "--n", "30", "--reps", "20", "--stat", "zagreb2", "--out", str(out_dir))
     assert code == 1

@@ -1,5 +1,6 @@
 import inspect
 import math
+import re
 import threading
 import time
 import tracemalloc
@@ -9,14 +10,12 @@ import pytest
 
 from port_trees import montecarlo
 from port_trees.montecarlo import (
-    ForestResult,
     SimulationConfig,
     _draw_parents,
-    _extract_statistic,
     _grow_chunk,
     _martingale_constants,
-    _parse_statistic,
     _slot_bounds,
+    _zagreb2,
     grow_forest,
     kde,
     martingale_diagnostics,
@@ -25,7 +24,7 @@ from port_trees.montecarlo import (
 )
 from port_trees.oracle import enumerate_statistic, oracle_moment
 from port_trees.special import harmonic
-from port_trees.tree import Kernel
+from port_trees.tree import Kernel, parse_statistic
 from port_trees.zagreb import M_SECOND_MOMENT_LIMIT, martingale_diff_bound, zagreb_mean
 
 
@@ -34,18 +33,18 @@ def _within_se(sample_mean, exact, sample_var, count, k=4):
 
 
 def test_forest_mean_degree_matches_oracle():
-    res = grow_forest(3, 100_000, Kernel.GAP, seed=11, labels=(2,))
+    res = grow_forest(3, 100_000, Kernel.GAP, seed=11, stats=("degree:2",))
     vals = res.extra["degree:2"]
     assert _within_se(vals.mean(), 4 / 3, vals.var(ddof=1), vals.size)
 
 
 def test_forest_mean_zagreb_matches_oracle():
-    res = grow_forest(4, 100_000, Kernel.DEGREE, seed=12)
-    assert _within_se(res.zagreb.mean(), 11.0, res.zagreb.var(ddof=1), res.zagreb.size)
+    z = grow_forest(4, 100_000, Kernel.DEGREE, seed=12, stats=("zagreb",)).extra["zagreb"]
+    assert _within_se(z.mean(), 11.0, z.var(ddof=1), z.size)
 
 
 def test_forest_root_degree_law():
-    res = grow_forest(4, 100_000, Kernel.GAP, seed=13, labels=(1,))
+    res = grow_forest(4, 100_000, Kernel.GAP, seed=13, stats=("degree:1",))
     root = res.extra["degree:1"]
     for d, p in enumerate_statistic(4, Kernel.GAP, "root-degree").items():
         p_hat = float(np.mean(root == d))
@@ -57,8 +56,7 @@ def test_forest_root_degree_law():
 @pytest.mark.parametrize("kernel", list(Kernel))
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_forest_law_matches_oracle(n, kernel, statistic):
-    res = grow_forest(n, 100_000, kernel, seed=n, labels=(1,))
-    values = {"zagreb": res.zagreb, "cubic": res.cubic}.get(statistic, res.extra["degree:1"])
+    values = grow_forest(n, 100_000, kernel, seed=n, stats=(statistic,)).extra[statistic]
     law = enumerate_statistic(n, kernel, statistic)
     assert set(np.unique(values)) <= set(law)
     for v, p in law.items():
@@ -75,8 +73,7 @@ def _oracle_stats(n):
 @pytest.mark.parametrize("n,statistic", [(n, s) for n in (6, 8) for s in _oracle_stats(n)])
 def test_forest_laws_match_oracle_at_6_and_8(n, statistic, kernel):
     # the sampler and the oracle read the same label
-    key, flags = _parse_statistic(statistic, n)
-    values = _extract_statistic(grow_forest(n, 100_000, kernel, seed=n, **flags), key)
+    values = grow_forest(n, 100_000, kernel, seed=n, stats=(statistic,)).extra[statistic]
     law = enumerate_statistic(n, kernel, statistic)
     assert set(np.unique(values)) <= set(law)
     for v, p in law.items():
@@ -119,20 +116,21 @@ def test_forest_matches_scalar_replay(kernel):
         np.empty(reps * n, dtype=np.int32), np.empty(reps * (n - 1), dtype=np.int64),
     )
     # same stream: _grow_chunk draws exactly these parents
+    labels = ["zagreb", "cubic", "martingale"] + [f"degree:{j}" for j in range(1, n + 1)]
     res = _grow_chunk(
         n, reps, _slot_bounds(n, kernel), np.random.default_rng(seed),
-        labels=tuple(range(1, n + 1)), martingale=_martingale_constants(n),
+        stats={label: parse_statistic(label, n) for label in labels}, martingale=_martingale_constants(n),
         slots=np.empty(reps * n, dtype=np.int32), keys=np.empty(reps * (n - 1), dtype=np.int64),
     )
     labels = parents - np.arange(reps)[:, None] * n + 1  # flat grid index -> node label
     for r in range(reps):
         deg, z, y, m_n, max_diff, bound_ok = _replay(labels[r].tolist(), n)
-        assert res.zagreb[r] == z
-        assert res.cubic[r] == y
-        assert [int(res.extra[f"degree:{j}"][r]) for j in range(1, n + 1)] == deg[1:]
-        assert res.extra["martingale"][r] == m_n
-        assert res.extra["martingale_max_diff"][r] == max_diff
-        assert res.extra["martingale_bound_ok"][r] == bound_ok
+        assert res["zagreb"][r] == z
+        assert res["cubic"][r] == y
+        assert [int(res[f"degree:{j}"][r]) for j in range(1, n + 1)] == deg[1:]
+        assert res["martingale"][r] == m_n
+        assert res["martingale_max_diff"][r] == max_diff
+        assert res["martingale_bound_ok"][r] == bound_ok
 
 
 @pytest.mark.parametrize("n,reps,kernel", [(10000, 12, Kernel.DEGREE), (5000, 25, Kernel.GAP)])
@@ -166,9 +164,11 @@ def test_pointer_jump_matches_column_by_column_resolution(n, reps, kernel):
 )
 @pytest.mark.parametrize("n,z,y", [(2, 2, 2), (3, 6, 10)])
 def test_forest_smallest_trees(n, z, y, kernel, want_martingale):
-    res = grow_forest(n, 50, kernel, seed=1, labels=(1, 2), want_martingale=want_martingale)
-    assert res.zagreb.dtype == np.int64 and res.cubic.dtype == np.int64
-    assert np.all(res.zagreb == z) and np.all(res.cubic == y)
+    stats = ("zagreb", "cubic", "degree:1", "degree:2") + ("martingale",) * want_martingale
+    res = grow_forest(n, 50, kernel, seed=1, stats=stats)
+    zagreb, cubic = res.extra["zagreb"], res.extra["cubic"]
+    assert zagreb.dtype == np.int64 and cubic.dtype == np.int64
+    assert np.all(zagreb == z) and np.all(cubic == y)
     # degrees sum to 2(n - 1) and node n is a leaf
     assert np.all(res.extra["degree:1"] + res.extra["degree:2"] + (n - 2) == 2 * (n - 1))
     if want_martingale:
@@ -182,19 +182,16 @@ def test_forest_smallest_trees(n, z, y, kernel, want_martingale):
 
 def test_zagreb2_refuses_int64_overflow():
     largest = math.isqrt(np.iinfo(np.int64).max)
-    ones = np.ones(2, dtype=np.int64)
-    fits = ForestResult(zagreb=np.array([2, largest]), cubic=ones)
-    assert _extract_statistic(fits, "zagreb2").tolist() == [4, largest**2]
-    wraps = ForestResult(zagreb=np.array([2, largest + 1]), cubic=ones)
+    assert _zagreb2(np.array([2, largest])).tolist() == [4, largest**2]
     with pytest.raises(ValueError, match="zagreb2 overflows int64"):
-        _extract_statistic(wraps, "zagreb2")
+        _zagreb2(np.array([2, largest + 1]))
 
 
 def test_forest_martingale_is_the_zagreb_map():
     n = 300
-    res = grow_forest(n, 200, Kernel.DEGREE, seed=4, want_martingale=True)
+    res = grow_forest(n, 200, Kernel.DEGREE, seed=4, stats=("zagreb", "martingale"))
     h = float(harmonic(n - 1))
-    expected = 2.0 * res.zagreb / (n - 1) - 4.0 * h
+    expected = 2.0 * res.extra["zagreb"] / (n - 1) - 4.0 * h
     assert np.allclose(res.extra["martingale"], expected, rtol=0.0, atol=1e-9)
 
 
@@ -213,20 +210,18 @@ def test_forest_reproducible_across_chunkings(monkeypatch):
     monkeypatch.setattr(montecarlo, "_grow_chunk", first_chunk_last)
     for kernel in Kernel:
         martingale = kernel is Kernel.DEGREE
+        stats = ("zagreb", "cubic", "degree:1", "degree:2", "degree:7") + ("martingale",) * martingale
         results = []
         for workers in (1, 2, 3):
             monkeypatch.setattr(montecarlo, "_cpu_count", lambda: workers)
-            results.append(
-                grow_forest(50, 1000, kernel, seed=5, labels=(1, 2, 7), want_martingale=martingale, chunk_size=150)
-            )
-        keys = {"degree:1", "degree:2", "degree:7"}
+            results.append(grow_forest(50, 1000, kernel, seed=5, stats=stats, chunk_size=150))
+        keys = set(stats)
         if martingale:
-            keys |= {"martingale", "martingale_max_diff", "martingale_bound_ok"}
+            keys |= {"martingale_max_diff", "martingale_bound_ok"}
         assert set(results[0].extra) == keys
         for other in results[1:]:
-            pairs = [(results[0].zagreb, other.zagreb), (results[0].cubic, other.cubic)]
-            pairs += [(results[0].extra[k], other.extra[k]) for k in keys]
-            for a, b in pairs:
+            for k in keys:
+                a, b = results[0].extra[k], other.extra[k]
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
@@ -256,7 +251,7 @@ def test_forest_caps_chunks_in_flight(monkeypatch):
     monkeypatch.setattr(montecarlo, "_grow_chunk", counted)
     tracemalloc.start()
     try:
-        grow_forest(10000, 200, Kernel.DEGREE, 1, want_martingale=True)
+        grow_forest(10000, 200, Kernel.DEGREE, 1, stats=("martingale",))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -266,8 +261,8 @@ def test_forest_caps_chunks_in_flight(monkeypatch):
 
 def test_forest_workers_call_no_public_function(monkeypatch):
     # a tracer that wraps the package's public functions keeps one span
-    # stack, so the worker threads may call none of them; the martingale
-    # constants are computed once, on the calling thread
+    # stack, so the worker threads may call none of them; the labels are
+    # parsed and the martingale constants computed on the calling thread
     calls = []
     for name, fn in list(vars(montecarlo).items()):
         if inspect.isfunction(fn) and not name.startswith("_") and fn.__module__.startswith("port_trees."):
@@ -278,25 +273,63 @@ def test_forest_workers_call_no_public_function(monkeypatch):
 
             monkeypatch.setattr(montecarlo, name, wrapper)
     monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 2)
-    grow_forest(1000, 700, Kernel.DEGREE, seed=3, want_martingale=True, labels=(1, 5))
-    assert calls == [("martingale_diff_bound", threading.get_ident())]
+    grow_forest(1000, 700, Kernel.DEGREE, seed=3, stats=("martingale", "degree:1", "degree:5"))
+    assert {name for name, _ in calls} == {"parse_statistic", "martingale_diff_bound"}
+    assert {thread for _, thread in calls} == {threading.get_ident()}
 
 
 def test_forest_validates_arguments():
     with pytest.raises(ValueError):
-        grow_forest(1, 10, Kernel.GAP, seed=0)
+        grow_forest(1, 10, Kernel.GAP, seed=0, stats=("zagreb",))
     with pytest.raises(ValueError):
-        grow_forest(10, 0, Kernel.GAP, seed=0)
+        grow_forest(10, 0, Kernel.GAP, seed=0, stats=("zagreb",))
     with pytest.raises(ValueError):
-        grow_forest(10, 10, Kernel.GAP, seed=0, want_martingale=True)
+        grow_forest(10, 10, Kernel.GAP, seed=0, stats=("martingale",))
     for chunk_size in (0, -1):
         with pytest.raises(ValueError, match="chunk_size"):
-            grow_forest(10, 10, Kernel.GAP, seed=0, chunk_size=chunk_size)
+            grow_forest(10, 10, Kernel.GAP, seed=0, stats=("zagreb",), chunk_size=chunk_size)
+
+
+def test_forest_rejects_labels_outside_the_tree(monkeypatch):
+    # every label is parsed before any chunk grows, with the message of
+    # the --stat parser the oracle and the CLI share
+    grown = []
+    monkeypatch.setattr(montecarlo, "_grow_chunk", lambda *args: grown.append(args))
+    n = 10
+    for label in ("degree:0", f"degree:{n + 1}", "degree:-3", "bogus"):
+        with pytest.raises(ValueError) as refused:
+            parse_statistic(label, n)
+        with pytest.raises(ValueError, match=re.escape(str(refused.value))):
+            grow_forest(n, 4, Kernel.GAP, 0, stats=(label,))
+        with pytest.raises(ValueError, match=re.escape(str(refused.value))):
+            grow_forest(n, 4, Kernel.DEGREE, 0, stats=("zagreb", label))
+    with pytest.raises(ValueError, match="at least one --stat label"):
+        grow_forest(n, 4, Kernel.GAP, 0, stats=())
+    with pytest.raises(ValueError, match="defined for the degree-proportional kernel"):
+        grow_forest(n, 4, Kernel.GAP, 0, stats=("martingale",))
+    assert grown == []
+
+
+@pytest.mark.parametrize("kernel", list(Kernel))
+def test_forest_label_subsets_keep_the_stream(kernel):
+    # the draws never depend on the labels: each label alone gives the
+    # bytes it gives among all of them, and root-degree is degree:1
+    labels = ["zagreb", "cubic", "zagreb2", "degree:1", "root-degree", "degree:7"]
+    if kernel is Kernel.DEGREE:
+        labels.append("martingale")
+    together = grow_forest(50, 300, kernel, seed=9, stats=tuple(labels), chunk_size=70).extra
+    for label in labels:
+        alone = grow_forest(50, 300, kernel, seed=9, stats=(label,), chunk_size=70).extra
+        keys = [label, "martingale_max_diff", "martingale_bound_ok"] if label == "martingale" else [label]
+        assert list(alone) == keys
+        for key in keys:
+            assert alone[key].dtype == together[key].dtype and alone[key].tobytes() == together[key].tobytes()
+    assert together["root-degree"].tobytes() == together["degree:1"].tobytes()
 
 
 @pytest.mark.parametrize(
     "field,value",
-    [("n", 1), ("replicates", 0), ("chunk_size", 0), ("chunk_size", -1)],
+    [("n", 1), ("replicates", 0), ("chunk_size", 0), ("chunk_size", -1), ("statistic", "bogus")],
 )
 def test_simulation_config_validates(field, value):
     kwargs = {"n": 10, "replicates": 10, field: value}
@@ -371,8 +404,8 @@ def test_run_experiment_outputs():
     sample, summary = run_experiment(config)
     assert sample.shape == (400,) and sample.dtype == np.int64
     # the sample is the Z of the forest grown with the config's seed and chunking
-    forest = grow_forest(50, 400, Kernel.DEGREE, seed=21, chunk_size=config.resolved_chunk())
-    assert np.array_equal(sample, forest.zagreb)
+    forest = grow_forest(50, 400, Kernel.DEGREE, seed=21, stats=("zagreb",), chunk_size=config.resolved_chunk())
+    assert np.array_equal(sample, forest.extra["zagreb"])
     assert summary == summarize(sample)
     assert summary.count == 400
 
@@ -420,9 +453,9 @@ def test_martingale_diagnostics_refuses_the_gap_kernel():
 
 def test_sample_mean_tracks_exact_zagreb_mean():
     n = 500
-    res = grow_forest(n, 4000, Kernel.DEGREE, seed=55)
+    z = grow_forest(n, 4000, Kernel.DEGREE, seed=55, stats=("zagreb",)).extra["zagreb"]
     exact = float(zagreb_mean(n))
-    assert _within_se(res.zagreb.mean(), exact, res.zagreb.var(ddof=1), res.zagreb.size)
+    assert _within_se(z.mean(), exact, z.var(ddof=1), z.size)
 
 
 def test_cubic_index_does_not_concentrate():
@@ -433,8 +466,8 @@ def test_cubic_index_does_not_concentrate():
         sample = sample.astype(float)
         return sample.std(ddof=1) / sample.mean()
 
-    small = grow_forest(1000, 4000, Kernel.DEGREE, seed=7)
-    large = grow_forest(10_000, 1000, Kernel.DEGREE, seed=7)
+    small = grow_forest(1000, 4000, Kernel.DEGREE, seed=7, stats=("zagreb", "cubic")).extra
+    large = grow_forest(10_000, 1000, Kernel.DEGREE, seed=7, stats=("zagreb", "cubic")).extra
     # CV(Y) read 0.69-0.77 at 10^3 and 0.64-0.80 at 10^4 over seeds 0-19
-    assert cv(small.cubic) >= 0.55 and cv(large.cubic) >= 0.55
-    assert cv(large.zagreb) < cv(small.zagreb)
+    assert cv(small["cubic"]) >= 0.55 and cv(large["cubic"]) >= 0.55
+    assert cv(large["zagreb"]) < cv(small["zagreb"])

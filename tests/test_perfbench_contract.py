@@ -7,8 +7,9 @@ spanned function's arguments by name (``n``, ``replicates``,
 (``extra["martingale_bound_ok"]``, ``times``), so renaming an argument or
 a result field breaks every benchmark command although the package's own
 tests pass.  This test installs both recorders the benchmark uses, in a
-fresh interpreter, and runs one small command per subcommand, and one
-per exact degree route, through them.
+fresh interpreter, and runs one small command of each command shape in
+``perfbench/workloads.py``, and one per exact degree route, through
+them.
 """
 
 import json
@@ -36,14 +37,21 @@ else:
 recorder.install()
 commands = [
     f"simulate --n 50 --reps {reps} --stat martingale --seed 1 --out {out}/simulate",
+    f"simulate --n 50 --reps {reps} --kernel gap --stat degree:3 --seed 1 --out {out}/simulate-degree",
+    f"simulate --n 50 --reps {reps} --stat zagreb --kde 16 --seed 1 --out {out}/simulate-kde",
+    f"normality-report --n 50 --reps {reps} --seed 1 --out {out}/normality",
     f"poisson --mode tree --j 2 --dt 0.5 --reps {reps} --seed 1 --out {out}/poisson",
+    f"poisson --dt 1 --reps {reps} --seed 1 --out {out}/yule",
     f"exact-pmf --n 30 --j 2 --out {out}/pmf",
     f"exact-pmf --n 30 --j 3 --method hypergeom --out {out}/hypergeom",
     f"exact-pmf --n 30 --j 3 --method closed --out {out}/closed",
     f"exact-moments --n 50 --j 2 --out {out}/moments",
     f"oracle --n 5 --kernel degree --stat zagreb --out {out}/oracle",
+    f"oracle --n 5 --kernel degree --stat martingale --out {out}/oracle-martingale",
     f"zagreb-moments --n-max 30 --out {out}/zagreb",
+    f"zagreb-moments --n-max 30 --rational --out {out}/zagreb-rational",
     "verify --suite oracle --n-max 4",
+    "verify --suite routes --n-max 6",
 ]
 results = []
 for index, command in enumerate(commands):
@@ -72,4 +80,7 @@ def test_recorder_installs_and_every_subcommand_runs(tmp_path, mode):
     counters = report["results"][0]["counters"]
     assert counters["montecarlo.grow_forest.bound_checked"] == REPS
     assert counters["montecarlo.grow_forest.bound_violations"] == 0
+    if mode == "plain":  # only the sampler's martingale path checks the increment bound
+        checked = [r["command"] for r in report["results"] if "montecarlo.grow_forest.bound_checked" in r["counters"]]
+        assert checked == [report["results"][0]["command"]]
     assert (report["spans"] > 0) == (mode == "timed")

@@ -11,15 +11,18 @@ import pytest
 from port_trees import montecarlo
 from port_trees.montecarlo import _bounded_draw, _grow_chunk, _slot_bounds, grow_forest
 from port_trees.poisson import simulate_gap_tree
-from port_trees.tree import Kernel
+from port_trees.tree import Kernel, parse_statistic
+
+
+def _stats(n, martingale=False):
+    return ("zagreb", "cubic", "degree:1", "degree:5", f"degree:{n}") + ("martingale",) * martingale
+
 
 # (n, replicates, kernel, keyword arguments) of grow_forest, seed 23
 FOREST_CASES = {
-    "degree-martingale-labels": (400, 700, Kernel.DEGREE, {"want_martingale": True, "labels": (1, 5, 400)}),
-    "gap-labels": (400, 700, Kernel.GAP, {"labels": (1, 5, 400)}),
-    "partial-last-chunk": (
-        300, 1000, Kernel.DEGREE, {"want_martingale": True, "labels": (1, 5, 300), "chunk_size": 70}
-    ),
+    "degree-martingale-labels": (400, 700, Kernel.DEGREE, {"stats": _stats(400, martingale=True)}),
+    "gap-labels": (400, 700, Kernel.GAP, {"stats": _stats(400)}),
+    "partial-last-chunk": (300, 1000, Kernel.DEGREE, {"stats": _stats(300, martingale=True), "chunk_size": 70}),
 }
 # sha256 of each case's arrays, taken from the sampler before it reused buffers
 FOREST_SHA256 = {
@@ -49,8 +52,10 @@ def _digest(arrays):
     return h.hexdigest()
 
 
-def _forest_arrays(result):
-    return [result.zagreb, result.cubic] + [result.extra[k] for k in sorted(result.extra)]
+def _forest_arrays(extra):
+    """Z, Y, then the other samples by sorted label."""
+    rest = sorted(set(extra) - {"zagreb", "cubic"})
+    return [extra["zagreb"], extra["cubic"]] + [extra[k] for k in rest]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -59,7 +64,7 @@ def test_forest_bytes_are_pinned(case, workers, monkeypatch):
     monkeypatch.setattr(montecarlo, "_cpu_count", lambda: workers)
     n, replicates, kernel, flags = FOREST_CASES[case]
     result = grow_forest(n, replicates, kernel, 23, **flags)
-    assert _digest(_forest_arrays(result)) == FOREST_SHA256[case]
+    assert _digest(_forest_arrays(result.extra)) == FOREST_SHA256[case]
 
 
 @pytest.mark.parametrize("case", sorted(GAP_TREE_CASES))
@@ -72,15 +77,15 @@ def test_gap_tree_bytes_are_pinned(case):
 def test_workers_never_share_a_buffer(monkeypatch):
     # more workers than cores, 40 small chunks and a short switch
     # interval: two threads writing one buffer would change the bytes
-    n, replicates, flags = 200, 400, {"want_martingale": True, "labels": (1, 5, 200), "chunk_size": 10}
+    n, replicates, flags = 200, 400, {"stats": _stats(200, martingale=True), "chunk_size": 10}
     monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 1)
-    expected = _digest(_forest_arrays(grow_forest(n, replicates, Kernel.DEGREE, 31, **flags)))
+    expected = _digest(_forest_arrays(grow_forest(n, replicates, Kernel.DEGREE, 31, **flags).extra))
     monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 4)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(5):
-            assert _digest(_forest_arrays(grow_forest(n, replicates, Kernel.DEGREE, 31, **flags))) == expected
+            assert _digest(_forest_arrays(grow_forest(n, replicates, Kernel.DEGREE, 31, **flags).extra)) == expected
     finally:
         sys.setswitchinterval(interval)
 
@@ -88,7 +93,7 @@ def test_workers_never_share_a_buffer(monkeypatch):
 @pytest.mark.parametrize("case", sorted(FOREST_CASES))
 def test_forest_results_survive_the_next_call(case):
     n, replicates, kernel, flags = FOREST_CASES[case]
-    first = grow_forest(n, replicates, kernel, 1, **flags)
+    first = grow_forest(n, replicates, kernel, 1, **flags).extra
     kept = [a.copy() for a in _forest_arrays(first)]
     grow_forest(n, replicates, kernel, 2, **flags)
     for a, b in zip(_forest_arrays(first), kept):
@@ -101,9 +106,10 @@ def test_chunk_results_survive_the_next_chunk():
     n, reps = 60, 9
     slots, keys = np.empty(reps * n, dtype=np.int32), np.empty(reps * (n - 1), dtype=np.int64)
     bounds, martingale = _slot_bounds(n, Kernel.DEGREE), montecarlo._martingale_constants(n)
-    first = _grow_chunk(n, reps, bounds, np.random.default_rng(1), (1, 5, n), martingale, slots, keys)
+    stats = {label: parse_statistic(label, n) for label in _stats(n, martingale=True)}
+    first = _grow_chunk(n, reps, bounds, np.random.default_rng(1), stats, martingale, slots, keys)
     kept = [a.copy() for a in _forest_arrays(first)]
-    _grow_chunk(n, reps, bounds, np.random.default_rng(2), (1, 5, n), martingale, slots, keys)
+    _grow_chunk(n, reps, bounds, np.random.default_rng(2), stats, martingale, slots, keys)
     for a, b in zip(_forest_arrays(first), kept):
         assert a.tobytes() == b.tobytes()
 
@@ -111,8 +117,8 @@ def test_chunk_results_survive_the_next_chunk():
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: grow_forest(10000, 200, Kernel.DEGREE, 3, want_martingale=True),
-        lambda: grow_forest(5000, 300, Kernel.GAP, 3, labels=(10,)),
+        lambda: grow_forest(10000, 200, Kernel.DEGREE, 3, stats=("martingale",)),
+        lambda: grow_forest(5000, 300, Kernel.GAP, 3, stats=("degree:10",)),
         lambda: simulate_gap_tree(2, 3.0, np.random.default_rng(3), 600),
     ],
     ids=["martingale", "gap-labels", "gap-tree"],

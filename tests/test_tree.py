@@ -16,28 +16,28 @@ def _within_4se(hits, p):
 
 def test_first_insertion_deterministic():
     for kernel in Kernel:
-        res = grow_forest(2, 50, kernel, seed=0, labels=(1,))
-        assert (res.zagreb == 2).all() and (res.cubic == 2).all()
-        assert (res.extra["degree:1"] == 1).all()
+        res = grow_forest(2, 50, kernel, seed=0, stats=("zagreb", "cubic", "degree:1")).extra
+        assert (res["zagreb"] == 2).all() and (res["cubic"] == 2).all()
+        assert (res["degree:1"] == 1).all()
 
 
 def test_second_insertion_probabilities_gap():
     # gap weights at n=2 are 2 (root) and 1 (node 2) out of 3
-    res = grow_forest(3, 200_000, Kernel.GAP, seed=123, labels=(1,))
+    res = grow_forest(3, 200_000, Kernel.GAP, seed=123, stats=("degree:1",))
     assert _within_4se(res.extra["degree:1"] == 2, 2 / 3)
 
 
 def test_second_insertion_probabilities_degree():
     # degree weights at n=2 are 1 and 1 out of 2
-    res = grow_forest(3, 200_000, Kernel.DEGREE, seed=321, labels=(1,))
+    res = grow_forest(3, 200_000, Kernel.DEGREE, seed=321, stats=("degree:1",))
     assert _within_4se(res.extra["degree:1"] == 2, 1 / 2)
 
 
 @pytest.mark.parametrize("kernel", list(Kernel))
 @pytest.mark.parametrize("n", [2, 17, 500])
 def test_growth_invariants(kernel, n):
-    res = grow_forest(n, 64, kernel, seed=n, labels=(1, n))
-    z, y, root = res.zagreb, res.cubic, res.extra["degree:1"]
+    res = grow_forest(n, 64, kernel, seed=n, stats=("zagreb", "cubic", "degree:1", f"degree:{n}"))
+    z, y, root = res.extra["zagreb"], res.extra["cubic"], res.extra["degree:1"]
     assert (res.extra[f"degree:{n}"] == 1).all()  # the newest node is a leaf
     assert ((root >= 1) & (root <= n - 1)).all()
     # the degrees sum to 2(n-1) and d^3 = d (mod 6), d^2 = d (mod 2)
@@ -52,7 +52,7 @@ def test_gap_insertion_frequencies_at_n5():
     # the per-node degree laws at n = 6 carry the pick frequencies of every
     # step up to 5 -> 6, which must match (outdeg+1)/(2m-1)
     n, reps = 6, 200_000
-    res = grow_forest(n, reps, Kernel.GAP, seed=7, labels=tuple(range(1, n + 1)))
+    res = grow_forest(n, reps, Kernel.GAP, seed=7, stats=tuple(f"degree:{v}" for v in range(1, n + 1)))
     for v in range(1, n + 1):
         degrees = res.extra[f"degree:{v}"]
         law = enumerate_statistic(n, Kernel.GAP, f"degree:{v}")
@@ -61,12 +61,9 @@ def test_gap_insertion_frequencies_at_n5():
 
 
 def test_identical_seed_identical_tree():
-    grown = [
-        grow_forest(300, 20, Kernel.GAP, seed=99, labels=(1, 2, 10, 150)) for _ in range(2)
-    ]
-    assert np.array_equal(grown[0].zagreb, grown[1].zagreb)
-    assert np.array_equal(grown[0].cubic, grown[1].cubic)
-    for key in ("degree:1", "degree:2", "degree:10", "degree:150"):
+    stats = ("zagreb", "cubic", "degree:1", "degree:2", "degree:10", "degree:150")
+    grown = [grow_forest(300, 20, Kernel.GAP, seed=99, stats=stats) for _ in range(2)]
+    for key in stats:
         assert np.array_equal(grown[0].extra[key], grown[1].extra[key])
 
 
