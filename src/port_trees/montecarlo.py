@@ -346,6 +346,8 @@ def grow_forest(
     chunk order, so the number of cores never changes the output.
     """
     chunk_size = SimulationConfig(n=n, replicates=replicates, chunk_size=chunk_size).resolved_chunk()
+    if isinstance(stats, str):  # iterating it would parse each character
+        raise ValueError(f"stats must be a tuple of --stat labels, not the string {stats!r}")
     if not stats:
         raise ValueError("grow_forest needs at least one --stat label in stats")
     stats = {label: parse_statistic(label, n) for label in stats}

@@ -262,7 +262,8 @@ def test_forest_caps_chunks_in_flight(monkeypatch):
 def test_forest_workers_call_no_public_function(monkeypatch):
     # a tracer that wraps the package's public functions keeps one span
     # stack, so the worker threads may call none of them; the labels are
-    # parsed and the martingale constants computed on the calling thread
+    # parsed and the martingale constants computed once, on the calling
+    # thread (SimulationConfig parses its default label first)
     calls = []
     for name, fn in list(vars(montecarlo).items()):
         if inspect.isfunction(fn) and not name.startswith("_") and fn.__module__.startswith("port_trees."):
@@ -274,8 +275,8 @@ def test_forest_workers_call_no_public_function(monkeypatch):
             monkeypatch.setattr(montecarlo, name, wrapper)
     monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 2)
     grow_forest(1000, 700, Kernel.DEGREE, seed=3, stats=("martingale", "degree:1", "degree:5"))
-    assert {name for name, _ in calls} == {"parse_statistic", "martingale_diff_bound"}
-    assert {thread for _, thread in calls} == {threading.get_ident()}
+    tid = threading.get_ident()
+    assert calls == [("parse_statistic", tid)] * 4 + [("martingale_diff_bound", tid)]
 
 
 def test_forest_validates_arguments():
@@ -305,6 +306,8 @@ def test_forest_rejects_labels_outside_the_tree(monkeypatch):
             grow_forest(n, 4, Kernel.DEGREE, 0, stats=("zagreb", label))
     with pytest.raises(ValueError, match="at least one --stat label"):
         grow_forest(n, 4, Kernel.GAP, 0, stats=())
+    with pytest.raises(ValueError, match="a tuple of --stat labels, not the string 'zagreb'"):
+        grow_forest(n, 4, Kernel.GAP, 0, stats="zagreb")
     with pytest.raises(ValueError, match="defined for the degree-proportional kernel"):
         grow_forest(n, 4, Kernel.GAP, 0, stats=("martingale",))
     assert grown == []
