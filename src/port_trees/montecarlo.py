@@ -56,10 +56,13 @@ __all__ = [
 # bound-check tolerance: the bound is exact, the trace is float
 _BOUND_EPS = 1e-9
 # per-chunk budget of node slots, replicates x n; a chunk keeps about
-# 24 bytes per slot alive at its peak (tracemalloc, the two reused
-# buffers included), so it holds about 3 MB and the most that grow in
+# 24 bytes per slot alive at its peak (23.9 by tracemalloc on 10000 x 12
+# and 5000 x 25 chunks, the two reused buffers and the draw's 64-bit
+# words included), so it holds about 3 MB and the most that grow in
 # parallel about 12 MB
 _CHUNK_ELEMENT_BUDGET = 125_000
+# most slots one node draws from: the slot draw forms (2**32 - 1) * r in int64
+_MAX_SLOT_RANGE = 2**31
 # most node slots in one block of rows of the martingale path (at least
 # one row); each of its temporaries, 8 bytes a slot, then stays under
 # glibc's 128 kB mmap threshold for rows of up to 16,384 nodes
@@ -84,6 +87,12 @@ class SimulationConfig:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError(f"n must be >= 2, got {self.n}")
+        if self.kernel.total_weight(self.n - 1) > _MAX_SLOT_RANGE:  # node n's count of slots
+            limit = (_MAX_SLOT_RANGE - self.kernel.root_gaps) // 2 + 2
+            raise ValueError(
+                f"n must be at most {limit} under the {self.kernel.value} kernel, got {self.n}: "
+                "node n draws from more than 2**31 slots, and the slot draw's int64 product would wrap"
+            )
         if self.replicates < 1:
             raise ValueError(f"replicates must be >= 1, got {self.replicates}")
         parse_statistic(self.statistic, self.n)
@@ -137,20 +146,36 @@ def _slot_bounds(n, kernel):
 def _bounded_draw(rng, low, ranges, thresholds, out, scratch):
     """Write ``rng.integers(low, low + ranges, size=out.shape,
     dtype=np.int32)`` into the int64 array ``out``, value for value and
-    leaving ``rng`` in the same state, in whole-array steps.
+    leaving ``rng`` in the same state, in whole-array steps.  ``low`` is
+    a scalar or a column of per-row lows.
 
     numpy draws entry i of column c from the next uint32 x as the high
     half of x * r_c, unless the low half falls below the threshold
     (2**32 - r_c) % r_c; it then discards x and tries the next uint32
     (Lemire, ACM TOMACS 29(1), 2019).  Here every entry takes one uint32
     up front; each rare rejection shifts that entry and all later ones
-    onto the next uint32 of the stream, in place.  ``scratch`` is a
-    uint32 array of ``out``'s shape that holds the low halves.  Every
-    r must lie in [2, 2**31]: numpy draws nothing for r = 1.
+    onto the next uint32 of the stream, in place.
+
+    The bulk of that uint32 stream comes from 64-bit words, a third
+    cheaper per value with the copy into one array: each word gives its
+    low half first, as PCG64's next uint32 does.  A half the generator
+    still carries comes first, and the last one or two entries come
+    from numpy's uint32 draw itself, so the values and the generator
+    state, its stale carried half included, are numpy's.  ``scratch`` is
+    a uint32 array of ``out``'s shape that holds the low halves.  Every
+    r must lie in [2, ``_MAX_SLOT_RANGE``]: numpy draws nothing for
+    r = 1, and a larger r wraps the int64 product (``SimulationConfig``
+    refuses the n that needs one).
     """
     cols = ranges.size
-    raw = rng.integers(0, 2**32, size=out.shape, dtype=np.uint32)  # one next_uint32 per entry, in order
+    raw = np.empty(out.shape, dtype=np.uint32)  # one next_uint32 per entry, in order
     flat = raw.reshape(-1)
+    head = min(rng.bit_generator.state["has_uint32"], flat.size)  # a carried half is the stream's first value
+    words = max(0, (flat.size - head - 1) // 2)  # the last one or two values go through next_uint32, as numpy's do
+    stop = head + 2 * words
+    flat[:head] = rng.integers(0, 2**32, size=head, dtype=np.uint32)
+    flat[head:stop] = rng.integers(0, 2**64, size=words, dtype=np.uint64).astype("<u8", copy=False).view("<u4")
+    flat[stop:] = rng.integers(0, 2**32, size=flat.size - stop, dtype=np.uint32)
     row = col = 0  # entries before (row, col) are final
     while True:
         np.multiply(raw[row:], ranges, out=scratch[row:])  # the low halves, mod 2**32
@@ -199,19 +224,21 @@ def _draw_parents(n, reps, bounds, rng, slots, draws):
     first_slot, ranges, thresholds = bounds
     ref = slots[: reps * n].reshape(reps, n)
     draws = draws[: reps * (n - 2)].reshape(reps, n - 2)
-    # the grid's node columns hold the low halves until the targets overwrite them
-    q = _bounded_draw(rng, first_slot, ranges[: n - 2], thresholds[: n - 2], draws, ref[:, 2:].view(np.uint32))
-    row_start = np.arange(0, reps * n, n, dtype=np.int32)[:, None]
+    row_start = np.arange(0, reps * n, n)[:, None]
+    # each row's slots are drawn 2 * (row_start + 1) up: the parity stays and
+    # q >> 1 is already the flat index of node (q >> 1) + 2 of that row.  The
+    # grid's node columns hold the low halves until the targets overwrite them
+    low = 2 * row_start + (first_slot + 2)
+    q = _bounded_draw(rng, low, ranges[: n - 2], thresholds[: n - 2], draws, ref[:, 2:].view(np.uint32))
     ref[:, :2] = row_start  # node 2 hangs off the root; the root's entry is never read
     target = np.right_shift(q, 1, out=ref[:, 2:])
-    target += row_start + 1
     q &= 1
     q -= 1
     target ^= q  # even slot: ~target marks the entry pending
     flat = ref.reshape(-1)
     pending = np.flatnonzero(flat < 0)
     while pending.size:
-        got = flat[~flat[pending]]
+        got = flat.take(np.invert(flat.take(pending)))  # fancy indexing converts int32 indices slowly
         flat[pending] = got
         pending = pending.compress(got < 0)  # by index: a boolean-mask index branches per entry
     return ref[:, 1:]
@@ -345,7 +372,7 @@ def grow_forest(
     Chunks grow on up to ``_MAX_WORKERS`` threads and are merged in
     chunk order, so the number of cores never changes the output.
     """
-    chunk_size = SimulationConfig(n=n, replicates=replicates, chunk_size=chunk_size).resolved_chunk()
+    chunk_size = SimulationConfig(n=n, replicates=replicates, kernel=kernel, chunk_size=chunk_size).resolved_chunk()
     if isinstance(stats, str):  # iterating it would parse each character
         raise ValueError(f"stats must be a tuple of --stat labels, not the string {stats!r}")
     if not stats:

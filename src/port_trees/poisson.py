@@ -106,7 +106,7 @@ def simulate_gap_tree(j: int, dt: float, rng: np.random.Generator, size: int) ->
         top = math.inf
     if top > NODE_CAP:
         raise ValueError(f"dt={dt} grows the tree past the cap of {NODE_CAP} nodes")
-    rows = SimulationConfig(n=top, replicates=size).resolved_chunk()
+    rows = SimulationConfig(n=top, replicates=size, kernel=Kernel.GAP).resolved_chunk()
     order = np.argsort(k, kind="stable")
     w = np.ones(size, dtype=np.int64)
     bounds = _slot_bounds(top, Kernel.GAP)  # each chunk uses the leading entries

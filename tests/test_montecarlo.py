@@ -352,6 +352,17 @@ def test_simulation_config_caps_chunk_slots():
     SimulationConfig(n=2**20, replicates=2**11 - 1, chunk_size=2**20)  # only 2**11 - 1 rows are grown
 
 
+@pytest.mark.parametrize("kernel,largest", [(Kernel.DEGREE, 2**30 + 2), (Kernel.GAP, 2**30 + 1)])
+def test_simulation_config_caps_the_slot_range(kernel, largest):
+    # the slot draw forms (2**32 - 1) * r in int64; only configs are
+    # built here, so no tree of this size grows
+    assert (2**32 - 1) * kernel.total_weight(largest - 1) <= np.iinfo(np.int64).max
+    assert (2**32 - 1) * kernel.total_weight(largest) > np.iinfo(np.int64).max
+    SimulationConfig(n=largest, replicates=1, kernel=kernel)
+    with pytest.raises(ValueError, match=f"n must be at most {largest} under the {kernel.value} kernel"):
+        SimulationConfig(n=largest + 1, replicates=1, kernel=kernel)
+
+
 def test_jarque_bera_normal_sample():
     rng = np.random.default_rng(100)
     rejected = 0

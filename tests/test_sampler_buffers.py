@@ -23,12 +23,16 @@ FOREST_CASES = {
     "degree-martingale-labels": (400, 700, Kernel.DEGREE, {"stats": _stats(400, martingale=True)}),
     "gap-labels": (400, 700, Kernel.GAP, {"stats": _stats(400)}),
     "partial-last-chunk": (300, 1000, Kernel.DEGREE, {"stats": _stats(300, martingale=True), "chunk_size": 70}),
+    # 7 x 399 slots a chunk, then one row: odd draw counts
+    "odd-slot-counts": (401, 99, Kernel.DEGREE, {"stats": _stats(401, martingale=True), "chunk_size": 7}),
 }
-# sha256 of each case's arrays, taken from the sampler before it reused buffers
+# sha256 of each case's arrays, taken from the sampler before it reused
+# buffers; odd-slot-counts from the sampler before it drew 64-bit words
 FOREST_SHA256 = {
     "degree-martingale-labels": "2b2ae006715d0315fa2d014fc486496eff3f4f502e03226e898b37ae8ebec174",
     "gap-labels": "7845684f354f7b7e578f27158ad1ec10d6e3a74eda33f29c8ce3a86124d1b867",
     "partial-last-chunk": "9b93e1a79b197136c0b157512c576b3d5e2cb683ac1e65361456161613c591a9",
+    "odd-slot-counts": "89c946aec6f9c9dddcb72ece62b7eef4b873e98aad1626ac58b3a939229ea6a2",
 }
 # (j, dt, size) of simulate_gap_tree, seed 29
 GAP_TREE_CASES = {"j2-dt3": (2, 3.0, 600), "j5-dt2": (5, 2.0, 300)}
@@ -36,9 +40,10 @@ GAP_TREE_SHA256 = {
     "j2-dt3": "f0ee385268f2da0cda72e8336dc0ff0a16e16f57bd72f5362e2e43e5be8cd3fb",
     "j5-dt2": "1b740136e97b491b0ac8ed771e890c202ea8e2a9da77aee2f9f477458ecac98f",
 }
-# (n, reps) of a chunk's slot draw: the smallest trees, then chunks of
-# the benchmark's shapes
-DRAW_SHAPES = [(3, 1), (3, 40), (4, 1), (4, 40), (20000, 6), (10000, 12), (5000, 25)]
+# (n, reps) of a chunk's slot draw: no slot at all, the smallest trees,
+# odd counts past a run of 64-bit words (9 and 29,997 slots), then
+# chunks of the benchmark's shapes
+DRAW_SHAPES = [(2, 3), (3, 1), (3, 40), (4, 1), (4, 40), (5, 3), (10001, 3), (20000, 6), (10000, 12), (5000, 25)]
 # each (kernel, carried half) meets at least one Lemire rejection in
 # these seeds' 10000 x 12 draws; gap seed 2 meets two
 REJECTION_SEEDS = range(10)
