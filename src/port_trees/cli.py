@@ -201,6 +201,8 @@ def _cmd_exact_moments(args) -> int:
 
 
 def _cmd_zagreb_moments(args) -> int:
+    if args.n_max < 1:
+        raise SystemExit(f"zagreb-moments requires --n-max >= 1, got {args.n_max}")
     rows = (
         (n, _num(mz), _num(my), _num(sz), _num(vz))
         for n, mz, my, sz, vz in moment_rows(args.n_max, exact=args.rational or None)

@@ -36,20 +36,22 @@ L4 and KL are scaled by f and S4 and KS by f^2, and then
 Every quotient goes through ``_exact_div``, which raises on a remainder.
 
 That one recurrence runs on two number types.  On ints,
-``_square_divisors`` finds the gcds of the E[Y], E[Z^2] and Var[Z]
-numerators with their denominators, most of the table's gcd time;
-``_divisor`` cancels a denominator's power of two by its trailing-zero
-count and runs one gcd against its odd part only.  On integer
+``_square_divisors`` finds the gcds of the numerators with their
+denominators.  It takes each common power of two from the lowest set
+bits, so only odd parts meet in a gcd, and two facts cut those:
+E[Y] + 3 E[Z] = 32 B_n - 16 m is dyadic, so the odd part of E[Y]'s
+divisor is that of E[Z]'s, times 3 where 3 divides what it leaves of
+L, and needs no gcd; and gcd(x, d^2) = gcd(x, gcd(x, d)^2), so Var[Z]'s
+gcds run on numbers half the size.  On integer
 ``Decimal``s, ``_exact_rows`` builds the pairs themselves, because
 CPython's int -> str is quadratic in the digit count and the values run
 to thousands of digits.  It resumes the recurrence under ``_EXACT``, a
 context of unbounded precision that traps rounding, in blocks that close
 before each row is yielded, so the caller's decimal context is neither
 used nor changed.  Outside ``_EXACT`` convert the pairs with ``int()``
-before doing arithmetic on them.  ``_exact_rows`` also steps L and A as
-ints for the E[Z] gcd, divides each pair by its gcd (``_reduce``, which
-checks the remainders) and pairs each row with its divisors by
-``zip(..., strict=True)``.
+before doing arithmetic on them.  ``_exact_rows`` divides each pair by
+its divisor (``_reduce``, which checks the remainders), pairing rows
+and divisors by ``zip(..., strict=True)``.
 
 Where the ``fork`` start method exists and a second core is usable
 (``_cpu_count``, the package's one core counter, which ``montecarlo``
@@ -155,16 +157,6 @@ def _reduce(num: Decimal, den: Decimal, g: int) -> tuple[Decimal, Decimal]:
     return _exact_div(num, g), _exact_div(den, g)
 
 
-def _divisor(num: int, den: int) -> int:
-    """The gcd of num and den > 0: den's power of two cancels by
-    trailing-zero count, so gcd runs against its odd part only."""
-    if num == 0:
-        return den
-    v = (den & -den).bit_length() - 1
-    t = min((num & -num).bit_length() - 1, v)
-    return math.gcd(num >> t, den >> v) << t
-
-
 def _numerator_rows(n_max: int, one):
     """The unreduced (numerator, denominator) pairs of E[Z_n], E[Y_n],
     E[Z_n^2] and Var[Z_n] for n = 1 .. n_max, of the type of ``one``:
@@ -199,10 +191,17 @@ def _cpu_count() -> int:
 
 
 def _square_divisors(n_max: int):
-    """(gy, g2, gv) for n = 1 .. n_max: the gcd of the E[Y] numerator with
-    L 4^n, and those of the E[Z^2] and Var[Z] numerators with L^2 4^n."""
-    for _, *pairs in _numerator_rows(n_max, 1):
-        yield tuple(_divisor(num, den) for num, den in pairs)
+    """(gz, gy, g2, gv) for n = 1 .. n_max: the gcds of the E[Z], E[Y],
+    E[Z^2] and Var[Z] numerators with L, L 4^n, L^2 4^n and L^2 4^n."""
+    for pairs in _numerator_rows(n_max, 1):
+        (z, l), _, (second, _), (var, _) = pairs
+        odd = l // (l & -l)  # also the odd part of L 4^n, and its square that of L^2 4^n
+        gz, g1 = math.gcd(z, odd), math.gcd(var, odd)
+        gy = gz * 3 if odd // gz % 3 == 0 else gz  # E[Y] + 3 E[Z] is dyadic
+        # Var[Z]'s: gcd(x, d^2) = gcd(x, gcd(x, d)^2)
+        odds = gz, gy, math.gcd(second, odd * odd), math.gcd(var, g1 * g1)
+        # gcd(0, den) = den: every numerator is 0 at n = 1, and Var[Z]'s at n = 2
+        yield tuple(g * min(num & -num, den & -den) if num else den for (num, den), g in zip(pairs, odds))
 
 
 def _send_square_divisors(n_max: int, reader, writer) -> None:
@@ -256,17 +255,12 @@ def _square_divisor_rows(n_max: int):
 
 def _exact_rows(n_max: int):
     numerators = _numerator_rows(n_max, Decimal(1))
-    lcm, a = 1, 0  # L and A as ints, for the E[Z] gcd
     with contextlib.closing(_square_divisor_rows(n_max)) as divisors:
-        for n, square_gcds in zip(range(1, n_max + 1), divisors, strict=True):
-            gz = _divisor(2 * (n - 1) * a, lcm)
+        for n, gcds in zip(range(1, n_max + 1), divisors, strict=True):
             with decimal.localcontext(_EXACT):
                 pairs = next(numerators)
-                row = (n, *(_reduce(num, den, g) for (num, den), g in zip(pairs, (gz, *square_gcds), strict=True)))
+                row = (n, *(_reduce(num, den, g) for (num, den), g in zip(pairs, gcds, strict=True)))
             yield row
-            f = _lcm_growth(n)
-            lcm *= f
-            a = a * f + _exact_div(lcm, n)
 
 
 def _float_rows(n_max: int):

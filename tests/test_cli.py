@@ -493,6 +493,15 @@ def test_verify_rejects_bad_input(capsys, monkeypatch, suite, n_max, message):
     assert calls == []  # rejected before any check ran
 
 
+@pytest.mark.parametrize("n_max", ["0", "-3"])
+def test_zagreb_moments_rejects_an_empty_table(capsys, tmp_path, n_max):
+    code, out, err = run(capsys, "zagreb-moments", "--n-max", n_max, "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert err == f"port: error: zagreb-moments requires --n-max >= 1, got {n_max}\n"
+    assert out == ""
+    assert not (tmp_path / "out").exists()
+
+
 def test_usage_errors_exit_1(capsys):
     assert main(["exact-pmf"]) == 1  # missing required options
     assert main(["exact-pmf", "--n", "5", "--j", "2", "--method", "nope"]) == 1

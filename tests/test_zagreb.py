@@ -65,8 +65,11 @@ def test_exact_rows_ignore_the_callers_decimal_context(zagreb_recurrence):
 def test_exact_rows_where_the_lcm_grows():
     # L = lcm(1..n-1) doubles at n = 2^k + 1 and gains an odd prime power at
     # 730 = 3^6 + 1, 962 = 31^2 + 1 and 2004 (2003 is prime); the scalars take
-    # their harmonic sums by binary splitting, a route independent of the rows
-    wanted = {n for k in range(1, 12) for n in (2**k - 1, 2**k, 2**k + 1) if n > 1} | {729, 730, 961, 962, 2003, 2004}
+    # their harmonic sums by binary splitting, a route independent of the rows.
+    # The odd part of E[Y]'s divisor is that of E[Z]'s at n = 3^k + 1, where L
+    # gains a power of 3, and three times it at n = 3^k for k >= 3
+    wanted = {n for k in range(1, 12) for n in (2**k - 1, 2**k, 2**k + 1) if n > 1} | {961, 962, 2003, 2004}
+    wanted |= {n for k in range(1, 7) for n in (3**k, 3**k + 1)}
     for n, mean_z, mean_y, second_z, var_z in moment_rows(max(wanted), exact=True):
         if n in wanted:
             ez, ez2 = zagreb_mean(n), zagreb_second_moment(n)
@@ -77,7 +80,7 @@ def test_exact_rows_where_the_lcm_grows():
 def test_carried_products_give_the_divisors_of_rebuilt_ones():
     # the worker steps L, A, K L, K L^2 and, times 4^n, L, L^2, A, C, A L and
     # A^2 from row to row; here each row rebuilds them from lcm, the harmonic
-    # sums and C(2n, n), and takes plain gcds with L 4^n and L^2 4^n
+    # sums and C(2n, n), and takes plain gcds with L, L 4^n and L^2 4^n
     rebuilt = []
     for n in range(1, 401):
         m, k, lcm = n - 1, math.comb(2 * n, n), math.lcm(*range(1, n))
@@ -87,8 +90,25 @@ def test_carried_products_give_the_divisors_of_rebuilt_ones():
         rest = 20 * m * a * lcm + (16 * m * m + 64 * m) * lsq
         second = ((4 * m * (m + 1) * (aa - c) + rest) << 2 * n) - 128 * n * m * k * lsq
         var = second - (4 * m * m * aa << 2 * n)
-        rebuilt.append((math.gcd(cubic, lcm << 2 * n), math.gcd(second, lsq << 2 * n), math.gcd(var, lsq << 2 * n)))
+        rebuilt.append((
+            math.gcd(2 * m * a, lcm),
+            math.gcd(cubic, lcm << 2 * n),
+            math.gcd(second, lsq << 2 * n),
+            math.gcd(var, lsq << 2 * n),
+        ))
     assert list(zagreb._square_divisors(400)) == rebuilt
+
+
+def _odd(x: int) -> int:
+    return x // (x & -x)
+
+
+def test_mean_denominators_share_their_odd_parts():
+    # E[Y_n] + 3 E[Z_n] = 32 B_n - 16 (n-1) is dyadic, which lets the worker
+    # take E[Y]'s divisor from E[Z]'s; checked here on the binary-splitting
+    # scalars, not on the row recurrence
+    for n in range(2, 401):
+        assert _odd(cubic_mean(n).denominator) == _odd((3 * zagreb_mean(n)).denominator), n
 
 
 def test_lcm_growth_is_the_ratio_of_consecutive_lcms():
