@@ -12,9 +12,14 @@ entries left out:
 * ``degree_pmf_recurrence`` -- a forward DP with all-nonnegative
   coefficients; numerically stable and the default route, with an
   exact mode on integer numerators over one common denominator.
-* ``degree_pmf_hypergeom`` -- two terminating 3F2 series, summed as
-  unreduced integer pairs by this module's ``_pfq_sum``.  The root's
-  law is one hypergeometric term, the closed route's.
+* ``degree_pmf_hypergeom`` -- the paper's difference of two terminating
+  3F2 series.  By the duplication formula
+  (a)_{2s} = 4^s (a/2)_s ((a+1)/2)_s, each is a sum over s of
+  C(d-1, 2s) or C(d-2, 2s) times a coefficient free of d, so each
+  series has an integer row that Pascal's rule carries from one d to
+  the next.  It shares no code with the closed route, so each checks
+  the other.  The root's law is one hypergeometric term, the closed
+  route's.
 
 The exact routes build no ``Fraction`` in their loops: they divide once
 per probability, by ``p / q`` for a float (int true division rounds
@@ -155,76 +160,61 @@ def degree_pmf_recurrence(n: int, j: int, exact: bool = False) -> dict:
     return _float_law(enumerate(probs.tolist(), start=1))
 
 
-_MAX_PFQ_TERMS = 100_000
-
-
-def _pfq_sum(upper, lower, z) -> tuple[int, int]:
-    """The terminating series pFq(upper; lower; z) = sum_s (prod (a_i)_s /
-    prod (b_j)_s) z^s / s!, summed until the first upper Pochhammer factor
-    is exactly zero, as an unreduced (numerator, denominator) pair of ints,
-    for int or Fraction parameters.
-
-    A parameter a = p/q turns a + s into (p + s q)/q, so the ratio of
-    term s+1 to term s is r_num/r_den with int factors; then
-    term_{s+1} = term_s r_num and total_{s+1} = total_s r_den + term_{s+1},
-    both over den_{s+1} = den_s r_den.  The series stops where some
-    p + s q of an upper parameter is zero, and a lower one reaching zero
-    first is a pole.  (``den`` may be negative.)  Raises ValueError if no
-    upper parameter can terminate the series, or at a pole.
-    """
-    ups = [(a.numerator, a.denominator) for a in upper]
-    los = [(b.numerator, b.denominator) for b in lower]
-    # a nonpositive integer upper parameter must exist: a + s with a
-    # non-integer a never reaches 0
-    if not any(q == 1 and p <= 0 for p, q in ups):
-        raise ValueError("series does not terminate: no nonpositive integer upper parameter")
-    # the constant parts of the term ratio: the 1/q of each a + s, and z
-    num_scale = math.prod(q for _, q in los) * z.numerator
-    den_scale = math.prod(q for _, q in ups) * z.denominator
-    total = term = den = 1
-    for s in range(_MAX_PFQ_TERMS):
-        if any(p + s * q == 0 for p, q in ups):
-            return total, den
-        if any(p + s * q == 0 for p, q in los):
-            raise ValueError("lower-parameter pole reached before termination")
-        r_num = math.prod(p + s * q for p, q in ups) * num_scale
-        r_den = math.prod(p + s * q for p, q in los) * (s + 1) * den_scale
-        term *= r_num
-        total = total * r_den + term
-        den *= r_den
-    raise ValueError("series failed to terminate within the iteration cap")
-
-
 def degree_pmf_hypergeom(n: int, j: int) -> dict:
-    """Hypergeometric route: each P(d) as a difference of two 3F2s.
+    """Hypergeometric route: each P(d) as a difference of two 3F2 series.
 
-    Both 3F2 series terminate and every gamma-ratio prefactor reduces to
-    a rational number (the half-integer gammas appear in ratios whose
-    sqrt(pi) factors cancel).  Each series is summed as an unreduced
-    integer pair, each prefactor is a pair of integer products, and the
-    difference is one cross-multiplication divided once.  This sidesteps
-    the catastrophic cancellation between the two terms that a floating
-    evaluation suffers at small tail probabilities.  The root's law
-    (j = 1) is a single hypergeometric term, the closed route's.
+    For j >= 2, P(d) = R F1(d) - (d-1) (2j-3)/(2n-3) F2(d), with the
+    rational prefactor R = Gamma(n-1) Gamma(j-1/2) / (Gamma(j-1) Gamma(n-1/2)),
+    F1(d) = 3F2((1-d)/2, (2-d)/2, 2-j; 1/2, 2-n; 1) and
+    F2(d) = 3F2((2-d)/2, (3-d)/2, 5/2-j; 3/2, 5/2-n; 1).  By the
+    duplication formula (a)_{2s} = 4^s (a/2)_s ((a+1)/2)_s, with
+    (1/2)_s s! = (2s)!/4^s and (3/2)_s s! = (2s+1)!/4^s, the series are,
+    term for term,
+    F1(d) = sum_s C(d-1, 2s) C(j-2, s)/C(n-2, s) and
+    F2(d) = sum_s C(d-2, 2s)/(2s+1) prod_{k<s} (2j-5-2k)/(2n-5-2k).
+    F1 stops after s = j-2, where C(j-2, s) vanishes.  Each series'
+    coefficients are free of d: they go over one integer denominator
+    once, at index 2s of an int row whose first entry is the series'
+    numerator at its first d, and Pascal's rule row'[i] = row[i] +
+    row[i+1] carries the row to the next d in integer additions.  Each
+    P(d) is one division, so it is the exact value correctly rounded,
+    even at tiny tail probabilities where the two terms cancel.  The
+    root's law (j = 1) is a single hypergeometric term, the closed
+    route's.
     """
     _check_nj(n, j)
     if j == 1:
         return _root_law(n)
-    # Gamma(n-1)/Gamma(j-1) = prod_{k=j-1}^{n-2} k;
+    top = n - j  # the largest d - 1
+    # (numerator, denominator) of each coefficient the law reaches: F1's C(j-2, s)/C(n-2, s) for
+    # 2s <= top and s <= j-2, and F2's prod_{k<s} (2j-5-2k)/(2n-5-2k) for 2s <= top - 1
+    f1 = [(math.comb(j - 2, s), math.comb(n - 2, s)) for s in range(min(j - 2, top // 2) + 1)]
+    f2 = [(1, 1)]
+    for s in range((top - 1) // 2):
+        num, den = f2[-1]
+        f2.append((num * (2 * j - 5 - 2 * s), den * (2 * n - 5 - 2 * s)))
+
+    def int_row(terms):
+        """The terms at indices 0, 2, 4, ... of an int row over one denominator, and that denominator."""
+        den = math.lcm(*(q for _, q in terms))
+        nums = [0] * (top + 1)
+        nums[: 2 * len(terms) : 2] = [p * (den // q) for p, q in terms]
+        return nums, den
+
+    row1, den1 = int_row(f1)
+    row2, den2 = int_row([(p, q * (2 * s + 1)) for s, (p, q) in enumerate(f2)])
+    # R = p1/q1: Gamma(n-1)/Gamma(j-1) = prod_{k=j-1}^{n-2} k and
     # Gamma(j-1/2)/Gamma(n-1/2) = 1 / prod_{k=j}^{n-1} (k - 1/2) = 2^{n-j} / prod (2k-1)
     p1 = math.prod(range(j - 1, n - 1)) << (n - j)
     q1 = math.prod(range(2 * j - 1, 2 * n - 1, 2))
-    # Gamma(n-3/2)/Gamma(n-1/2) = 1/(n-3/2)
-    q2 = 2 * n - 3
-    lower1, lower2 = [Fraction(1, 2), Fraction(2 - n)], [Fraction(3, 2), Fraction(5, 2) - n]
-    probs = []
-    for d in range(1, n - j + 2):
-        t1, s1 = _pfq_sum([Fraction(2 - d, 2), Fraction(1 - d, 2), Fraction(2 - j)], lower1, 1)
-        # Gamma(d)/Gamma(d-1) = d-1 and Gamma(j-1/2)/Gamma(j-3/2) = j-3/2; at d = 1 the pole of
-        # 1/Gamma(d-1) makes p2 zero, and the second series would not terminate
-        p2 = (d - 1) * (2 * j - 3)
-        t2, s2 = _pfq_sum([Fraction(3 - d, 2), Fraction(2 - d, 2), Fraction(5, 2) - j], lower2, 1) if p2 else (0, 1)
-        probs.append((d, (p1 * t1 * q2 * s2 - p2 * t2 * q1 * s1) / (q1 * s1 * q2 * s2)))
+    # P(d) = (a N1(d) - (d-1) b N2(d)) / den, for the series' numerators N1 and N2
+    a, b = p1 * (2 * n - 3) * den2, (2 * j - 3) * q1 * den1
+    den = q1 * den1 * (2 * n - 3) * den2
+    probs = [(1, a * row1[0] / den)]
+    for d in range(2, top + 2):
+        row1 = [x + y for x, y in zip(row1, row1[1:])]
+        probs.append((d, (a * row1[0] - (d - 1) * b * row2[0]) / den))
+        row2 = [x + y for x, y in zip(row2, row2[1:])]
     return _float_law(probs)
 
 

@@ -92,8 +92,9 @@ __all__ = [
 
 # leading coefficient of Var[Z_n] ~ (16 - 2 pi^2 / 3) n^2
 VAR_Z_COEFFICIENT = 16.0 - 2.0 * math.pi**2 / 3.0
-# limit of E[M_n^2]; also the slope of the conditional variance V_n / n
-M_SECOND_MOMENT_LIMIT = 64.0 - 8.0 * math.pi**2 / 3.0
+# limit of E[M_n^2]; also the slope of the conditional variance V_n / n.  M_n = 2(Z_n - E[Z_n])/(n - 1),
+# so E[M_n^2] = 4 Var[Z_n]/(n - 1)^2 -> 4 times the coefficient above
+M_SECOND_MOMENT_LIMIT = 4 * VAR_Z_COEFFICIENT
 # limits: the weak law Z_n / (n log n) -> 2, and E[Y_n] / n^{3/2} -> 32/sqrt(pi)
 # for the mean only, since Y_n / n^{3/2} keeps a random limit (its coefficient
 # of variation is about 0.7 from n = 10^3 to 10^5)

@@ -6,7 +6,6 @@ import pytest
 
 from port_trees.degree import (
     Regime,
-    _pfq_sum,
     degree_mean,
     degree_moments_asymptotic,
     degree_pmf_closed,
@@ -137,6 +136,44 @@ def test_route_equivalence(n):
         assert degree_pmf_hypergeom(n, j) == pytest.approx(law, rel=1e-9, abs=1e-12)
 
 
+def _terminating_3f2(upper, lower):
+    """sum_s (a1)_s (a2)_s (a3)_s / ((b1)_s (b2)_s s!) at z = 1, up to the first zero upper (a)_{s+1}."""
+    total, term = Fraction(0), Fraction(1)
+    for s in range(1000):
+        total += term
+        if any(a + s == 0 for a in upper):
+            return total
+        term *= math.prod(a + s for a in upper) / (math.prod(b + s for b in lower) * (s + 1))
+    raise AssertionError("series did not terminate")
+
+
+@pytest.mark.parametrize("n", range(2, 31))
+def test_hypergeometric_route_is_the_paper_difference_of_two_3f2s(n):
+    # P(d) = A 3F2((1-d)/2, (2-d)/2, 2-j; 1/2, 2-n; 1) - B 3F2((2-d)/2, (3-d)/2, 5/2-j; 3/2, 5/2-n; 1), with
+    # A = Gamma(n-1) Gamma(j-1/2) / (Gamma(j-1) Gamma(n-1/2)) and B = (d-1) (j-3/2) / (n-3/2), rounded once
+    half = Fraction(1, 2)
+    for j in range(2, n + 1):
+        a = Fraction(math.factorial(n - 2), math.factorial(j - 2)) / math.prod(k - half for k in range(j, n))
+        expected = {}
+        for d in range(1, n - j + 2):
+            p = a * _terminating_3f2([(1 - d) * half, (2 - d) * half, 2 - j], [half, 2 - n])
+            if d > 1:  # the pole of 1/Gamma(d-1) makes B zero at d = 1
+                b = (d - 1) * (j - 3 * half) / (n - 3 * half)
+                p -= b * _terminating_3f2([(2 - d) * half, (3 - d) * half, 5 * half - j], [3 * half, 5 * half - n])
+            expected[d] = float(p)
+        assert degree_pmf_hypergeom(n, j) == expected
+
+
+def test_hypergeometric_route_past_the_subnormal_cut():
+    # at (1030, 2) the law's tail falls below the smallest normal float (first at n = 1019), so both
+    # float laws leave entries out; the DP keeps its rounding bound against the exactly rounded route
+    n, j = 1030, 2
+    law, hypergeom = degree_pmf_recurrence(n, j), degree_pmf_hypergeom(n, j)
+    assert list(hypergeom) == list(law)
+    assert len(law) < n - j + 1
+    assert all(abs(law[d] - p) <= 3 * (n - j + 1) * 2.0**-53 * p for d, p in hypergeom.items())
+
+
 def test_rational_recurrence_normalizes_exactly():
     for n, j in [(8, 2), (12, 5), (25, 10)]:
         assert sum(degree_pmf_recurrence(n, j, exact=True).values()) == 1
@@ -223,43 +260,3 @@ def test_asymptotic_growing_j():
     mean, variance = degree_moments_asymptotic(10**6, 10**3, Regime.GROWING_J)
     assert mean == pytest.approx(math.sqrt(1000.0), rel=1e-12)
     assert variance == pytest.approx(1000.0, rel=1e-12)
-
-
-def _pfq(upper, lower, z):
-    return Fraction(*_pfq_sum(upper, lower, z))
-
-
-def test_pfq_trivial_cases():
-    # a zero upper parameter keeps only the s=0 term
-    assert _pfq([0, Fraction(33, 10)], [Fraction(17, 10)], 1) == 1
-    # 3F2 with upper -1: 1 + (-1)(1)(1)/1 = 0
-    assert _pfq([-1, 1, 1], [1, 1], 1) == 0
-
-
-def test_pfq_matches_binomial_sum():
-    # 1F0(-m;;z) = (1-z)^m for integer m
-    for m in (1, 2, 5):
-        for z in (Fraction(3, 10), Fraction(-6, 5)):
-            assert _pfq([-m], [], z) == (1 - z) ** m
-
-
-@pytest.mark.parametrize("m", [1, 4, 9])
-def test_pfq_chu_vandermonde(m):
-    # 2F1(-m, b; c; 1) = (c-b)_m / (c)_m
-    b, c = Fraction(3, 2), Fraction(7, 3)
-    expected = math.prod(c - b + i for i in range(m)) / math.prod(c + i for i in range(m))
-    assert _pfq([-m, b], [c], 1) == expected
-
-
-def test_pfq_rejects_nonterminating():
-    with pytest.raises(ValueError):
-        _pfq([Fraction(1, 2), 1], [2], 1)
-    # half-integer upper parameters never hit an integer zero
-    with pytest.raises(ValueError):
-        _pfq([Fraction(-1, 2)], [2], 1)
-
-
-def test_pfq_rejects_lower_pole_before_termination():
-    # lower parameter -1 dies at s=1, before the upper -3 stops at s=3
-    with pytest.raises(ValueError):
-        _pfq([-3], [-1], 1)

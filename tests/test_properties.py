@@ -1,13 +1,9 @@
 """Property tests that tie the exact routes to each other at random sizes."""
 
-import math
-from fractions import Fraction
-
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from port_trees.degree import (
-    _pfq_sum,
     degree_mean,
     degree_pmf_closed,
     degree_pmf_hypergeom,
@@ -45,37 +41,6 @@ def test_root_pmf_tracks_the_exact_root_law(n):
     law = degree_pmf_recurrence(n, 1, exact=True)
     assert set(law) == set(range(1, n))
     assert degree_pmf_closed(n, 1) == {d: float(p) for d, p in law.items()}
-
-
-def _rising(x, m):
-    return math.prod((x + k for k in range(m)), start=Fraction(1))
-
-
-def _hits_pole(c, m):
-    # (c)_m = 0, and the series meets the lower pole c + s = 0 at some s < m
-    return c.denominator == 1 and -m < c <= 0
-
-
-_RATIONALS = st.fractions(min_value=-12, max_value=12, max_denominator=10)
-
-
-@settings(_SETTINGS, max_examples=80)
-@given(st.integers(0, 30), _RATIONALS, _RATIONALS)
-def test_hypergeometric_chu_vandermonde(m, b, c):
-    # 2F1(-m, b; c; 1) = (c-b)_m / (c)_m
-    assume(not _hits_pole(c, m))
-    value = Fraction(*_pfq_sum([-m, b], [c], 1))
-    assert value == _rising(c - b, m) / _rising(c, m)
-
-
-@settings(_SETTINGS, max_examples=80)
-@given(st.integers(0, 30), _RATIONALS, _RATIONALS, _RATIONALS)
-def test_hypergeometric_pfaff_saalschutz(m, a, b, c):
-    # balanced 3F2(-m, a, b; c, 1+a+b-c-m; 1) = (c-a)_m (c-b)_m / ((c)_m (c-a-b)_m)
-    e = 1 + a + b - c - m
-    assume(not _hits_pole(c, m) and not _hits_pole(e, m))
-    value = Fraction(*_pfq_sum([-m, a, b], [c, e], 1))
-    assert value == _rising(c - a, m) * _rising(c - b, m) / (_rising(c, m) * _rising(c - a - b, m))
 
 
 @settings(_SETTINGS, max_examples=40)
