@@ -194,15 +194,17 @@ def degree_pmf_hypergeom(n: int, j: int) -> dict:
         num, den = f2[-1]
         f2.append((num * (2 * j - 5 - 2 * s), den * (2 * n - 5 - 2 * s)))
 
-    def int_row(terms):
+    def int_row(terms, length):
         """The terms at indices 0, 2, 4, ... of an int row over one denominator, and that denominator."""
         den = math.lcm(*(q for _, q in terms))
-        nums = [0] * (top + 1)
+        nums = [0] * length
         nums[: 2 * len(terms) : 2] = [p * (den // q) for p, q in terms]
         return nums, den
 
-    row1, den1 = int_row(f1)
-    row2, den2 = int_row([(p, q * (2 * s + 1)) for s, (p, q) in enumerate(f2)])
+    # F1's row is zero past its last term, and Pascal's rule keeps that tail zero: it is carried at its
+    # span and its last entry carries over
+    row1, den1 = int_row(f1, 2 * len(f1) - 1)
+    row2, den2 = int_row([(p, q * (2 * s + 1)) for s, (p, q) in enumerate(f2)], top + 1)
     # R = p1/q1: Gamma(n-1)/Gamma(j-1) = prod_{k=j-1}^{n-2} k and
     # Gamma(j-1/2)/Gamma(n-1/2) = 1 / prod_{k=j}^{n-1} (k - 1/2) = 2^{n-j} / prod (2k-1)
     p1 = math.prod(range(j - 1, n - 1)) << (n - j)
@@ -212,7 +214,7 @@ def degree_pmf_hypergeom(n: int, j: int) -> dict:
     den = q1 * den1 * (2 * n - 3) * den2
     probs = [(1, a * row1[0] / den)]
     for d in range(2, top + 2):
-        row1 = [x + y for x, y in zip(row1, row1[1:])]
+        row1 = [x + y for x, y in zip(row1, row1[1:] + [0])][: top + 2 - d]
         probs.append((d, (a * row1[0] - (d - 1) * b * row2[0]) / den))
         row2 = [x + y for x, y in zip(row2, row2[1:])]
     return _float_law(probs)

@@ -22,9 +22,11 @@ Each row multiplies every 4^n term by 4 and steps KL and KS by
 
     E[Z]     2 m A                                           over L
     E[Y]     32 n m KL - 6 m A4 - 16 m L4                    over L4
-    E[Z^2]   4 m (m+1) (Q - C4) + 20 m P
-               + (16 m^2 + 64 m) S4 - 128 n m KS             over S4
-    Var[Z]   the E[Z^2] numerator - 4 m^2 Q                  over S4
+    E[Z^2]   4^n Y + (16 m^2 + 64 m) S4 - 128 n m KS         over S4
+    Var[Z]   4^n (Y - 4 m^2 A^2) + the same two terms        over S4
+
+with Y = 4 m (m+1) (A^2 - C) + 20 m A L, whose head 4^n Y is
+4 m (m+1) (Q - C4) + 20 m P; that of Var[Z] is 4^n Y - 4 m^2 Q.
 
 When m grows to n, L gains the factor f = lcm(1..n)/lcm(1..m), which is
 p if n = p^k and 1 otherwise (``_lcm_growth``, on small ints only).  L,
@@ -33,7 +35,8 @@ L4 and KL are scaled by f and S4 and KS by f^2, and then
     A'  = A f + L'/n  (A4 likewise)    C4' = C4 f^2 + S4'/n^2
     P'  = P f^2 + S4'/n                Q'  = Q f^2 + 2 (P f^2)/n + S4'/n^2
 
-Every quotient goes through ``_exact_div``, which raises on a remainder.
+where S4'/n^2 is (S4'/n)/n.  Every quotient goes through ``_exact_div``,
+which raises on a remainder.
 
 That one recurrence runs on two number types.  On ints,
 ``_square_divisors`` finds the gcds of the numerators with their
@@ -42,16 +45,27 @@ bits, so only odd parts meet in a gcd, and two facts cut those:
 E[Y] + 3 E[Z] = 32 B_n - 16 m is dyadic, so the odd part of E[Y]'s
 divisor is that of E[Z]'s, times 3 where 3 divides what it leaves of
 L, and needs no gcd; and gcd(x, d^2) = gcd(x, gcd(x, d)^2), so Var[Z]'s
-gcds run on numbers half the size.  On integer
-``Decimal``s, ``_exact_rows`` builds the pairs themselves, because
-CPython's int -> str is quadratic in the digit count and the values run
-to thousands of digits.  It resumes the recurrence under ``_EXACT``, a
-context of unbounded precision that traps rounding, in blocks that close
-before each row is yielded, so the caller's decimal context is neither
-used nor changed.  Outside ``_EXACT`` convert the pairs with ``int()``
-before doing arithmetic on them.  ``_exact_rows`` divides each pair by
-its divisor (``_reduce``, which checks the remainders), pairing rows
-and divisors by ``zip(..., strict=True)``.
+gcds run on numbers half the size.  The E[Z^2] and Var[Z] numerators
+less their heads are multiples of L^2, and 4^n is prime to odd(L), so
+
+    gcd(E[Z^2] numerator, odd(L)^2) = gcd(Y, odd(L)^2)
+    gcd(Var[Z] numerator, odd(L))   = gcd(Y - 4 m^2 A^2, odd(L))
+
+and the odd gcds run on the heads' 4^n-free parts, which the worker
+shifts out of them, each shift checked by ``_exact_shift`` as
+``_exact_div`` checks a quotient: at n = 3000 on about 8,700 bits, not
+14,700.  The powers of two, and gcd(0, den) = den, still come from the
+whole numerators.
+
+On integer ``Decimal``s, ``_exact_rows`` builds the pairs themselves,
+because CPython's int -> str is quadratic in the digit count and the
+values run to thousands of digits.  It resumes the recurrence under
+``_EXACT``, a context of unbounded precision that traps rounding, in
+blocks that close before each row is yielded, so the caller's decimal
+context is neither used nor changed.  Outside ``_EXACT`` convert the
+pairs with ``int()`` before doing arithmetic on them.  ``_exact_rows``
+divides each pair by its divisor (``_reduce``, which checks the
+remainders), pairing rows and divisors by ``zip(..., strict=True)``.
 
 Where the ``fork`` start method exists and a second core is usable
 (``_cpu_count``, the package's one core counter, which ``montecarlo``
@@ -152,6 +166,13 @@ def _exact_div(num, den):
     return q
 
 
+def _exact_shift(num: int, bits: int) -> int:
+    """num >> bits for a num that 2^bits divides; raises as ``_exact_div`` does otherwise."""
+    if num & ((1 << bits) - 1):
+        raise decimal.Inexact("a shift drops a set bit in an exact row")
+    return num >> bits
+
+
 def _reduce(num: Decimal, den: Decimal, g: int) -> tuple[Decimal, Decimal]:
     """(num / g, den / g) for a common divisor g."""
     g = Decimal(g)
@@ -160,9 +181,10 @@ def _reduce(num: Decimal, den: Decimal, g: int) -> tuple[Decimal, Decimal]:
 
 def _numerator_rows(n_max: int, one):
     """The unreduced (numerator, denominator) pairs of E[Z_n], E[Y_n],
-    E[Z_n^2] and Var[Z_n] for n = 1 .. n_max, of the type of ``one``:
-    ints, or integer Decimals, whose every ``next()`` runs under
-    ``_EXACT``."""
+    E[Z_n^2] and Var[Z_n] for n = 1 .. n_max, each row with the heads
+    4^n Y and 4^n (Y - 4 m^2 A^2) of the last two numerators, of the type
+    of ``one``: ints, or integer Decimals, whose every ``next()`` runs
+    under ``_EXACT``."""
     # with S = L^2: L, L 4^n, S 4^n, K L, K S, A, A 4^n, C 4^n, P = A L 4^n and Q = A^2 4^n
     l = l4 = s4 = kl = ks = one
     a = a4 = c4 = p = q = one * 0
@@ -170,17 +192,21 @@ def _numerator_rows(n_max: int, one):
         m = n - 1
         l4, s4, a4, c4, p, q = l4 * 4, s4 * 4, a4 * 4, c4 * 4, p * 4, q * 4
         kl, ks = _exact_div(kl * (4 * n - 2), n), _exact_div(ks * (4 * n - 2), n)
-        second = 4 * m * (m + 1) * (q - c4) + 20 * m * p + (16 * m * m + 64 * m) * s4 - 128 * n * m * ks
+        # the 4^n-carrying heads of E[Z^2] and Var[Z], and the multiple of L^2 they share
+        head = 4 * m * (m + 1) * (q - c4) + 20 * m * p
+        head_var = head - 4 * m * m * q
+        tail = (16 * m * m + 64 * m) * s4 - 128 * n * m * ks
         cubic = 32 * n * m * kl - 6 * m * a4 - 16 * m * l4
-        yield (2 * m * a, l), (cubic, l4), (second, s4), (second - 4 * m * m * q, s4)
+        yield ((2 * m * a, l), (cubic, l4), (head + tail, s4), (head_var + tail, s4)), (head, head_var)
         # m grows to n
         f = _lcm_growth(n)
         f2 = f * f
         l, l4, s4, kl, ks = l * f, l4 * f, s4 * f2, kl * f, ks * f2
         a, a4, c4, p, q = a * f, a4 * f, c4 * f2, p * f2, q * f2
         a, a4 = a + _exact_div(l, n), a4 + _exact_div(l4, n)
-        c4, q = c4 + _exact_div(s4, n * n), q + _exact_div(2 * p, n) + _exact_div(s4, n * n)
-        p += _exact_div(s4, n)
+        t = _exact_div(s4, n)  # S4'/n, and then S4'/n^2
+        u = _exact_div(t, n)
+        c4, q, p = c4 + u, q + _exact_div(2 * p, n) + u, p + t
 
 
 def _cpu_count() -> int:
@@ -193,14 +219,19 @@ def _cpu_count() -> int:
 
 def _square_divisors(n_max: int):
     """(gz, gy, g2, gv) for n = 1 .. n_max: the gcds of the E[Z], E[Y],
-    E[Z^2] and Var[Z] numerators with L, L 4^n, L^2 4^n and L^2 4^n."""
-    for pairs in _numerator_rows(n_max, 1):
-        (z, l), _, (second, _), (var, _) = pairs
+    E[Z^2] and Var[Z] numerators with L, L 4^n, L^2 4^n and L^2 4^n.
+
+    The odd parts of g2 and gv are those of gcd(Y, odd(L)^2) and of
+    gcd(Y - 4 m^2 A^2, odd(L)^2): each numerator is 4^n times its
+    4^n-free head plus a multiple of L^2, and 4^n is prime to odd(L)."""
+    for n, (pairs, heads) in enumerate(_numerator_rows(n_max, 1), start=1):
+        (z, l), *_ = pairs
         odd = l // (l & -l)  # also the odd part of L 4^n, and its square that of L^2 4^n
-        gz, g1 = math.gcd(z, odd), math.gcd(var, odd)
+        y, y_var = (_exact_shift(head, 2 * n) for head in heads)
+        gz, g1 = math.gcd(z, odd), math.gcd(y_var, odd)
         gy = gz * 3 if odd // gz % 3 == 0 else gz  # E[Y] + 3 E[Z] is dyadic
         # Var[Z]'s: gcd(x, d^2) = gcd(x, gcd(x, d)^2)
-        odds = gz, gy, math.gcd(second, odd * odd), math.gcd(var, g1 * g1)
+        odds = gz, gy, math.gcd(y, odd * odd), math.gcd(y_var, g1 * g1)
         # gcd(0, den) = den: every numerator is 0 at n = 1, and Var[Z]'s at n = 2
         yield tuple(g * min(num & -num, den & -den) if num else den for (num, den), g in zip(pairs, odds))
 
@@ -259,7 +290,7 @@ def _exact_rows(n_max: int):
     with contextlib.closing(_square_divisor_rows(n_max)) as divisors:
         for n, gcds in zip(range(1, n_max + 1), divisors, strict=True):
             with decimal.localcontext(_EXACT):
-                pairs = next(numerators)
+                pairs, _ = next(numerators)
                 row = (n, *(_reduce(num, den, g) for (num, den), g in zip(pairs, gcds, strict=True)))
             yield row
 

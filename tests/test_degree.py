@@ -1,3 +1,4 @@
+import hashlib
 import math
 import sys
 from fractions import Fraction
@@ -172,6 +173,23 @@ def test_hypergeometric_route_past_the_subnormal_cut():
     assert list(hypergeom) == list(law)
     assert len(law) < n - j + 1
     assert all(abs(law[d] - p) <= 3 * (n - j + 1) * 2.0**-53 * p for d, p in hypergeom.items())
+
+
+@pytest.mark.parametrize(
+    "n,j,digest",
+    [
+        (1000, 2, "494be1801f995e03ac1c6acf361f2be3ffe8ae56d15ca51030f700b5300f7ca7"),  # F1's row is one entry
+        (150, 3, "ffe1d2473dcd5e59b5d62c48364b3cb472bcd62697f3e5ddf76c1a68ec9c9563"),
+        (150, 76, "a3d25df08e44d5afb90ecd8bbed6b18dbd92b71a39253201bb95e47769927072"),  # F1's span is the whole row
+    ],
+    ids=["1000-2", "150-3", "150-76"],
+)
+def test_hypergeometric_route_carries_f1_at_its_span(n, j, digest):
+    # sha256 of the law's items, taken from the route when it carried F1's row at full length n - j + 1
+    law = degree_pmf_hypergeom(n, j)
+    assert hashlib.sha256(repr(list(law.items())).encode()).hexdigest() == digest
+    if n < 1000:  # the exact DP at (1000, 2) takes about a second
+        assert law == {d: float(p) for d, p in degree_pmf_recurrence(n, j, exact=True).items()}
 
 
 def test_rational_recurrence_normalizes_exactly():

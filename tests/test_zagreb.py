@@ -77,26 +77,37 @@ def test_exact_rows_where_the_lcm_grows():
             assert (second_z, var_z) == (_pair(ez2), _pair(ez2 - ez * ez))
 
 
+def _rebuilt_divisors(n: int) -> tuple:
+    """Row n's divisors from numerators rebuilt from lcm, the harmonic sums and
+    C(2n, n), by plain gcds with L, L 4^n and L^2 4^n."""
+    m, k, lcm = n - 1, math.comb(2 * n, n), math.lcm(*range(1, n))
+    a, c = int(harmonic(m) * lcm), int(harmonic(m, 2) * lcm**2)
+    lsq, aa = lcm * lcm, a * a
+    cubic = 32 * n * m * k * lcm - ((6 * m * a + 16 * m * lcm) << 2 * n)
+    rest = 20 * m * a * lcm + (16 * m * m + 64 * m) * lsq
+    second = ((4 * m * (m + 1) * (aa - c) + rest) << 2 * n) - 128 * n * m * k * lsq
+    var = second - (4 * m * m * aa << 2 * n)
+    return (
+        math.gcd(2 * m * a, lcm),
+        math.gcd(cubic, lcm << 2 * n),
+        math.gcd(second, lsq << 2 * n),
+        math.gcd(var, lsq << 2 * n),
+    )
+
+
 def test_carried_products_give_the_divisors_of_rebuilt_ones():
     # the worker steps L, A, K L, K L^2 and, times 4^n, L, L^2, A, C, A L and
-    # A^2 from row to row; here each row rebuilds them from lcm, the harmonic
-    # sums and C(2n, n), and takes plain gcds with L, L 4^n and L^2 4^n
-    rebuilt = []
-    for n in range(1, 401):
-        m, k, lcm = n - 1, math.comb(2 * n, n), math.lcm(*range(1, n))
-        a, c = int(harmonic(m) * lcm), int(harmonic(m, 2) * lcm**2)
-        lsq, aa = lcm * lcm, a * a
-        cubic = 32 * n * m * k * lcm - ((6 * m * a + 16 * m * lcm) << 2 * n)
-        rest = 20 * m * a * lcm + (16 * m * m + 64 * m) * lsq
-        second = ((4 * m * (m + 1) * (aa - c) + rest) << 2 * n) - 128 * n * m * k * lsq
-        var = second - (4 * m * m * aa << 2 * n)
-        rebuilt.append((
-            math.gcd(2 * m * a, lcm),
-            math.gcd(cubic, lcm << 2 * n),
-            math.gcd(second, lsq << 2 * n),
-            math.gcd(var, lsq << 2 * n),
-        ))
-    assert list(zagreb._square_divisors(400)) == rebuilt
+    # A^2 from row to row, and takes its odd gcds on the 4^n-free heads of
+    # E[Z^2] and Var[Z]; here each row rebuilds the whole numerators
+    assert list(zagreb._square_divisors(400)) == [_rebuilt_divisors(n) for n in range(1, 401)]
+
+
+def test_carried_products_give_the_divisors_of_rebuilt_ones_where_the_lcm_grows():
+    # past 2000, where L gains 2003 at n = 2004 and a power of two at n = 2049
+    wanted = (2003, 2004, 2048, 2049)
+    rows = itertools.islice(zagreb._square_divisors(max(wanted)), min(wanted) - 1, None)
+    got = {n: row for n, row in enumerate(rows, start=min(wanted)) if n in wanted}
+    assert got == {n: _rebuilt_divisors(n) for n in wanted}
 
 
 def _odd(x: int) -> int:
@@ -126,6 +137,16 @@ def test_exact_division_raises_on_a_remainder(one):
         assert type(zagreb._exact_div(12 * one, 4)) is type(one)
         with pytest.raises(decimal.Inexact, match="remainder"):
             zagreb._exact_div(13 * one, 4)
+
+
+def test_exact_shift_raises_on_a_dropped_bit():
+    assert zagreb._exact_shift(5 << 12, 12) == 5
+    assert zagreb._exact_shift(-5 << 12, 12) == -5
+    assert zagreb._exact_shift(0, 12) == 0
+    for low in (1, 1 << 11):  # a set bit anywhere below 2n
+        for num in ((5 << 12) + low, (-5 << 12) - low):
+            with pytest.raises(decimal.Inexact, match="set bit"):
+                zagreb._exact_shift(num, 12)
 
 
 needs_fork = pytest.mark.skipif(
