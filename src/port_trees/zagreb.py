@@ -13,27 +13,46 @@ and B_n = Gamma(n+1/2)/(sqrt(pi) Gamma(n-1)):
 ``moment_rows`` streams the table one row at a time.  Its exact rows
 come from integers: with L = lcm(1..m), A = H L, C = H2 L^2 and
 K = C(2n, n), so that B_n = n m K / 4^n, each moment is one integer
-numerator over a known denominator.  ``_numerator_rows`` carries, with
-S = L^2, the values L, L4 = L 4^n, S4 = S 4^n, KL = K L, KS = K S, A,
-A4 = A 4^n, C4 = C 4^n, P = A L 4^n and Q = A^2 4^n, and steps them by
-small-integer products, exact small-integer quotients and sums only.
-Each row multiplies every 4^n term by 4 and steps KL and KS by
-(4n - 2)/n; the numerators are
+numerator over a known denominator.  Let Lh = lcm(1..floor(m/2)) and
+W = L/Lh, the product of the primes p whose largest power p^e <= m
+exceeds m/2 (squarefree, as p^(e-1) <= m/2).  For such a p, p^e is the
+only k <= m with v_p(k) = e, and so
+
+    F1  v_p(H) = -e, as 1/p^e is the only term of H with v_p = -e:
+        p does not divide A;
+    F2  v_p(i j) <= 2e - 1 for i != j <= m, so p divides every term of
+        A^2 - C = sum over i != j of L^2/(i j): W divides A^2 - C;
+    F3  for odd p not dividing m, p divides neither 2 m A nor
+        Y - 4 m^2 A^2 (below): F1 leaves p out of 2 m A and 4 m^2 A^2,
+        and F2 and p | L put it in Y.
+
+``_numerator_rows`` carries, with S = L^2, the values L, L4 = L 4^n,
+S4 = S 4^n, KL = K L, KS = K S, A, A4 = A 4^n, C4 = C 4^n,
+P = A L 4^n and Q = A^2 4^n, and, with W taken out, S4W = L Lh 4^n,
+KSW = K L Lh, PW = A Lh 4^n and E4W = (A^2 - C) 4^n / W.  It steps
+them by small-integer products, exact small-integer quotients and sums
+only.  Each row multiplies every 4^n term by 4 and steps KL, KS and KSW
+by (4n - 2)/n; the numerators are
 
     E[Z]     2 m A                                           over L
     E[Y]     32 n m KL - 6 m A4 - 16 m L4                    over L4
-    E[Z^2]   4^n Y + (16 m^2 + 64 m) S4 - 128 n m KS         over S4
-    Var[Z]   4^n (Y - 4 m^2 A^2) + the same two terms        over S4
+    E[Z^2]   4^n Y / W + (16 m^2 + 64 m) S4W - 128 n m KSW   over S4W
+    Var[Z]   4^n (Y - 4 m^2 A^2) + (16 m^2 + 64 m) S4
+             - 128 n m KS                                    over S4
 
-with Y = 4 m (m+1) (A^2 - C) + 20 m A L, whose head 4^n Y is
-4 m (m+1) (Q - C4) + 20 m P; that of Var[Z] is 4^n Y - 4 m^2 Q.
+with Y = 4 m (m+1) (A^2 - C) + 20 m A L, so that the heads are
+4^n Y / W = 4 m (m+1) E4W + 20 m PW and
+4^n (Y - 4 m^2 A^2) = 4 m (Q - (m+1) C4) + 20 m P.  By F2, E[Z^2]'s
+pair is its pair over S4 divided by W.
 
 When m grows to n, L gains the factor f = lcm(1..n)/lcm(1..m), which is
-p if n = p^k and 1 otherwise (``_lcm_growth``, on small ints only).  L,
-L4 and KL are scaled by f and S4 and KS by f^2, and then
+p if n = p^k and 1 otherwise (``_lcm_growth``, on small ints only), and
+Lh gains fh = ``_lcm_growth(n // 2)`` for even n, else 1.  L, L4 and KL
+are scaled by f, S4 and KS by f^2, S4W and KSW by f fh, and then
 
-    A'  = A f + L'/n  (A4 likewise)    C4' = C4 f^2 + S4'/n^2
-    P'  = P f^2 + S4'/n                Q'  = Q f^2 + 2 (P f^2)/n + S4'/n^2
+    A'  = A f + L'/n  (A4 likewise)    C4'  = C4 f^2 + S4'/n^2
+    P'  = P f^2 + S4'/n                Q'   = Q f^2 + 2 (P f^2)/n + S4'/n^2
+    PW' = PW f fh + S4W'/n             E4W' = E4W f fh + 2 (PW f fh)/n
 
 where S4'/n^2 is (S4'/n)/n.  Every quotient goes through ``_exact_div``,
 which raises on a remainder.
@@ -41,21 +60,26 @@ which raises on a remainder.
 That one recurrence runs on two number types.  On ints,
 ``_square_divisors`` finds the gcds of the numerators with their
 denominators.  It takes each common power of two from the lowest set
-bits, so only odd parts meet in a gcd, and two facts cut those:
+bits, so only odd parts meet in a gcd, and four facts cut those.
 E[Y] + 3 E[Z] = 32 B_n - 16 m is dyadic, so the odd part of E[Y]'s
 divisor is that of E[Z]'s, times 3 where 3 divides what it leaves of
-L, and needs no gcd; and gcd(x, d^2) = gcd(x, gcd(x, d)^2), so Var[Z]'s
+L, and needs no gcd.  gcd(x, d^2) = gcd(x, gcd(x, d)^2), so Var[Z]'s
 gcds run on numbers half the size.  The E[Z^2] and Var[Z] numerators
-less their heads are multiples of L^2, and 4^n is prime to odd(L), so
+less their heads are multiples of L Lh and L^2, and 4^n is prime to
+odd(L), so
 
-    gcd(E[Z^2] numerator, odd(L)^2) = gcd(Y, odd(L)^2)
-    gcd(Var[Z] numerator, odd(L))   = gcd(Y - 4 m^2 A^2, odd(L))
+    gcd(E[Z^2] numerator, odd(L Lh)) = gcd(Y / W, odd(Lh) odd(L))
+    gcd(Var[Z] numerator, odd(L)^2)  = gcd(Y - 4 m^2 A^2, odd(L)^2)
 
 and the odd gcds run on the heads' 4^n-free parts, which the worker
 shifts out of them, each shift checked by ``_exact_shift`` as
-``_exact_div`` checks a quotient: at n = 3000 on about 8,700 bits, not
-14,700.  The powers of two, and gcd(0, den) = den, still come from the
-whole numerators.
+``_exact_div`` checks a quotient.  Last, by F1 and F3 the gcds of
+2 m A and of Y - 4 m^2 A^2 with odd(L) are those with
+M = odd(Lh) gcd(m, odd(W)): at each prime p of odd(W), odd(L) holds p^e
+and odd(Lh) p^(e-1), and p divides neither number unless it divides m,
+where M holds p^e too.  At n = 3000 the E[Z^2] gcd runs on about 6,500
+bits, not 8,700, and M has about 2,180 of odd(L)'s 4,320 bits.  The
+powers of two, and gcd(0, den) = den, still come from the whole pairs.
 
 On integer ``Decimal``s, ``_exact_rows`` builds the pairs themselves,
 because CPython's int -> str is quadratic in the digit count and the
@@ -182,31 +206,37 @@ def _reduce(num: Decimal, den: Decimal, g: int) -> tuple[Decimal, Decimal]:
 def _numerator_rows(n_max: int, one):
     """The unreduced (numerator, denominator) pairs of E[Z_n], E[Y_n],
     E[Z_n^2] and Var[Z_n] for n = 1 .. n_max, each row with the heads
-    4^n Y and 4^n (Y - 4 m^2 A^2) of the last two numerators, of the type
-    of ``one``: ints, or integer Decimals, whose every ``next()`` runs
-    under ``_EXACT``."""
-    # with S = L^2: L, L 4^n, S 4^n, K L, K S, A, A 4^n, C 4^n, P = A L 4^n and Q = A^2 4^n
-    l = l4 = s4 = kl = ks = one
-    a = a4 = c4 = p = q = one * 0
+    4^n Y / W and 4^n (Y - 4 m^2 A^2) of the last two numerators, of the
+    type of ``one``: ints, or integer Decimals, whose every ``next()``
+    runs under ``_EXACT``."""
+    # with S = L^2: L, L 4^n, S 4^n, K L, K S, A, A 4^n, C 4^n, P = A L 4^n and Q = A^2 4^n;
+    # with Lh = lcm(1..m//2) and W = L/Lh: S4W = L Lh 4^n, KSW = K L Lh, PW = A Lh 4^n, E4W = (A^2 - C) 4^n / W
+    l = l4 = s4 = kl = ks = s4w = ksw = one
+    a = a4 = c4 = p = q = pw = e4w = one * 0
     for n in range(1, n_max + 1):
         m = n - 1
         l4, s4, a4, c4, p, q = l4 * 4, s4 * 4, a4 * 4, c4 * 4, p * 4, q * 4
-        kl, ks = _exact_div(kl * (4 * n - 2), n), _exact_div(ks * (4 * n - 2), n)
-        # the 4^n-carrying heads of E[Z^2] and Var[Z], and the multiple of L^2 they share
-        head = 4 * m * (m + 1) * (q - c4) + 20 * m * p
-        head_var = head - 4 * m * m * q
-        tail = (16 * m * m + 64 * m) * s4 - 128 * n * m * ks
+        s4w, pw, e4w = s4w * 4, pw * 4, e4w * 4
+        kl, ks, ksw = (_exact_div(x * (4 * n - 2), n) for x in (kl, ks, ksw))
+        # the 4^n-carrying heads of E[Z^2] and Var[Z], and the multiples of L Lh and L^2 they add to them
+        head = 4 * m * (m + 1) * e4w + 20 * m * pw
+        head_var = 4 * m * (q - (m + 1) * c4) + 20 * m * p
+        tail = (16 * m * m + 64 * m) * s4w - 128 * n * m * ksw
+        tail_var = (16 * m * m + 64 * m) * s4 - 128 * n * m * ks
         cubic = 32 * n * m * kl - 6 * m * a4 - 16 * m * l4
-        yield ((2 * m * a, l), (cubic, l4), (head + tail, s4), (head_var + tail, s4)), (head, head_var)
+        yield ((2 * m * a, l), (cubic, l4), (head + tail, s4w), (head_var + tail_var, s4)), (head, head_var)
         # m grows to n
         f = _lcm_growth(n)
-        f2 = f * f
-        l, l4, s4, kl, ks = l * f, l4 * f, s4 * f2, kl * f, ks * f2
-        a, a4, c4, p, q = a * f, a4 * f, c4 * f2, p * f2, q * f2
+        fh = _lcm_growth(n // 2) if n % 2 == 0 else 1
+        if f * fh > 1:  # most rows scale nothing, and a product by 1 still costs a pass over its digits
+            f2, ffh = f * f, f * fh
+            l, l4, s4, kl, ks, s4w, ksw = l * f, l4 * f, s4 * f2, kl * f, ks * f2, s4w * ffh, ksw * ffh
+            a, a4, c4, p, q, pw, e4w = a * f, a4 * f, c4 * f2, p * f2, q * f2, pw * ffh, e4w * ffh
         a, a4 = a + _exact_div(l, n), a4 + _exact_div(l4, n)
         t = _exact_div(s4, n)  # S4'/n, and then S4'/n^2
         u = _exact_div(t, n)
         c4, q, p = c4 + u, q + _exact_div(2 * p, n) + u, p + t
+        e4w, pw = e4w + _exact_div(2 * pw, n), pw + _exact_div(s4w, n)
 
 
 def _cpu_count() -> int:
@@ -219,21 +249,31 @@ def _cpu_count() -> int:
 
 def _square_divisors(n_max: int):
     """(gz, gy, g2, gv) for n = 1 .. n_max: the gcds of the E[Z], E[Y],
-    E[Z^2] and Var[Z] numerators with L, L 4^n, L^2 4^n and L^2 4^n.
+    E[Z^2] and Var[Z] numerators with L, L 4^n, L Lh 4^n and L^2 4^n.
 
-    The odd parts of g2 and gv are those of gcd(Y, odd(L)^2) and of
-    gcd(Y - 4 m^2 A^2, odd(L)^2): each numerator is 4^n times its
-    4^n-free head plus a multiple of L^2, and 4^n is prime to odd(L)."""
+    Their odd parts come from the moduli of the module docstring.  E[Z]'s
+    is gcd(2 m A, M) and g1 = gcd(Y - 4 m^2 A^2, M), with
+    M = odd(Lh) gcd(m, odd(W)), by F1 and F3; E[Z^2]'s is
+    gcd(Y / W, odd(Lh) odd(L)), as its numerator is 4^n Y / W plus a
+    multiple of L Lh; and Var[Z]'s is gcd(Y - 4 m^2 A^2, odd(L)^2), as its
+    numerator is 4^n (Y - 4 m^2 A^2) plus a multiple of L^2, which is
+    gcd(Y - 4 m^2 A^2, g1^2)."""
+    odd_h = 1  # odd(Lh)
     for n, (pairs, heads) in enumerate(_numerator_rows(n_max, 1), start=1):
+        m = n - 1
         (z, l), *_ = pairs
         odd = l // (l & -l)  # also the odd part of L 4^n, and its square that of L^2 4^n
+        modulus = odd_h * math.gcd(m, odd // odd_h)
         y, y_var = (_exact_shift(head, 2 * n) for head in heads)
-        gz, g1 = math.gcd(z, odd), math.gcd(y_var, odd)
+        gz, g1 = math.gcd(z, modulus), math.gcd(y_var, modulus)
         gy = gz * 3 if odd // gz % 3 == 0 else gz  # E[Y] + 3 E[Z] is dyadic
         # Var[Z]'s: gcd(x, d^2) = gcd(x, gcd(x, d)^2)
-        odds = gz, gy, math.gcd(y, odd * odd), math.gcd(y_var, g1 * g1)
+        odds = gz, gy, math.gcd(y, odd_h * odd), math.gcd(y_var, g1 * g1)
         # gcd(0, den) = den: every numerator is 0 at n = 1, and Var[Z]'s at n = 2
         yield tuple(g * min(num & -num, den & -den) if num else den for (num, den), g in zip(pairs, odds))
+        if n % 2 == 0:  # m grows to n, and Lh with it
+            fh = _lcm_growth(n // 2)
+            odd_h *= fh // (fh & -fh)
 
 
 def _send_square_divisors(n_max: int, reader, writer) -> None:

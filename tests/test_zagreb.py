@@ -62,14 +62,19 @@ def test_exact_rows_ignore_the_callers_decimal_context(zagreb_recurrence):
                 assert type(value) is Decimal and value.as_tuple().exponent == 0
 
 
+# Lh = lcm(1..(n-1)//2) gains 3^6, 31^2 and 2^10 at n = 2q + 1; n = 2q + 2 is the row after
+LH_GROWTH_ROWS = tuple(n for q in (3**6, 31**2, 2**10) for n in (2 * q + 1, 2 * q + 2))
+
+
 def test_exact_rows_where_the_lcm_grows():
     # L = lcm(1..n-1) doubles at n = 2^k + 1 and gains an odd prime power at
-    # 730 = 3^6 + 1, 962 = 31^2 + 1 and 2004 (2003 is prime); the scalars take
-    # their harmonic sums by binary splitting, a route independent of the rows.
+    # 730 = 3^6 + 1, 962 = 31^2 + 1 and 2004 (2003 is prime), and Lh at the
+    # LH_GROWTH_ROWS; the scalars take their harmonic sums by binary
+    # splitting, a route independent of the rows.
     # The odd part of E[Y]'s divisor is that of E[Z]'s at n = 3^k + 1, where L
     # gains a power of 3, and three times it at n = 3^k for k >= 3
     wanted = {n for k in range(1, 12) for n in (2**k - 1, 2**k, 2**k + 1) if n > 1} | {961, 962, 2003, 2004}
-    wanted |= {n for k in range(1, 7) for n in (3**k, 3**k + 1)}
+    wanted |= {n for k in range(1, 7) for n in (3**k, 3**k + 1)} | set(LH_GROWTH_ROWS)
     for n, mean_z, mean_y, second_z, var_z in moment_rows(max(wanted), exact=True):
         if n in wanted:
             ez, ez2 = zagreb_mean(n), zagreb_second_moment(n)
@@ -77,41 +82,73 @@ def test_exact_rows_where_the_lcm_grows():
             assert (second_z, var_z) == (_pair(ez2), _pair(ez2 - ez * ez))
 
 
+def _odd(x: int) -> int:
+    return x // (x & -x)
+
+
+def _rebuilt(n: int) -> tuple:
+    """m, K = C(2n, n), L, Lh, A and C of row n, from lcm and the harmonic sums by binary splitting."""
+    m, lcm = n - 1, math.lcm(*range(1, n))
+    a, c = harmonic(m) * lcm, harmonic(m, 2) * lcm**2
+    assert a.denominator == c.denominator == 1
+    return m, math.comb(2 * n, n), lcm, math.lcm(*range(1, m // 2 + 1)), int(a), int(c)
+
+
 def _rebuilt_divisors(n: int) -> tuple:
     """Row n's divisors from numerators rebuilt from lcm, the harmonic sums and
-    C(2n, n), by plain gcds with L, L 4^n and L^2 4^n."""
-    m, k, lcm = n - 1, math.comb(2 * n, n), math.lcm(*range(1, n))
-    a, c = int(harmonic(m) * lcm), int(harmonic(m, 2) * lcm**2)
+    C(2n, n), by plain gcds with L, L 4^n, L Lh 4^n and L^2 4^n; E[Z^2]'s
+    numerator over L^2 4^n is divided by W = L/Lh first."""
+    m, k, lcm, lh, a, c = _rebuilt(n)
     lsq, aa = lcm * lcm, a * a
     cubic = 32 * n * m * k * lcm - ((6 * m * a + 16 * m * lcm) << 2 * n)
     rest = 20 * m * a * lcm + (16 * m * m + 64 * m) * lsq
     second = ((4 * m * (m + 1) * (aa - c) + rest) << 2 * n) - 128 * n * m * k * lsq
     var = second - (4 * m * m * aa << 2 * n)
+    second_w, left = divmod(second, lcm // lh)
+    assert left == 0, n
     return (
         math.gcd(2 * m * a, lcm),
         math.gcd(cubic, lcm << 2 * n),
-        math.gcd(second, lsq << 2 * n),
+        math.gcd(second_w, lcm * lh << 2 * n),
         math.gcd(var, lsq << 2 * n),
     )
 
 
 def test_carried_products_give_the_divisors_of_rebuilt_ones():
-    # the worker steps L, A, K L, K L^2 and, times 4^n, L, L^2, A, C, A L and
-    # A^2 from row to row, and takes its odd gcds on the 4^n-free heads of
-    # E[Z^2] and Var[Z]; here each row rebuilds the whole numerators
+    # the worker steps L, A, K L, K L^2, K L Lh and, times 4^n, L, L^2, L Lh,
+    # A, C, A L, A Lh, A^2 and (A^2 - C)/W from row to row, and takes its odd
+    # gcds on the 4^n-free heads of E[Z^2] and Var[Z] with moduli cut by F1-F3;
+    # here each row rebuilds the whole numerators
     assert list(zagreb._square_divisors(400)) == [_rebuilt_divisors(n) for n in range(1, 401)]
 
 
 def test_carried_products_give_the_divisors_of_rebuilt_ones_where_the_lcm_grows():
-    # past 2000, where L gains 2003 at n = 2004 and a power of two at n = 2049
-    wanted = (2003, 2004, 2048, 2049)
+    # past 400, where Lh grows at the LH_GROWTH_ROWS, L gains 2003 at n = 2004
+    # and a power of two at n = 2049
+    wanted = (*LH_GROWTH_ROWS, 2003, 2004, 2048, 2049)
     rows = itertools.islice(zagreb._square_divisors(max(wanted)), min(wanted) - 1, None)
     got = {n: row for n, row in enumerate(rows, start=min(wanted)) if n in wanted}
     assert got == {n: _rebuilt_divisors(n) for n in wanted}
 
 
-def _odd(x: int) -> int:
-    return x // (x & -x)
+def test_w_facts_hold_on_rebuilt_integers():
+    # F1-F3 of the module docstring, on integers rebuilt by an independent
+    # route: W = L/Lh divides A^2 - C (F2) and is prime to A (F1), and the
+    # odd gcds the worker takes with M = odd(Lh) gcd(m, odd(W)) and with
+    # odd(Lh) odd(L) equal those with the whole odd denominators (F3)
+    for n in (*range(1, 401), *LH_GROWTH_ROWS):
+        m, k, lcm, lh, a, c = _rebuilt(n)
+        w, odd_lh, odd_l = lcm // lh, _odd(lh), _odd(lcm)
+        assert (a * a - c) % w == 0, n
+        assert math.gcd(a, _odd(w)) == 1, n
+        y = 4 * m * (m + 1) * (a * a - c) + 20 * m * a * lcm
+        y_var = y - 4 * m * m * a * a
+        modulus = odd_lh * math.gcd(m, _odd(w))
+        assert math.gcd(2 * m * a, modulus) == math.gcd(2 * m * a, odd_l), n
+        assert math.gcd(y_var, modulus) == math.gcd(y_var, odd_l), n
+        # E[Z^2]'s numerator over L Lh 4^n
+        second_w = ((y // w + (16 * m * m + 64 * m) * lcm * lh) << 2 * n) - 128 * n * m * k * lcm * lh
+        assert math.gcd(y // w, odd_lh * odd_l) == _odd(math.gcd(second_w, lcm * lh)), n
 
 
 def test_mean_denominators_share_their_odd_parts():
