@@ -29,8 +29,8 @@ res = grow_forest(20_000, 3000, Kernel.DEGREE, seed=7, stats=("zagreb",))
 z = res.extra["zagreb"].astype(float)
 print(f"  sample mean {z.mean():.1f}  vs exact {float(zagreb_mean(20_000)):.1f}")
 summary = summarize(z)
-print(f"  skewness {summary.skewness:+.3f} (right-skewed), Jarque-Bera {summary.jb_statistic:.1f}, "
-      f"p = {summary.jb_pvalue:.2e}")
+print(f"  skewness {summary['skewness']:+.3f} (right-skewed), Jarque-Bera {summary['jb_statistic']:.1f}, "
+      f"p = {summary['jb_pvalue']:.2e}")
 print("  => normality decisively rejected; the limit law is not Gaussian")
 
 grid, dens = kde(z, grid_size=9)

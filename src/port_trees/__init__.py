@@ -34,8 +34,7 @@ from .oracle import enumerate_statistic, history_count, oracle_moment
 # name -> the module that defines it, imported on first access (PEP 562)
 _SAMPLING = {
     **dict.fromkeys(
-        ("SimulationConfig", "StatsSummary", "grow_forest", "kde", "martingale_diagnostics",
-         "run_experiment", "summarize"),
+        ("SimulationConfig", "grow_forest", "kde", "martingale_diagnostics", "run_experiment", "summarize"),
         "montecarlo",
     ),
     **dict.fromkeys(("mgf_w", "moments_w", "scaled_limit_distance", "simulate_gap_tree", "simulate_yule"), "poisson"),

@@ -230,13 +230,11 @@ def _cmd_oracle(args) -> int:
 
 def _simulate(sim, out_dir: str, kde_grid: int):
     """Run the experiment of the ``SimulationConfig`` ``sim``; write its
-    sample, summary and, if ``kde_grid``, KDE; return its ``StatsSummary``."""
-    from dataclasses import asdict
-
+    sample, summary and, if ``kde_grid``, KDE; return the summary."""
     from .montecarlo import kde, run_experiment
 
     sample, summary = run_experiment(sim)
-    _emit_sample(out_dir, sample, asdict(summary))
+    _emit_sample(out_dir, sample, summary)
     if kde_grid:
         grid, density = kde(sample, kde_grid)
         _emit_rows(("x", "density"), zip(grid.tolist(), density.tolist()), "csv", out_dir, "kde")
@@ -253,7 +251,7 @@ def _cmd_simulate(args) -> int:
     )
     summary = _simulate(sim, args.out, args.kde)
     args.chunk_size = sim.resolved_chunk()
-    print(f"simulate: n={args.n} reps={args.reps} stat={args.stat} mean={summary.mean:.6g} -> {args.out}")
+    print(f"simulate: n={args.n} reps={args.reps} stat={args.stat} mean={summary['mean']:.6g} -> {args.out}")
     return 0
 
 
@@ -298,21 +296,21 @@ def _cmd_normality_report(args) -> int:
     if reps < 100:
         print("warning: fewer than 100 replicates; the normality test is underpowered", file=sys.stderr)
     args.chunk_size = sim.resolved_chunk()
-    verdict = "normality rejected" if summary.jb_pvalue < 1e-3 else "normality not rejected"
+    verdict = "normality rejected" if summary["jb_pvalue"] < 1e-3 else "normality not rejected"
     report = {
         "schema_version": SCHEMA_VERSION,
         "n": n,
         "replicates": reps,
-        "skewness": summary.skewness,
-        "excess_kurtosis": summary.excess_kurtosis,
-        "jb_statistic": summary.jb_statistic,
-        "jb_pvalue": summary.jb_pvalue,
-        "test": summary.normality_test,
+        "skewness": summary["skewness"],
+        "excess_kurtosis": summary["excess_kurtosis"],
+        "jb_statistic": summary["jb_statistic"],
+        "jb_pvalue": summary["jb_pvalue"],
+        "test": summary["normality_test"],
         "verdict": verdict,
     }
     _emit_json(report, args.out, "report.json")
-    print(f"normality-report: n={n} reps={reps} skewness={summary.skewness:.4f} "
-          f"jb_p={summary.jb_pvalue:.3g} verdict: {verdict}")
+    print(f"normality-report: n={n} reps={reps} skewness={summary['skewness']:.4f} "
+          f"jb_p={summary['jb_pvalue']:.3g} verdict: {verdict}")
     return 0
 
 

@@ -44,7 +44,6 @@ from .zagreb import M_SECOND_MOMENT_LIMIT, _cpu_count, martingale_diff_bound
 
 __all__ = [
     "SimulationConfig",
-    "StatsSummary",
     "ForestResult",
     "grow_forest",
     "run_experiment",
@@ -106,20 +105,6 @@ class SimulationConfig:
         if self.chunk_size is not None:
             return self.chunk_size
         return max(1, min(self.replicates, _CHUNK_ELEMENT_BUDGET // self.n))
-
-
-@dataclass(frozen=True)
-class StatsSummary:
-    count: int
-    mean: float
-    variance: float
-    skewness: float
-    excess_kurtosis: float
-    jb_statistic: float
-    jb_pvalue: float
-    minimum: float
-    maximum: float
-    normality_test: str = "jarque-bera (moment-based substitute for Shapiro-Wilk)"
 
 
 @dataclass
@@ -405,10 +390,12 @@ def grow_forest(
     return ForestResult(extra)
 
 
-def summarize(sample) -> StatsSummary:
+def summarize(sample) -> dict:
     """Moments of the sample and its Jarque-Bera normality test:
     JB = (k/6)(S^2 + K^2/4) with sample skewness S and excess kurtosis
-    K, centred once; the chi-square(2) tail is exp(-JB/2)."""
+    K, centred once; the chi-square(2) tail is exp(-JB/2).  The keys, in
+    order: count, mean, variance, skewness, excess_kurtosis,
+    jb_statistic, jb_pvalue, minimum, maximum, normality_test."""
     x = np.asarray(sample, dtype=float)
     if x.size < _JB_MIN_COUNT:
         raise ValueError(f"summarize needs at least {_JB_MIN_COUNT} observations, got {x.size}")
@@ -419,17 +406,18 @@ def summarize(sample) -> StatsSummary:
     skew = float(np.mean(centered**3) / m2**1.5)
     kurt = float(np.mean(centered**4) / m2**2 - 3.0)
     jb = x.size / 6.0 * (skew * skew + kurt * kurt / 4.0)
-    return StatsSummary(
-        count=x.size,
-        mean=float(x.mean()),
-        variance=float(np.var(x, ddof=1)),
-        skewness=skew,
-        excess_kurtosis=kurt,
-        jb_statistic=jb,
-        jb_pvalue=math.exp(-jb / 2.0),
-        minimum=float(x.min()),
-        maximum=float(x.max()),
-    )
+    return {
+        "count": x.size,
+        "mean": float(x.mean()),
+        "variance": float(np.var(x, ddof=1)),
+        "skewness": skew,
+        "excess_kurtosis": kurt,
+        "jb_statistic": jb,
+        "jb_pvalue": math.exp(-jb / 2.0),
+        "minimum": float(x.min()),
+        "maximum": float(x.max()),
+        "normality_test": "jarque-bera (moment-based substitute for Shapiro-Wilk)",
+    }
 
 
 def kde(sample, grid_size: int = 256) -> tuple[np.ndarray, np.ndarray]:
@@ -456,7 +444,7 @@ def kde(sample, grid_size: int = 256) -> tuple[np.ndarray, np.ndarray]:
     return grid, density
 
 
-def run_experiment(config: SimulationConfig) -> tuple[np.ndarray, StatsSummary]:
+def run_experiment(config: SimulationConfig) -> tuple[np.ndarray, dict]:
     """Grow the configured forest; return the statistic's sample, one
     value per replicate, and its summary."""
     if config.replicates < _JB_MIN_COUNT:  # refused before any tree grows

@@ -190,7 +190,7 @@ def test_criterion_08_non_normality_replication():
     skew = float(np.mean(centered**3) / np.mean(centered**2) ** 1.5)
     skew_floor = 5 * math.sqrt(6 / z.size)
     summary = summarize(z)
-    jb, p = summary.jb_statistic, summary.jb_pvalue
+    jb, p = summary["jb_statistic"], summary["jb_pvalue"]
     ok_reject = p < 1e-6
     ok_exact = exact_third > 0
     ok_skew = skew > skew_floor

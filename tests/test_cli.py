@@ -140,6 +140,15 @@ def test_exact_zagreb_table_bytes_are_pinned(capsys, tmp_path, table_cores, core
     assert digest == "af8ec452d3a94440cd6d0caa5ccbad9f621756a623da2287309317a65fbeff61"
 
 
+def test_exact_zagreb_table_past_2000_is_pinned(capsys, tmp_path):
+    # SHA-256 of the 3000-row series.csv, on every usable core: its rows
+    # 2001-3000 cross lcm growth at 2003 and 2048 and Lh growth at 2049 and 2050
+    code, _, err = run(capsys, "zagreb-moments", "--n-max", "3000", "--out", str(tmp_path))
+    assert code == 0, err
+    digest = hashlib.sha256((tmp_path / "series.csv").read_bytes()).hexdigest()
+    assert digest == "e27bbed8858a9567d18de766815d661b105650505959ebce658329ea53787505"
+
+
 @pytest.mark.parametrize(
     "argv,digest",
     [
@@ -161,6 +170,42 @@ def test_monte_carlo_stream_is_pinned(capsys, tmp_path, argv, digest):
     code, _, _ = run(capsys, *argv.split(), "--out", str(tmp_path))
     assert code == 0
     assert hashlib.sha256((tmp_path / "sample.csv").read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv,digests",
+    [
+        (
+            "simulate --n 200 --reps 50 --stat zagreb --kde 16 --seed 5",
+            {"summary.json": "33abd79c606ae9e37f20b8cfed93dd8a8fc958e8e958adf6820a455fc6f9c8f0"},
+        ),
+        (
+            "normality-report --n 300 --reps 60 --seed 4",
+            {
+                "summary.json": "07e4a567f7488b64610f6241757b399109f658949c2b4ea3c5bb41a4a3123a9f",
+                "report.json": "e6af3e198b41867245f5882a9e7cefabffce086a4a7caeedf0130f21818a42fe",
+            },
+        ),
+        (
+            "exact-pmf --n 40 --j 2 --rational --format json",
+            {"pmf.json": "c63271abe853932bce4efd84970cb6eedf2ce1aa5a69cf4fc4bed32b6e7e85f2"},
+        ),
+        (
+            "exact-moments --n 1000 --j 7 --format json",
+            {"moments.json": "1d316d2baed8bb5e7c4e0910e3352740d98a23f20e3f96c3b286808c23ca6bb4"},
+        ),
+        (
+            "zagreb-moments --n-max 300 --rational --format json",
+            {"series.json": "96df6a21daadd5e46f278d5feedea2e87afd632faa12a0ca321627ff7117686b"},
+        ),
+    ],
+)
+def test_json_outputs_are_pinned(capsys, tmp_path, argv, digests):
+    # SHA-256 of each JSON file: key order, number formatting and every
+    # value; the sampled ones hold on the numpy that pinned sample.csv
+    code, _, err = run(capsys, *argv.split(), "--out", str(tmp_path))
+    assert code == 0, err
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in digests} == digests
 
 
 def test_exact_pmf_json_round_trip(capsys):
