@@ -55,10 +55,10 @@ __all__ = [
 # bound-check tolerance: the bound is exact, the trace is float
 _BOUND_EPS = 1e-9
 # per-chunk budget of node slots, replicates x n; a chunk keeps about
-# 24 bytes per slot alive at its peak (23.9 by tracemalloc on 10000 x 12
-# and 5000 x 25 chunks, the two reused buffers and the draw's 64-bit
-# words included), so it holds about 3 MB and the most that grow in
-# parallel about 12 MB
+# 24 bytes per slot alive at its peak (24.0 by tracemalloc on 10000 x 12
+# and 5000 x 25 chunks: 12 in the two reused buffers and 12 in the first
+# pointer-jumping round; the slot draw's words and mask take 5), so it
+# holds about 3 MB and the most that grow in parallel about 12 MB
 _CHUNK_ELEMENT_BUDGET = 125_000
 # most slots one node draws from: the slot draw forms (2**32 - 1) * r in int64
 _MAX_SLOT_RANGE = 2**31
@@ -129,49 +129,30 @@ def _slot_bounds(n, kernel):
 
 
 def _bounded_draw(rng, low, ranges, thresholds, out, scratch):
-    """Write ``rng.integers(low, low + ranges, size=out.shape,
-    dtype=np.int32)`` into the int64 array ``out``, value for value and
-    leaving ``rng`` in the same state, in whole-array steps.  ``low`` is
-    a scalar or a column of per-row lows.
+    """Fill the int64 array ``out`` with uniform slots, entry (i, c) in
+    [low_i, low_i + r_c), in whole-array steps.  ``low`` is a scalar or
+    a column of per-row lows.
 
-    numpy draws entry i of column c from the next uint32 x as the high
-    half of x * r_c, unless the low half falls below the threshold
-    (2**32 - r_c) % r_c; it then discards x and tries the next uint32
-    (Lemire, ACM TOMACS 29(1), 2019).  Here every entry takes one uint32
-    up front; each rare rejection shifts that entry and all later ones
-    onto the next uint32 of the stream, in place.
-
-    The bulk of that uint32 stream comes from 64-bit words, a third
-    cheaper per value with the copy into one array: each word gives its
-    low half first, as PCG64's next uint32 does.  A half the generator
-    still carries comes first, and the last one or two entries come
-    from numpy's uint32 draw itself, so the values and the generator
-    state, its stale carried half included, are numpy's.  ``scratch`` is
-    a uint32 array of ``out``'s shape that holds the low halves.  Every
-    r must lie in [2, ``_MAX_SLOT_RANGE``]: numpy draws nothing for
-    r = 1, and a larger r wraps the int64 product (``SimulationConfig``
-    refuses the n that needs one).
+    Entry (i, c) takes a uint32 x and keeps the high half of x * r_c,
+    unless the low half falls below the threshold (2**32 - r_c) % r_c;
+    a rejected entry then draws a fresh uint32 and tries again, which
+    leaves every kept value exactly uniform (Lemire, ACM TOMACS 29(1),
+    2019).  Every entry's first uint32 comes from numpy's 64-bit words,
+    each giving its low half first; the rare rejected entries then draw
+    again, all together, in ascending flat order, until none is left.
+    ``scratch`` is a uint32 array of ``out``'s shape that holds the low
+    halves.  Every r must lie in [1, ``_MAX_SLOT_RANGE``]: a larger r
+    wraps the int64 product (``SimulationConfig`` refuses the n that
+    needs one).
     """
-    cols = ranges.size
-    raw = np.empty(out.shape, dtype=np.uint32)  # one next_uint32 per entry, in order
-    flat = raw.reshape(-1)
-    head = min(rng.bit_generator.state["has_uint32"], flat.size)  # a carried half is the stream's first value
-    words = max(0, (flat.size - head - 1) // 2)  # the last one or two values go through next_uint32, as numpy's do
-    stop = head + 2 * words
-    flat[:head] = rng.integers(0, 2**32, size=head, dtype=np.uint32)
-    flat[head:stop] = rng.integers(0, 2**64, size=words, dtype=np.uint64).astype("<u8", copy=False).view("<u4")
-    flat[stop:] = rng.integers(0, 2**32, size=flat.size - stop, dtype=np.uint32)
-    row = col = 0  # entries before (row, col) are final
-    while True:
-        np.multiply(raw[row:], ranges, out=scratch[row:])  # the low halves, mod 2**32
-        rejected = np.flatnonzero(scratch[row:] < thresholds)
-        rejected = rejected[rejected >= col]
-        if not rejected.size:
-            break
-        start = row * cols + int(rejected[0])
-        flat[start:-1] = flat[start + 1 :]
-        flat[-1] = rng.integers(0, 2**32, dtype=np.uint32)
-        row, col = divmod(start, cols)
+    words = rng.integers(0, 2**64, size=(out.size + 1) // 2, dtype=np.uint64)
+    raw = words.astype("<u8", copy=False).view("<u4")[: out.size].reshape(out.shape)  # low half first
+    np.multiply(raw, ranges, out=scratch)  # the low halves, mod 2**32
+    flat, redo = raw.reshape(-1), np.flatnonzero(scratch < thresholds)
+    while redo.size:  # ascending flat order, one fresh uint32 per rejected entry
+        col = redo % ranges.size
+        flat[redo] = rng.integers(0, 2**32, size=redo.size, dtype=np.uint32)
+        redo = redo[flat[redo] * ranges[col] < thresholds[col]]
     np.multiply(raw, ranges, out=out, dtype=np.int64)
     out >>= 32
     out += low
@@ -197,8 +178,8 @@ def _draw_parents(n, reps, bounds, rng, slots, draws):
     here as slot -1.  Node m >= 3 draws a slot q uniformly.  An odd slot
     names node (q >> 1) + 2 (the root for q = -1); an even slot inherits
     the parent of the earlier node (q >> 1) + 2.  All slots are drawn at
-    once, by ``_bounded_draw``: numpy's own bounded draw done in
-    whole-array steps, so the slots are those of ``rng.integers``.  Then
+    once, by ``_bounded_draw``: Lemire's bounded draw in whole-array
+    steps, on numpy's 64-bit words, each slot exactly uniform.  Then
     every pending node copies its target's current entry, which halves
     the remaining chains, until none is pending.  Each round keeps the
     still-pending entries by index (``compress``), not by a boolean

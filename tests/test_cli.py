@@ -155,7 +155,7 @@ def test_exact_zagreb_table_past_2000_is_pinned(capsys, tmp_path):
         # 5 chunks of 62 rows, grown on up to 4 threads
         (
             "simulate --n 2000 --reps 300 --stat martingale --seed 3",
-            "4cf0e4d2cf5cdaaca809ce0dbd8e7f5bb7da8dc13d9762822a97db8b03c23146",
+            "8f4f054c3a7e50447b1e862de72e8d701d44228e4315f31f58b4b7924eb754bb",
         ),
         # the largest tree has 400 nodes, so 2 chunks of up to 312 trees
         (

@@ -11,6 +11,7 @@ import pytest
 from port_trees import montecarlo
 from port_trees.montecarlo import (
     SimulationConfig,
+    _bounded_draw,
     _draw_parents,
     _grow_chunk,
     _martingale_constants,
@@ -135,15 +136,19 @@ def test_forest_matches_scalar_replay(kernel):
 
 @pytest.mark.parametrize("n,reps,kernel", [(10000, 12, Kernel.DEGREE), (5000, 25, Kernel.GAP)])
 def test_pointer_jump_matches_column_by_column_resolution(n, reps, kernel):
-    # chunks of the benchmark's shapes; the slots come from rng.integers,
-    # which _bounded_draw equals value for value
+    # chunks of the benchmark's shapes; the slots are _bounded_draw's on a
+    # twin generator: node m draws from the 2(m - 2) edge ends and the root's gaps
     seed = 17
+    bounds = _slot_bounds(n, kernel)
     parents = _draw_parents(
-        n, reps, _slot_bounds(n, kernel), np.random.default_rng(seed),
+        n, reps, bounds, np.random.default_rng(seed),
         np.empty(reps * n, dtype=np.int32), np.empty(reps * (n - 2), dtype=np.int64),
     )
-    edge_ends = 2 * np.arange(1, n - 1)  # node m draws from the 2(m - 2) edge ends and the root's gaps
-    q = np.random.default_rng(seed).integers(-kernel.root_gaps, edge_ends, size=(reps, n - 2), dtype=np.int32)
+    first_slot, ranges, thresholds = bounds
+    q = _bounded_draw(
+        np.random.default_rng(seed), first_slot, ranges[: n - 2], thresholds[: n - 2],
+        np.empty((reps, n - 2), dtype=np.int64), np.empty((reps, n - 2), dtype=np.uint32),
+    )
     rows = np.arange(reps)
     label = np.zeros((reps, n + 1), dtype=np.int64)  # label[:, m]: node m's parent
     label[:, 2] = 1

@@ -37,16 +37,13 @@ FOREST_SHA256 = {
 # (j, dt, size) of simulate_gap_tree, seed 29
 GAP_TREE_CASES = {"j2-dt3": (2, 3.0, 600), "j5-dt2": (5, 2.0, 300)}
 GAP_TREE_SHA256 = {
-    "j2-dt3": "f0ee385268f2da0cda72e8336dc0ff0a16e16f57bd72f5362e2e43e5be8cd3fb",
-    "j5-dt2": "1b740136e97b491b0ac8ed771e890c202ea8e2a9da77aee2f9f477458ecac98f",
+    "j2-dt3": "aefb3b454a15aab4e4bedbd4fc2a77984bfd4a08276c1cc2eea21894da4a755e",
+    "j5-dt2": "6a69abf2353a20d4571f03d3ddfc31ca599f94eac2c01fb79392eacfa29e59b1",
 }
 # (n, reps) of a chunk's slot draw: no slot at all, the smallest trees,
 # odd counts past a run of 64-bit words (9 and 29,997 slots), then
 # chunks of the benchmark's shapes
 DRAW_SHAPES = [(2, 3), (3, 1), (3, 40), (4, 1), (4, 40), (5, 3), (10001, 3), (20000, 6), (10000, 12), (5000, 25)]
-# each (kernel, carried half) meets at least one Lemire rejection in
-# these seeds' 10000 x 12 draws; gap seed 2 meets two
-REJECTION_SEEDS = range(10)
 
 
 def _digest(arrays):
@@ -142,43 +139,89 @@ def test_no_buffer_outlives_the_call(call):
     assert after - before < 50_000
 
 
-def _both_draws(seed, n, reps, kernel, carried):
-    """numpy's bounded draw of a chunk's slots and ``_bounded_draw``'s,
-    from two generators of one seed, with the generators after each."""
-    first_slot, ranges, thresholds = _slot_bounds(n, kernel)
-    numpy_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    if carried:  # the generator holds the other half of its last 64-bit output
-        for g in (numpy_rng, rng):
+def _replay(rng, low, ranges, thresholds, shape):
+    """The slot draw's spec, one entry at a time on Python ints: entry k
+    takes the k-th uint32 of numpy's 64-bit words, low half first; then,
+    round by round, every entry whose low half x * r % 2**32 is below
+    its threshold draws one fresh uint32, in ascending order.  Returns
+    the slots, the kept uint32s and each entry's count of draws."""
+    reps, cols = shape
+    size = reps * cols
+    words = rng.integers(0, 2**64, size=(size + 1) // 2, dtype=np.uint64).tolist()
+    x = [w >> shift & 0xFFFFFFFF for w in words for shift in (0, 32)][:size]
+    r, t = ranges.tolist(), thresholds.tolist()
+    low = np.broadcast_to(low, (reps, 1)).ravel().tolist()
+    draws = [1] * size
+    redo = [k for k in range(size) if x[k] * r[k % cols] % 2**32 < t[k % cols]]
+    while redo:
+        for k in redo:
+            x[k] = int(rng.integers(0, 2**32, dtype=np.uint32))
+            draws[k] += 1
+        redo = [k for k in redo if x[k] * r[k % cols] % 2**32 < t[k % cols]]
+    slots = [low[k // cols] + (x[k] * r[k % cols] >> 32) for k in range(size)]
+    return tuple(np.array(a, dtype=np.int64).reshape(shape) for a in (slots, x, draws))
+
+
+def _generators(seed, carried, count=3):
+    """``count`` generators of one seed, each holding the other half of
+    its last 64-bit output if ``carried``."""
+    gens = [np.random.default_rng(seed) for _ in range(count)]
+    if carried:
+        for g in gens:
             g.integers(0, 2**32, dtype=np.uint32)
             assert g.bit_generator.state["has_uint32"] == 1
-    ends = 2 * np.arange(1, n - 1, dtype=np.int32)
-    expected = numpy_rng.integers(first_slot, ends, size=(reps, n - 2), dtype=np.int32)
-    got = np.empty((reps, n - 2), dtype=np.int64)
-    _bounded_draw(rng, first_slot, ranges, thresholds, got, np.empty((reps, n - 2), dtype=np.uint32))
-    return expected, got, numpy_rng, rng
+    return gens
+
+
+def _draw(rng, low, ranges, thresholds, shape):
+    out = np.empty(shape, dtype=np.int64)
+    return _bounded_draw(rng, low, ranges, thresholds, out, np.empty(shape, dtype=np.uint32))
 
 
 @pytest.mark.parametrize("carried", [False, True], ids=["aligned", "carried-half"])
 @pytest.mark.parametrize("kernel", list(Kernel))
 @pytest.mark.parametrize("n,reps", DRAW_SHAPES)
 def test_bounded_draw_is_numpys(n, reps, kernel, carried):
+    first_slot, ranges, thresholds = _slot_bounds(n, kernel)
+    ranges, thresholds = ranges[: n - 2], thresholds[: n - 2]
+    shape = (reps, n - 2)
+    compared = 0
     for seed in (0, 7):
-        expected, got, numpy_rng, rng = _both_draws(seed, n, reps, kernel, carried)
-        np.testing.assert_array_equal(got, expected)
-        assert rng.bit_generator.state == numpy_rng.bit_generator.state
+        rng, twin, numpy_rng = _generators(seed, carried)
+        got = _draw(rng, first_slot, ranges, thresholds, shape)
+        assert np.all(got >= first_slot) and np.all(got < first_slot + ranges.astype(np.int64))
+        np.testing.assert_array_equal(got, _replay(twin, first_slot, ranges, thresholds, shape)[0])
+        assert rng.bit_generator.state == twin.bit_generator.state
+        if carried:
+            continue
+        # numpy's own bounded draw takes one uint32 per slot unless it rejects
+        # one; with no rejection and no carried half, the slots are numpy's
+        ends = 2 * np.arange(1, n - 1, dtype=np.int32)
+        expected = numpy_rng.integers(first_slot, ends, size=shape, dtype=np.int32)
+        plain = np.random.default_rng(seed)
+        plain.integers(0, 2**32, size=reps * (n - 2), dtype=np.uint32)
+        if plain.bit_generator.state == numpy_rng.bit_generator.state:
+            np.testing.assert_array_equal(got, expected)
+            compared += 1
+    assert carried or compared  # each aligned shape meets numpy without a rejection in one seed
 
 
 @pytest.mark.parametrize("carried", [False, True], ids=["aligned", "carried-half"])
 @pytest.mark.parametrize("kernel", list(Kernel))
 def test_bounded_draw_repairs_rejections(kernel, carried):
-    n, reps = 10000, 12
-    rejected = 0
-    for seed in REJECTION_SEEDS:
-        expected, got, numpy_rng, rng = _both_draws(seed, n, reps, kernel, carried)
-        np.testing.assert_array_equal(got, expected)
-        assert rng.bit_generator.state == numpy_rng.bit_generator.state
-        # one uint32 per slot, unless numpy rejected one and drew again
-        plain = np.random.default_rng(seed)
-        plain.integers(0, 2**32, size=int(carried) + reps * (n - 2), dtype=np.uint32)
-        rejected += plain.bit_generator.state != numpy_rng.bit_generator.state
-    assert rejected >= 1
+    # r = 3 * 2**29 has threshold 2**30: the low half of x * r is
+    # (3x mod 8) * 2**29, so a quarter of all draws are rejected
+    reps, cols = 40, 50
+    ranges = np.full(cols, 3 << 29, dtype=np.uint32)
+    thresholds = np.negative(ranges) % ranges
+    assert np.all(thresholds == 2**30)
+    low = 2 * np.arange(0, reps * cols, cols)[:, None] - kernel.root_gaps  # per-row lows, as in _draw_parents
+    for seed in range(3):
+        rng, twin = _generators(seed, carried, count=2)
+        got = _draw(rng, low, ranges, thresholds, (reps, cols))
+        slots, kept, draws = _replay(twin, low, ranges, thresholds, (reps, cols))
+        np.testing.assert_array_equal(got, slots)
+        assert rng.bit_generator.state == twin.bit_generator.state
+        assert np.all(kept * (3 << 29) % 2**32 >= 2**30)
+        assert np.all(got >= low) and np.all(got < low + (3 << 29))
+        assert draws.max() >= 3
